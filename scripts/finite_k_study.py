@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from linrelay.bound import ChannelParams, optimize_bound, solve_endpoint
+from linrelay.bound import ChannelParams, optimize_bound
 from linrelay.codes import build_code, evaluate_rank1, export_code
 from linrelay.trajectory import build_trajectory
 
@@ -40,8 +40,9 @@ def main(argv: list[str] | None = None) -> int:
         f"bound {evaluation.energy_per_bit:.9f} "
         f"(normalized {evaluation.normalized:.9f})"
     )
-    endpoint = solve_endpoint(pair, channel)
-    traj, lam, Q1 = build_trajectory(endpoint, channel, n_samples=args.n_samples)
+    traj, lam, Q1 = build_trajectory(
+        evaluation.endpoint, channel, n_samples=args.n_samples
+    )
 
     print()
     print(f"{'k':>6}  {'oracle E/bit':>14}  {'rel gap':>10}  {'ratio':>6}")
@@ -50,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     code = None
     k = args.k_min
     while k <= args.k_max:
-        code = build_code(channel, endpoint, traj, lam, Q1, k)
+        code = build_code(channel, traj, lam, Q1, k)
         oracle = evaluate_rank1(channel, code.s, code.D)
         gap = abs(oracle.energy_per_bit - evaluation.energy_per_bit) / evaluation.energy_per_bit
         ratio = "" if prev_gap is None else f"{prev_gap / gap:6.2f}"

@@ -19,7 +19,6 @@ from .bound import (
     EndpointSolution,
     compute_phi,
     f_eval,
-    g_eval,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -35,9 +34,7 @@ from .codes import (
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    VectorField,
     find_root_bracketed,
-    gauss_seidel_euler,
     integrate_adaptive,
     minimize_simplex,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "QuadratureSpec",
     "RelayCode",
     "TrajectoryGrid",
-    "VectorField",
     "block_markov_bound",
     "bounds_record",
     "build_code",
@@ -78,8 +74,6 @@ __all__ = [
     "export_code",
     "f_eval",
     "find_root_bracketed",
-    "g_eval",
-    "gauss_seidel_euler",
     "integrate_adaptive",
     "invert_A_profile",
     "lambda_and_Q1",

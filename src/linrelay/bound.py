@@ -15,6 +15,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BracketOverflowError,
@@ -41,7 +42,6 @@ __all__ = [
     "BoundEvaluation",
     "compute_phi",
     "f_eval",
-    "g_eval",
     "solve_endpoint",
     "theorem_bound",
     "optimize_bound",
@@ -139,6 +139,7 @@ class BoundEvaluation:
             the degenerate boundary).
         energy_per_bit: (Q1 + Q2) / (0.5 * log2(log_arg)).
         normalized: energy_per_bit / (2 ln 2); 1.0 is direct transmission.
+        endpoint: The endpoint solution every other field is read off.
     """
 
     lam: float
@@ -148,6 +149,18 @@ class BoundEvaluation:
     log_arg: float
     energy_per_bit: float
     normalized: float
+    endpoint: EndpointSolution
+
+
+class _ClosedForms(NamedTuple):
+    lam: float
+    c1: float
+    Q1: float
+    Q2: float
+    q2_cubic: float
+    q2_mixed: float
+    log_arg: float
+    arg_scale: float
 
 
 def compute_phi(pair: BoundaryPair) -> float:
@@ -189,43 +202,6 @@ def _integrand_first(w: float, phi: float) -> float:
 def _integrand_second(w: float, phi: float) -> float:
     fw = f_eval(w, phi)
     return fw * fw / (1.0 + w * fw * fw)
-
-
-def g_eval(
-    A0: float,
-    pair: BoundaryPair,
-    channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Zero function whose unique root locates the endpoint A0.
-
-    g(A0) = 1/B_f + I1(A0) - (a/sqrt(A_f B_f)) * exp(-(H(A0) - I2(A0))/2)
-    with I1 the integral of f/(1+w f^2), I2 of f^2/(1+w f^2), and H of 1/w,
-    all over [A_f, A0].  Both non-elementary integrals go through
-    integrate_adaptive; H is ln(A0/A_f) exactly.  g is strictly increasing
-    and g(A_f) <= 0 whenever A_f/B_f <= a^2, so bracketing on [A_f, inf) is
-    safe.
-
-    Args:
-        A0: Candidate endpoint, at least A_f.
-        pair: Terminal pair fixing phi.
-        channel: Supplies the gain a.
-        quadrature: Quadrature control.
-
-    Returns:
-        g(A0); negative below the root, positive above.
-    """
-    if A0 < pair.A_f:
-        raise DomainError(f"A0={A0!r} lies below A_f={pair.A_f!r}")
-    phi = compute_phi(pair)
-    i1 = integrate_adaptive(lambda w: _integrand_first(w, phi), pair.A_f, A0, quadrature)
-    i2 = integrate_adaptive(lambda w: _integrand_second(w, phi), pair.A_f, A0, quadrature)
-    exponent = -0.5 * (math.log(A0 / pair.A_f) - i2)
-    return (
-        1.0 / pair.B_f
-        + i1
-        - (channel.a / math.sqrt(pair.A_f * pair.B_f)) * math.exp(exponent)
-    )
 
 
 class _CumulativeIntegrals:
@@ -344,6 +320,34 @@ def solve_endpoint(
     )
 
 
+def _closed_forms(ep: EndpointSolution, channel: ChannelParams) -> _ClosedForms:
+    """lambda, c1, Q1, Q2 and the log argument read off one endpoint.
+
+    Writing J for the second cumulative integral, the source energy is
+    Q1 = (exp(J) - 1)/a^2, algebraically identical to the closed form
+    -1/a^2 + A0^3 B_f/(a^6 psi^2) but free of its catastrophic cancellation
+    near the degenerate boundary.  Q2 is -1/b^2 plus a cubic and a mixed
+    term; arg_scale is the largest of the three terms summed inside the log
+    argument.  The terms and the scale set theorem_bound's cancellation
+    floors.
+    """
+    a, b = channel.a, channel.b
+    A0, psi, B0, A_f, B_f = ep.A0, ep.psi, ep.B0, ep.A_f, ep.B_f
+    c1 = b * psi
+    q2_cubic = A0**3 / (a**5 * b * b * psi**3)
+    q2_mixed = A0 * A0 * (A_f * B_f**2 - 1.0) / (a**4 * b * b * psi * psi * B_f)
+    return _ClosedForms(
+        lam=a * a * c1 * c1 / A0,
+        c1=c1,
+        Q1=math.expm1(ep.i2_value) / (a * a),
+        Q2=-1.0 / (b * b) + q2_cubic + q2_mixed,
+        q2_cubic=q2_cubic,
+        q2_mixed=q2_mixed,
+        log_arg=(A0 / (a * a)) * (1.0 / B_f + A0 * B0 - A_f * B_f),
+        arg_scale=max(1.0 / B_f, A0 * B0, A_f * B_f),
+    )
+
+
 def theorem_bound(
     pair: BoundaryPair,
     channel: ChannelParams,
@@ -352,11 +356,8 @@ def theorem_bound(
 ) -> BoundEvaluation:
     """Energy-per-bit bound E(A_f, B_f) at one strictly interior pair.
 
-    Writing J for the second cumulative integral, the source energy is
-    Q1 = (exp(J) - 1)/a^2, algebraically identical to the closed form
-    -1/a^2 + A0^3 B_f/(a^6 psi^2) but free of its catastrophic cancellation
-    near the degenerate boundary.  Q2 and the log argument follow the closed
-    forms directly.
+    Solves the endpoint once and reads every energy term off it in closed
+    form; the endpoint travels with the returned evaluation.
 
     Args:
         pair: Terminal pair with A_f/B_f strictly inside the a^2 boundary.
@@ -377,46 +378,37 @@ def theorem_bound(
             f"A_f/B_f={pair.ratio()!r} within {RATIO_MARGIN:g} of the a^2 boundary"
         )
     ep = solve_endpoint(pair, channel, quadrature, root_tol)
-    A0, psi, B0 = ep.A0, ep.psi, ep.B0
-    c1 = b * psi
-    lam = a * a * c1 * c1 / A0
-    Q1 = math.expm1(ep.i2_value) / (a * a)
-    q2_cubic = A0**3 / (a**5 * b * b * psi**3)
-    q2_mixed = (
-        A0 * A0 * (pair.A_f * pair.B_f**2 - 1.0) / (a**4 * b * b * psi * psi * pair.B_f)
-    )
-    Q2 = -1.0 / (b * b) + q2_cubic + q2_mixed
-    arg_scale = max(1.0 / pair.B_f, A0 * B0, pair.A_f * pair.B_f)
-    log_arg = (A0 / (a * a)) * (1.0 / pair.B_f + A0 * B0 - pair.A_f * pair.B_f)
-    if not (math.isfinite(Q2) and math.isfinite(log_arg)):
+    cf = _closed_forms(ep, channel)
+    if not (math.isfinite(cf.Q2) and math.isfinite(cf.log_arg)):
         raise DegenerateBoundError("non-finite energy terms; pair outside float range")
-    if Q1 <= 0.0:
-        raise DegenerateBoundError(f"Q1={Q1!r} is not positive")
-    total = Q1 + Q2
+    if cf.Q1 <= 0.0:
+        raise DegenerateBoundError(f"Q1={cf.Q1!r} is not positive")
+    total = cf.Q1 + cf.Q2
     # Both Q2 and log_arg are differences of like-sized terms that cancel to
     # zero at the a^2 boundary.  Once the surviving value drops below the
     # rounding scale of those terms, the quotient is pure noise (it can land
     # anywhere, including far below the true limit), so treat it as
     # degenerate rather than return a fabricated bound.
-    q2_noise = _CANCEL_FLOOR * max(1.0 / (b * b), abs(q2_cubic), abs(q2_mixed))
+    q2_noise = _CANCEL_FLOOR * max(1.0 / (b * b), abs(cf.q2_cubic), abs(cf.q2_mixed))
     if total <= q2_noise:
         raise DegenerateBoundError(
             f"total energy {total!r} below the cancellation floor {q2_noise!r}"
         )
-    arg_noise = _CANCEL_FLOOR * (A0 / (a * a)) * arg_scale
-    if log_arg - 1.0 <= arg_noise:
+    arg_noise = _CANCEL_FLOOR * (ep.A0 / (a * a)) * cf.arg_scale
+    if cf.log_arg - 1.0 <= arg_noise:
         raise DegenerateBoundError(
-            f"log argument {log_arg!r} within the cancellation floor of 1"
+            f"log argument {cf.log_arg!r} within the cancellation floor of 1"
         )
-    energy = total / (0.5 * math.log2(log_arg))
+    energy = total / (0.5 * math.log2(cf.log_arg))
     return BoundEvaluation(
-        lam=lam,
-        c1=c1,
-        Q1=Q1,
-        Q2=Q2,
-        log_arg=log_arg,
+        lam=cf.lam,
+        c1=cf.c1,
+        Q1=cf.Q1,
+        Q2=cf.Q2,
+        log_arg=cf.log_arg,
         energy_per_bit=energy,
         normalized=energy / TWO_LN2,
+        endpoint=ep,
     )
 
 

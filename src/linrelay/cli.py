@@ -12,7 +12,6 @@ collapse.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -35,22 +34,13 @@ from .bound import (
     theorem_bound,
 )
 from .codes import DEFAULT_K_CAP, build_code, evaluate_rank1, export_code
-from .errors import (
-    DegenerateBoundError,
-    DenominatorCollapseError,
-    DomainError,
-    FactorizationFailureError,
-    NoFeasiblePointError,
-    ProfileMismatchError,
-)
-from .trajectory import build_trajectory, check_identities, unbar
+from .errors import EXIT_INVALID_INPUT, DomainError, LinrelayError
+from .trajectory import build_trajectory, check_identities
 
 __all__ = ["main", "SweepConfig", "cmd_bound", "cmd_sweep", "cmd_code", "cmd_verify"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_INVALID_INPUT = 2
-EXIT_COLLAPSE = 3
 
 _MIN_B = 1e-3
 
@@ -138,20 +128,16 @@ def _bound_payload(
 
 def cmd_bound(args) -> int:
     """Evaluate the rank-1 bound at one channel point, plus all baselines."""
-    try:
-        channel = ChannelParams(a=args.a, b=args.b)
-        pair = _pair_args(args)
-        if pair is not None:
-            if pair.ratio() > channel.a**2:
-                raise DomainError(
-                    f"A_f/B_f={pair.ratio():g} exceeds a^2={channel.a ** 2:g}"
-                )
-            ev = theorem_bound(pair, channel)
-        else:
-            pair, ev = optimize_bound(channel)
-    except (ValueError, DomainError, DegenerateBoundError, NoFeasiblePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    channel = ChannelParams(a=args.a, b=args.b)
+    pair = _pair_args(args)
+    if pair is not None:
+        if pair.ratio() > channel.a**2:
+            raise DomainError(
+                f"A_f/B_f={pair.ratio():g} exceeds a^2={channel.a ** 2:g}"
+            )
+        ev = theorem_bound(pair, channel)
+    else:
+        pair, ev = optimize_bound(channel)
     payload = _bound_payload(channel, pair, ev)
     payload["baselines"] = {
         "block_markov": block_markov_bound(channel),
@@ -198,20 +184,14 @@ def run_sweep(config: SweepConfig) -> list[dict]:
                 "rank1": record.rank1,
                 "A_f": record.rank1_pair.A_f,
                 "B_f": record.rank1_pair.B_f,
-                "A0": _endpoint_A0(record),
-                "psi": record.rank1_eval.c1 / record.b,
+                "A0": record.rank1_eval.endpoint.A0,
+                "psi": record.rank1_eval.endpoint.psi,
                 "lambda": record.rank1_eval.lam,
                 "Q1": record.rank1_eval.Q1,
                 "Q2": record.rank1_eval.Q2,
             }
         )
     return rows
-
-
-def _endpoint_A0(record) -> float:
-    # lambda = a^2 c1^2 / A0, so A0 is recoverable from the evaluation.
-    ev = record.rank1_eval
-    return record.a**2 * ev.c1**2 / ev.lam
 
 
 def _write_rows(rows: list[dict], config: SweepConfig) -> None:
@@ -285,28 +265,20 @@ def _write_svg(path: Path, rows: list[dict]) -> None:
 
 def cmd_sweep(args) -> int:
     """Sweep b and write the bounds table; optionally render the SVG chart."""
-    try:
-        config = SweepConfig(
-            a=args.a,
-            b_min=args.b_min,
-            b_max=args.b_max,
-            n_points=args.n_points,
-            grid=args.grid,
-            output_path=args.out,
-            format=args.format,
-        )
-        ChannelParams(a=config.a, b=max(config.b_max, _MIN_B))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    try:
-        rows = run_sweep(config)
-        _write_rows(rows, config)
-        if args.svg:
-            _write_svg(Path(args.svg), rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    config = SweepConfig(
+        a=args.a,
+        b_min=args.b_min,
+        b_max=args.b_max,
+        n_points=args.n_points,
+        grid=args.grid,
+        output_path=args.out,
+        format=args.format,
+    )
+    ChannelParams(a=config.a, b=max(config.b_max, _MIN_B))
+    rows = run_sweep(config)
+    _write_rows(rows, config)
+    if args.svg:
+        _write_svg(Path(args.svg), rows)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return EXIT_OK
 
@@ -314,27 +286,15 @@ def cmd_sweep(args) -> int:
 def cmd_code(args) -> int:
     """Build a k-dimensional relay code, export it, report the oracle gap."""
     if args.k > DEFAULT_K_CAP and not args.force:
-        print(
-            f"error: k={args.k} exceeds the cap {DEFAULT_K_CAP}; pass --force",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID_INPUT
-    try:
-        channel = ChannelParams(a=args.a, b=args.b)
-        pair = _pair_args(args)
-        if pair is None:
-            pair, ev = optimize_bound(channel)
-        else:
-            ev = theorem_bound(pair, channel)
-        endpoint = solve_endpoint(pair, channel)
-        traj, lam, Q1 = build_trajectory(endpoint, channel)
-        code = build_code(channel, endpoint, traj, lam, Q1, args.k)
-    except (ValueError, DomainError, DegenerateBoundError, NoFeasiblePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except DenominatorCollapseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
+        raise DomainError(f"k={args.k} exceeds the cap {DEFAULT_K_CAP}; pass --force")
+    channel = ChannelParams(a=args.a, b=args.b)
+    pair = _pair_args(args)
+    if pair is None:
+        pair, ev = optimize_bound(channel)
+    else:
+        ev = theorem_bound(pair, channel)
+    traj, lam, Q1 = build_trajectory(ev.endpoint, channel)
+    code = build_code(channel, traj, lam, Q1, args.k)
     Path(args.out).write_text(export_code(code, channel))
     oracle = evaluate_rank1(channel, code.s, code.D)
     gap = abs(oracle.energy_per_bit - ev.energy_per_bit) / ev.energy_per_bit
@@ -355,33 +315,21 @@ def cmd_code(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run residual and identity suites; print one line per check."""
-    try:
-        channel = ChannelParams(a=args.a, b=args.b)
-        pair = _pair_args(args)
-        if pair is None:
-            pair, _ = optimize_bound(channel)
+    channel = ChannelParams(a=args.a, b=args.b)
+    pair = _pair_args(args)
+    if pair is None:
+        _, ev = optimize_bound(channel)
+        endpoint = ev.endpoint
+    else:
+        # Solved directly rather than through theorem_bound, whose
+        # cancellation floors refuse near-boundary pairs verify still checks.
         if pair.ratio() > channel.a**2 * (1.0 - 1e-9):
-            print(
-                f"error: degenerate input, A_f/B_f={pair.ratio():g} sits on the "
-                f"a^2 boundary",
-                file=sys.stderr,
+            raise DomainError(
+                f"degenerate input, A_f/B_f={pair.ratio():g} sits on the a^2 boundary"
             )
-            return EXIT_INVALID_INPUT
         endpoint = solve_endpoint(pair, channel)
-        traj, lam, Q1 = build_trajectory(endpoint, channel, n_samples=args.n_samples)
-    except (ValueError, DomainError, DegenerateBoundError, NoFeasiblePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (DenominatorCollapseError, FactorizationFailureError, ProfileMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLAPSE
-
-    lam_used = lam * args.lambda_scale
-    if args.lambda_scale != 1.0:
-        T, R, Z, V = unbar(traj.Tbar, traj.Rbar, traj.Zbar, traj.Vbar, lam_used, channel)
-        traj = dataclasses.replace(traj, T=T, R=R, Z=Z, V=V)
-
-    report = check_identities(traj, endpoint, channel, lam_used, Q1)
+    traj, lam, Q1 = build_trajectory(endpoint, channel, n_samples=args.n_samples)
+    report = check_identities(traj, endpoint, channel, lam, Q1)
     all_ok = report.passed
     res_scale = max(abs(endpoint.residual_first), abs(endpoint.residual_second))
     lemma_ok = res_scale <= 1e-8
@@ -441,16 +389,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_channel(p_verify)
     add_pair(p_verify)
     p_verify.add_argument("--n-samples", type=int, default=512)
-    p_verify.add_argument(
-        "--lambda-scale", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; map every expected failure to its exit code."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LinrelayError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, LinrelayError) else EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .bound import ChannelParams, EndpointSolution
+from .bound import TWO_LN2, ChannelParams
 from .errors import DenominatorCollapseError, FactorizationFailureError
 from .trajectory import TrajectoryGrid
 
@@ -30,8 +30,6 @@ __all__ = [
     "export_code",
     "parse_code",
 ]
-
-TWO_LN2 = 2.0 * math.log(2.0)
 
 # Dense k x k storage and a cubic factorization keep desk-scale runtimes only
 # up to a few thousand; larger k needs an explicit override.
@@ -82,7 +80,6 @@ class CodeEvaluation:
 
 def build_code(
     channel: ChannelParams,
-    endpoint: EndpointSolution,
     traj: TrajectoryGrid,
     lam: float,
     Q1: float,
@@ -100,8 +97,6 @@ def build_code(
 
     Args:
         channel: Channel gains.
-        endpoint: Endpoint solution (unused numerically, kept for provenance
-            of V(0), Z(0) which must come from its trajectory).
         traj: Reconstructed trajectory; supplies V(0) and Z(0).
         lam: Multiplier scale from lambda_and_Q1.
         Q1: Source energy from lambda_and_Q1.

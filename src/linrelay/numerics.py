@@ -1,9 +1,7 @@
 """Generic numerical kernels used by the rest of the package.
 
-Four tools live here: adaptive Simpson quadrature, bracketed root-finding,
-a deterministic Nelder-Mead wrapper, and the component-sequential Euler
-integrator in which each state component is advanced using the already
-updated values of the components before it.
+Three tools live here: adaptive Simpson quadrature, bracketed root-finding,
+and a deterministic Nelder-Mead wrapper.
 
 The quadrature is hand-rolled because callers need precise control over the
 failure modes (a hard recursion cap and an explicit error when a tolerance is
@@ -23,12 +21,10 @@ from .errors import DepthExceededError, NoBracketError, NonFiniteError
 
 __all__ = [
     "QuadratureSpec",
-    "VectorField",
     "DEFAULT_QUADRATURE",
     "integrate_adaptive",
     "find_root_bracketed",
     "minimize_simplex",
-    "gauss_seidel_euler",
 ]
 
 # brentq refuses relative tolerances below 4 ulp.
@@ -65,29 +61,8 @@ class QuadratureSpec:
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
-    def halved(self) -> "QuadratureSpec":
-        """Spec with both tolerances halved; used for convergence checks."""
-        return QuadratureSpec(self.abs_tol / 2.0, self.rel_tol / 2.0, self.max_depth)
-
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Right-hand side of an autonomous-in-layout ODE system theta' = F(theta, t).
-
-    Attributes:
-        dimension: Number of state components m.
-        evaluate: Callable mapping (state, t) to the length-m derivative vector.
-    """
-
-    dimension: int
-    evaluate: Callable[[np.ndarray, float], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -271,56 +246,3 @@ def minimize_simplex(
     )
     return np.asarray(res.x, dtype=float), float(res.fun)
 
-
-def gauss_seidel_euler(
-    vector_field: VectorField,
-    theta0: Sequence[float],
-    t0: float,
-    t1: float,
-    steps: int,
-) -> np.ndarray:
-    """Integrate theta' = F(theta, t) by component-sequential Euler steps.
-
-    Within each step of size delta = (t1-t0)/steps, components are advanced in
-    index order and component j sees the already-updated values of components
-    0..j-1 (a Gauss-Seidel sweep rather than a Jacobi one).  The field is
-    always evaluated at the step-start time.
-
-    Args:
-        vector_field: The right-hand side and its dimension.
-        theta0: Initial state, length vector_field.dimension.
-        t0: Initial time.
-        t1: Final time; must exceed t0.
-        steps: Number of Euler steps, at least 1.
-
-    Returns:
-        Array of shape (steps + 1, m) holding every intermediate state,
-        starting with theta0.
-
-    Raises:
-        NonFiniteError: If any component update produces a non-finite value;
-            the message names the step and component.
-    """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    m = vector_field.dimension
-    state = np.asarray(theta0, dtype=float).copy()
-    if state.shape != (m,):
-        raise ValueError(f"theta0 must have shape ({m},)")
-    delta = (t1 - t0) / steps
-    out = np.empty((steps + 1, m), dtype=float)
-    out[0] = state
-    for i in range(steps):
-        t = t0 + i * delta
-        for j in range(m):
-            deriv = vector_field.evaluate(state, t)
-            value = state[j] + delta * float(deriv[j])
-            if not math.isfinite(value):
-                raise NonFiniteError(
-                    f"non-finite update at step {i + 1}, component {j}"
-                )
-            state[j] = value
-        out[i + 1] = state
-    return out

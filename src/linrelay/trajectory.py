@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import (
-    BoundEvaluation,
     ChannelParams,
     EndpointSolution,
     f_eval,
+    _closed_forms,
     _integrand_first,
     _integrand_second,
 )
-from .errors import DegenerateBoundError, ProfileMismatchError
+from .errors import DegenerateBoundError, ProfileMismatchError, RouteMismatchError
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -112,19 +112,18 @@ def lambda_and_Q1(
     floor of the literal closed form.
 
     Raises:
+        RouteMismatchError: If the two Q1 routes disagree.
         DegenerateBoundError: If Q1 <= 0 (boundary pair).
     """
     a, b = channel.a, channel.b
-    c1 = b * endpoint.psi
-    A0 = endpoint.A0
-    lam = a * a * c1 * c1 / A0
-    Q1 = math.expm1(endpoint.i2_value) / (a * a)
-    literal = -1.0 / (a * a) + b * b * A0**3 * endpoint.B_f / (a**6 * c1 * c1)
+    cf = _closed_forms(endpoint, channel)
+    lam, Q1, c1 = cf.lam, cf.Q1, cf.c1
+    literal = -1.0 / (a * a) + b * b * endpoint.A0**3 * endpoint.B_f / (a**6 * c1 * c1)
     # The literal form subtracts terms of size 1/a^2, so its accuracy floor
     # is ulp(1/a^2); the agreement check is relative to that scale.
     floor = 1e-12 * max(abs(Q1), 1.0 / (a * a))
     if abs(Q1 - literal) > floor:
-        raise AssertionError(
+        raise RouteMismatchError(
             f"Q1 routes disagree: {Q1!r} vs {literal!r} beyond {floor:g}"
         )
     if Q1 <= 0.0:
@@ -234,7 +233,8 @@ def reconstruct_barred(
     Vbar = (c1^3 + Tbar*Zbar)/Sbar with c1 = b*psi.
 
     Returns:
-        Arrays (Tbar, Rbar, Zbar, Vbar, U), each aligned with S.
+        Arrays (B, Tbar, Rbar, Zbar, Vbar, U), each aligned with S, where
+        B = f(A).
     """
     a, b = channel.a, channel.b
     c1 = b * endpoint.psi
@@ -257,7 +257,7 @@ def reconstruct_barred(
     Rbar = Tbar * Tbar / Sbar - Sbar * A / (c1 * c1)
     Zbar = c1**4 * B / Sbar
     Vbar = (c1**3 + Tbar * Zbar) / Sbar
-    return Tbar, Rbar, Zbar, Vbar, U
+    return B, Tbar, Rbar, Zbar, Vbar, U
 
 
 def unbar(
@@ -292,15 +292,14 @@ def build_trajectory(
     """
     lam, Q1 = lambda_and_Q1(endpoint, channel)
     S, A = invert_A_profile(endpoint, channel, Q1, n_samples, quadrature)
-    Tbar, Rbar, Zbar, Vbar, U = reconstruct_barred(S, A, endpoint, channel, quadrature)
+    B, Tbar, Rbar, Zbar, Vbar, U = reconstruct_barred(S, A, endpoint, channel, quadrature)
     T, R, Z, V = unbar(Tbar, Rbar, Zbar, Vbar, lam, channel)
-    phi = endpoint.phi
     grid = TrajectoryGrid(
         n_samples=n_samples,
         S=S,
         Sbar=1.0 / (channel.a * channel.a) + S,
         A=A,
-        B=np.array([f_eval(w, phi) for w in A]),
+        B=B,
         Tbar=Tbar,
         Rbar=Rbar,
         Zbar=Zbar,
@@ -320,7 +319,6 @@ def check_identities(
     channel: ChannelParams,
     lam: float,
     Q1: float,
-    bound_eval: BoundEvaluation | None = None,
 ) -> IdentityReport:
     """Verify conservation laws and the two final trajectory identities.
 
@@ -334,42 +332,30 @@ def check_identities(
       terminal_zero  Z(Q1) and V(Q1) within 1e-8 of 0
       z_sign         Z >= -1e-10 at all samples
 
-    Q2 and the log argument are recomputed here from the endpoint constants
-    (or taken from bound_eval when provided), giving a second, independent
-    computation path for both identities.
+    Q2 and the log argument come from the closed forms theorem_bound reports
+    at this endpoint; the trajectory side of each identity is computed
+    independently from the sampled terminal state.
 
     Returns:
         Report with one entry per check; never raises on failure.
     """
     a, b = channel.a, channel.b
-    c1 = b * endpoint.psi
+    cf = _closed_forms(endpoint, channel)
+    c1 = cf.c1
     phi = endpoint.phi
-    A0, psi, B0 = endpoint.A0, endpoint.psi, endpoint.B0
-    A_f, B_f = endpoint.A_f, endpoint.B_f
 
     cons = np.max(np.abs(traj.Sbar * traj.Vbar - traj.Tbar * traj.Zbar - c1**3))
     cons_tol = 1e-6 * abs(c1**3)
 
     ab_res = np.max(np.abs(traj.A * traj.B + 1.0 / traj.A - 1.0 / traj.B - phi))
 
-    if bound_eval is not None:
-        Q2 = bound_eval.Q2
-        log_arg = bound_eval.log_arg
-    else:
-        Q2 = (
-            -1.0 / (b * b)
-            + A0**3 / (a**5 * b * b * psi**3)
-            + A0 * A0 * (A_f * B_f**2 - 1.0) / (a**4 * b * b * psi * psi * B_f)
-        )
-        log_arg = (A0 / (a * a)) * (1.0 / B_f + A0 * B0 - A_f * B_f)
-
     T_end, R_end = float(traj.T[-1]), float(traj.R[-1])
     Z_start = float(traj.Z[0])
     q2_lhs = a * T_end / (b * lam) - R_end / (b * b * lam)
-    q2_res = abs(q2_lhs - Q2) / max(abs(Q2), 1e-30)
+    q2_res = abs(q2_lhs - cf.Q2) / max(abs(cf.Q2), 1e-30)
 
     log_lhs = 1.0 + Z_start + a * a * Q1 - 2.0 * a * T_end / b + R_end / (b * b)
-    log_res = abs(log_lhs - log_arg) / max(abs(log_arg), 1e-30)
+    log_res = abs(log_lhs - cf.log_arg) / max(abs(cf.log_arg), 1e-30)
 
     start_zero = max(abs(float(traj.T[0])), abs(float(traj.R[0])))
     terminal_zero = max(abs(float(traj.Z[-1])), abs(float(traj.V[-1])))

@@ -29,7 +29,6 @@ from linrelay.bound import (
     solve_endpoint,
 )
 from linrelay.codes import build_code, evaluate_rank1
-from linrelay.numerics import VectorField, gauss_seidel_euler
 from linrelay.trajectory import build_trajectory, check_identities
 
 GRID_A = 1.1
@@ -152,10 +151,10 @@ def test_criterion_05_trajectory_identities_at_optima(
     worst_ratio = 0.0
     for b in (1.0, 2.0, 5.0):
         channel = ChannelParams(a=GRID_A, b=b)
-        pair, evaluation = optimized_cache(GRID_A, b)
-        ep = solve_endpoint(pair, channel)
+        _, evaluation = optimized_cache(GRID_A, b)
+        ep = evaluation.endpoint
         traj, lam, Q1 = build_trajectory(ep, channel, n_samples=512)
-        report = check_identities(traj, ep, channel, lam, Q1, bound_eval=evaluation)
+        report = check_identities(traj, ep, channel, lam, Q1)
         all_pass = all_pass and report.passed
         for check in report.checks:
             worst_ratio = max(worst_ratio, check.worst_residual / check.tolerance)
@@ -175,13 +174,12 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
     with the bound computation, so a shrinking gap certifies both sides.
     """
     channel = ChannelParams(a=GRID_A, b=2.0)
-    pair, evaluation = optimized_cache(GRID_A, 2.0)
-    ep = solve_endpoint(pair, channel)
-    traj, lam, Q1 = build_trajectory(ep, channel, n_samples=512)
+    _, evaluation = optimized_cache(GRID_A, 2.0)
+    traj, lam, Q1 = build_trajectory(evaluation.endpoint, channel, n_samples=512)
     ks = (128, 256, 512, 1024, 2048)
     gaps = []
     for k in ks:
-        code = build_code(channel, ep, traj, lam, Q1, k)
+        code = build_code(channel, traj, lam, Q1, k)
         oracle = evaluate_rank1(channel, code.s, code.D)
         gaps.append(
             abs(oracle.energy_per_bit - evaluation.energy_per_bit)
@@ -199,20 +197,31 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
 
 
 def test_criterion_07_euler_first_order(criterion_recorder):
-    """Sequential Euler shows first-order convergence on theta' = theta."""
-    field = VectorField(dimension=1, evaluate=lambda state, t: np.array([state[0]]))
+    """The code builder's sequential Euler sweep is first order.
+
+    The exact trajectory ends at Z(Q1) = V(Q1) = 0.  The sweep's terminal
+    state Z0 - sum z_i^2 and V0 - sum u_i z_i misses it by its
+    discretization error, which must fall like 1/k.
+    """
+    channel = ChannelParams(a=GRID_A, b=2.0)
+    pair = BoundaryPair(A_f=0.47745726861858833, B_f=0.7594024699528037)
+    traj, lam, Q1 = build_trajectory(solve_endpoint(pair, channel), channel, n_samples=512)
+    Z0, V0 = float(traj.Z[0]), float(traj.V[0])
     steps = (256, 512, 1024, 2048)
-    errors = []
-    for n in steps:
-        path = gauss_seidel_euler(field, np.array([1.0]), 0.0, 1.0, n)
-        errors.append(abs(float(path[-1, 0]) - math.e))
-    slope = -float(np.polyfit(np.log(np.array(steps, float)), np.log(errors), 1)[0])
-    ok = 0.8 <= slope <= 1.2
+    z_res, v_res = [], []
+    for k in steps:
+        code = build_code(channel, traj, lam, Q1, k)
+        z_res.append(abs(Z0 - float(np.sum(code.z * code.z))))
+        v_res.append(abs(V0 - float(np.sum(code.u * code.z))))
+    log_k = np.log(np.array(steps, float))
+    slopes = [-float(np.polyfit(log_k, np.log(res), 1)[0]) for res in (z_res, v_res)]
+    ok = all(0.8 <= slope <= 1.2 for slope in slopes)
     criterion_recorder(
         7,
-        "Euler integrator is first order",
+        "code builder's Euler sweep is first order",
         ok,
-        f"log-log error slope = {slope:.4f}, needs [0.8, 1.2]",
+        f"log-log slopes Z(Q1) = {slopes[0]:.4f}, V(Q1) = {slopes[1]:.4f}, "
+        "need [0.8, 1.2]",
     )
     assert ok
 

@@ -22,7 +22,6 @@ from linrelay.bound import (
     ChannelParams,
     compute_phi,
     f_eval,
-    g_eval,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -148,11 +147,6 @@ class TestSolveEndpoint:
         assert abs(ep.residual_first) < 1e-12
         assert abs(ep.residual_second) < 1e-12
 
-    def test_zero_function_brackets_solution(self):
-        ep = solve_endpoint(PINNED_PAIR, A11)
-        assert g_eval(ep.A0 * (1.0 - 1e-6), PINNED_PAIR, A11) < 0.0
-        assert g_eval(ep.A0 * (1.0 + 1e-6), PINNED_PAIR, A11) > 0.0
-
     def test_interior_A0_exceeds_terminal(self):
         ep = solve_endpoint(PINNED_PAIR, A11)
         assert ep.A0 > ep.A_f
@@ -191,6 +185,11 @@ class TestTheoremBound:
         expected = _independent_bound(pair, A11)
         ev = theorem_bound(pair, A11)
         assert ev.normalized == pytest.approx(expected, rel=1e-9)
+
+    def test_carries_its_endpoint(self):
+        # The evaluation's endpoint is the one a fresh solve returns, so no
+        # caller needs to solve it again.
+        assert theorem_bound(PINNED_PAIR, A11).endpoint == solve_endpoint(PINNED_PAIR, A11)
 
     def test_energy_decomposition_consistent(self):
         ev = theorem_bound(PINNED_PAIR, A11)

@@ -23,8 +23,7 @@ PAIR = BoundaryPair(A_f=0.47745726861858833, B_f=0.7594024699528037)
 @pytest.fixture(scope="module")
 def pipeline():
     endpoint = solve_endpoint(PAIR, A11)
-    traj, lam, Q1 = build_trajectory(endpoint, A11, n_samples=256)
-    return endpoint, traj, lam, Q1
+    return build_trajectory(endpoint, A11, n_samples=256)
 
 
 class TestEvaluateRank1:
@@ -83,8 +82,8 @@ class TestEvaluateRank1:
 
 class TestBuildCode:
     def test_shapes_and_step(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 48)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 48)
         assert code.k == 48
         assert code.delta == pytest.approx(Q1 / 48.0, rel=1e-15)
         assert code.s.shape == (48,)
@@ -95,39 +94,39 @@ class TestBuildCode:
     def test_aux_sequence_identities(self, pipeline):
         # D s recovers u and D r recovers z - s exactly (the defining
         # algebra of the matrix entries), up to summation roundoff.
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 48)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 48)
         assert np.allclose(code.D @ code.s, code.u, rtol=0.0, atol=1e-12)
         assert np.allclose(code.D @ code.r, code.z - code.s, rtol=0.0, atol=1e-12)
 
     def test_first_step_has_no_feedback(self, pipeline):
         # T starts at zero, so u_0 = 0 and row 1 of D is empty anyway.
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 8)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 8)
         assert code.u[0] == 0.0
 
     def test_oracle_gap_shrinks_with_k(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
+        traj, lam, Q1 = pipeline
         target = theorem_bound(PAIR, A11).energy_per_bit
         gaps = []
         for k in (32, 64, 128):
-            code = build_code(A11, endpoint, traj, lam, Q1, k)
+            code = build_code(A11, traj, lam, Q1, k)
             out = evaluate_rank1(A11, code.s, code.D)
             gaps.append(abs(out.energy_per_bit - target) / target)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2e-3
 
     def test_deterministic(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
-        c1 = build_code(A11, endpoint, traj, lam, Q1, 16)
-        c2 = build_code(A11, endpoint, traj, lam, Q1, 16)
+        traj, lam, Q1 = pipeline
+        c1 = build_code(A11, traj, lam, Q1, 16)
+        c2 = build_code(A11, traj, lam, Q1, 16)
         assert np.array_equal(c1.D, c2.D)
         assert np.array_equal(c1.r, c2.r)
 
     def test_k_validation(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
+        traj, lam, Q1 = pipeline
         with pytest.raises(ValueError):
-            build_code(A11, endpoint, traj, lam, Q1, 0)
+            build_code(A11, traj, lam, Q1, 0)
 
     def test_cap_constant_reasonable(self):
         assert DEFAULT_K_CAP == 4096
@@ -135,8 +134,8 @@ class TestBuildCode:
 
 class TestExchangeFormat:
     def test_round_trip_is_exact(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 12)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 12)
         text = export_code(code, A11)
         channel, parsed = parse_code(text)
         assert channel == A11
@@ -146,16 +145,16 @@ class TestExchangeFormat:
         assert np.array_equal(parsed.D, code.D)
 
     def test_round_trip_evaluation_matches(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 12)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 12)
         channel, parsed = parse_code(export_code(code, A11))
         direct = evaluate_rank1(A11, code.s, code.D)
         reparsed = evaluate_rank1(channel, parsed.s, parsed.D)
         assert reparsed.energy_per_bit == direct.energy_per_bit
 
     def test_header_layout(self, pipeline):
-        endpoint, traj, lam, Q1 = pipeline
-        code = build_code(A11, endpoint, traj, lam, Q1, 5)
+        traj, lam, Q1 = pipeline
+        code = build_code(A11, traj, lam, Q1, 5)
         lines = export_code(code, A11).splitlines()
         assert lines[0].split()[0] == "5"
         assert len(lines) == 1 + 1 + 4  # header, s, rows 2..5

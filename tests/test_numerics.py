@@ -1,4 +1,4 @@
-"""Unit tests for the quadrature, root, simplex, and Euler kernels."""
+"""Unit tests for the quadrature, root, and simplex kernels."""
 from __future__ import annotations
 
 import math
@@ -13,9 +13,7 @@ from linrelay.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     SimplexOptions,
-    VectorField,
     find_root_bracketed,
-    gauss_seidel_euler,
     integrate_adaptive,
     minimize_simplex,
 )
@@ -27,13 +25,6 @@ class TestQuadratureSpec:
         assert spec.abs_tol == 1e-12
         assert spec.rel_tol == 1e-12
         assert spec.max_depth == 60
-
-    def test_halved(self):
-        spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-8, max_depth=10)
-        half = spec.halved()
-        assert half.abs_tol == 5e-7
-        assert half.rel_tol == 5e-9
-        assert half.max_depth == 10
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -147,56 +138,6 @@ class TestMinimizeSimplex:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             minimize_simplex(lambda x: 0.0, [])
-
-
-class TestGaussSeidelEuler:
-    def test_scalar_decay_first_order(self):
-        field = VectorField(dimension=1, evaluate=lambda s, t: -s)
-        errors = []
-        for steps in (100, 200, 400):
-            path = gauss_seidel_euler(field, [1.0], 0.0, 1.0, steps)
-            errors.append(abs(path[-1, 0] - math.exp(-1.0)))
-        # Halving the step roughly halves the error.
-        assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.05)
-        assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.05)
-
-    def test_sequential_update_uses_new_components(self):
-        # theta0' = 1, theta1' = theta0.  One unit step: theta0 becomes 1
-        # first, then theta1 sees the updated value and becomes 1 (a Jacobi
-        # sweep would leave theta1 at 0).
-        field = VectorField(
-            dimension=2, evaluate=lambda s, t: np.array([1.0, s[0]])
-        )
-        path = gauss_seidel_euler(field, [0.0, 0.0], 0.0, 1.0, 1)
-        assert path[-1, 0] == 1.0
-        assert path[-1, 1] == 1.0
-
-    def test_path_shape_and_start(self):
-        field = VectorField(dimension=2, evaluate=lambda s, t: np.zeros(2))
-        path = gauss_seidel_euler(field, [3.0, -4.0], 0.0, 2.0, 5)
-        assert path.shape == (6, 2)
-        assert path[0].tolist() == [3.0, -4.0]
-        assert path[-1].tolist() == [3.0, -4.0]
-
-    def test_non_finite_update_names_location(self):
-        field = VectorField(
-            dimension=2, evaluate=lambda s, t: np.array([0.0, math.inf])
-        )
-        with pytest.raises(NonFiniteError, match="component 1"):
-            gauss_seidel_euler(field, [0.0, 0.0], 0.0, 1.0, 4)
-
-    def test_input_validation(self):
-        field = VectorField(dimension=1, evaluate=lambda s, t: -s)
-        with pytest.raises(ValueError):
-            gauss_seidel_euler(field, [1.0], 0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            gauss_seidel_euler(field, [1.0], 1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            gauss_seidel_euler(field, [1.0, 2.0], 0.0, 1.0, 4)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            VectorField(dimension=0, evaluate=lambda s, t: s)
 
 
 class TestSimplexOptions:

@@ -14,7 +14,6 @@ from linrelay.trajectory import (
     check_identities,
     invert_A_profile,
     lambda_and_Q1,
-    reconstruct_barred,
     unbar,
 )
 
@@ -163,12 +162,6 @@ class TestCheckIdentities:
         assert report["conservation"].worst_residual < 1e-10
         with pytest.raises(KeyError):
             report["no_such_check"]
-
-    def test_accepts_bound_eval_source(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
-        ev = theorem_bound(PAIR, A11)
-        report = check_identities(traj, endpoint, A11, lam, Q1, bound_eval=ev)
-        assert report.passed
 
     def test_corrupted_lambda_is_flagged(self, endpoint, trajectory):
         traj, lam, Q1 = trajectory
