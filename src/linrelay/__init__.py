@@ -28,6 +28,7 @@ from .codes import (
     RelayCode,
     build_code,
     evaluate_rank1,
+    evaluate_rank1_stacked,
     export_code,
     parse_code,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "compute_phi",
     "cutset_bound",
     "evaluate_rank1",
+    "evaluate_rank1_stacked",
     "export_code",
     "f_eval",
     "find_root_bracketed",

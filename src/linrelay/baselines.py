@@ -1,9 +1,10 @@
 """Baseline bounds: block-Markov, cut-set, and the 2x2 linear scheme.
 
 The first two are closed-form arithmetic.  The 2x2 scheme is a genuine
-small optimization: its candidate schemes are fed through the same generic
-matrix oracle that evaluates the constructed codes, and the best (beta, P1,
-P2) is found by grid scan plus simplex refinement.
+small optimization over (beta, P1, P2): a grid scan ranks its candidate
+schemes through the stacked form of the matrix oracle, one beta row at a
+time, and a simplex refinement from the best grid point evaluates each
+scheme through the dense oracle that certifies the constructed codes.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import BoundaryPair, BoundEvaluation, ChannelParams, optimize_bound
-from .codes import evaluate_rank1
+from .codes import evaluate_rank1, evaluate_rank1_stacked
 from .numerics import SimplexOptions, minimize_simplex
 
 __all__ = [
@@ -74,18 +75,43 @@ def cutset_bound(channel: ChannelParams) -> float:
     return (1.0 + a2 + b2) / ((1.0 + a2) * (1.0 + b2))
 
 
-def _scheme(channel: ChannelParams, beta: float, P1: float, P2: float):
-    """Source vector and relay matrix of the 2x2 scheme at given powers."""
-    d = math.sqrt(2.0 * P2 / (2.0 * channel.a**2 * beta * P1 + 1.0))
-    root = math.sqrt(2.0 * P1)
-    s = np.array([root * math.sqrt(beta), root * math.sqrt(1.0 - beta)])
-    D = np.array([[0.0, 0.0], [d, 0.0]])
+def _scheme(channel: ChannelParams, beta, P1, P2):
+    """Source vectors and relay matrices of the 2x2 scheme at given powers.
+
+    The arguments broadcast together.  Scalars give s with shape (2,) and D
+    with shape (2, 2); a broadcast shape (n,) gives the stacks (n, 2) and
+    (n, 2, 2).
+    """
+    beta, P1, P2 = np.broadcast_arrays(beta, P1, P2)
+    d = np.sqrt(2.0 * P2 / (2.0 * channel.a**2 * beta * P1 + 1.0))
+    root = np.sqrt(2.0 * P1)
+    s = np.stack([root * np.sqrt(beta), root * np.sqrt(1.0 - beta)], axis=-1)
+    D = np.zeros(d.shape + (2, 2))
+    D[..., 1, 0] = d
     return s, D
 
 
 def _evaluate_scheme(channel: ChannelParams, beta: float, P1: float, P2: float) -> float:
     s, D = _scheme(channel, beta, P1, P2)
     return evaluate_rank1(channel, s, D).normalized
+
+
+def _grid(channel: ChannelParams, power_lo: float):
+    """The 2x2 scan grid and the stacked oracle's value at each of its schemes.
+
+    Returns:
+        betas (41,), then P1s and P2s (961,) holding the (P1, P2) pairs in
+        row-major order, then values (41, 961), row i for betas[i].
+    """
+    betas = np.linspace(0.0, 1.0, _BETA_POINTS)
+    powers = np.geomspace(power_lo, _POWER_HI, _POWER_POINTS)
+    P1s, P2s = (p.ravel() for p in np.meshgrid(powers, powers, indexing="ij"))
+    # One stack per beta row: a single stack over the whole grid holds every
+    # intermediate at once and raises peak memory by 9.7 MiB, not 1.3 MiB.
+    values = np.array(
+        [evaluate_rank1_stacked(channel, *_scheme(channel, beta, P1s, P2s)) for beta in betas]
+    )
+    return betas, P1s, P2s, values
 
 
 def two_by_two_bound(
@@ -95,9 +121,12 @@ def two_by_two_bound(
     """Minimize the 2x2 scheme's energy-per-bit over (beta, P1, P2).
 
     Grid: beta over 41 uniform points in [0, 1], P1 and P2 over 31
-    log-spaced points in [power_lo, 10]; every candidate goes through the
-    generic matrix oracle.  The best grid point seeds a Nelder-Mead
-    refinement in (beta, ln P1, ln P2) constrained to the same box.
+    log-spaced points in [power_lo, 10].  Each beta row of 961 (P1, P2)
+    schemes goes through the stacked matrix oracle in one call; the first
+    grid minimum wins.  The dense oracle then evaluates the winner again and
+    every probe of a Nelder-Mead refinement in (beta, ln P1, ln P2),
+    constrained to the same box, so every value returned comes from the
+    dense oracle.
 
     Args:
         channel: Channel gains.
@@ -106,15 +135,12 @@ def two_by_two_bound(
     Returns:
         Normalized minimum and its argmin.
     """
-    betas = np.linspace(0.0, 1.0, _BETA_POINTS)
-    powers = np.geomspace(power_lo, _POWER_HI, _POWER_POINTS)
-    best = (math.inf, 0.0, power_lo, power_lo)
-    for beta in betas:
-        for P1 in powers:
-            for P2 in powers:
-                value = _evaluate_scheme(channel, float(beta), float(P1), float(P2))
-                if value < best[0]:
-                    best = (value, float(beta), float(P1), float(P2))
+    betas, P1s, P2s, values = _grid(channel, power_lo)
+    # First minimum in (beta, P1, P2) order.  The dense oracle evaluates it
+    # again, since stacked values differ from dense ones by a few ulps.
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    point = (float(betas[i]), float(P1s[j]), float(P2s[j]))
+    best = (_evaluate_scheme(channel, *point), *point)
 
     log_lo, log_hi = math.log(power_lo), math.log(_POWER_HI)
 

@@ -34,7 +34,7 @@ from .bound import (
     theorem_bound,
 )
 from .codes import DEFAULT_K_CAP, build_code, evaluate_rank1, export_code
-from .errors import EXIT_INVALID_INPUT, DomainError, LinrelayError
+from .errors import EXIT_COLLAPSE, EXIT_INVALID_INPUT, DomainError, LinrelayError
 from .trajectory import build_trajectory, check_identities
 
 __all__ = ["main", "SweepConfig", "cmd_bound", "cmd_sweep", "cmd_code", "cmd_verify"]
@@ -398,9 +398,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LinrelayError, ValueError, OSError) as exc:
+    except (LinrelayError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, LinrelayError) else EXIT_INVALID_INPUT
+        if isinstance(exc, LinrelayError):
+            return exc.exit_code
+        # Bare overflow and division by zero at extreme gains are collapse.
+        return EXIT_COLLAPSE if isinstance(exc, ArithmeticError) else EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -3,17 +3,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrelay.baselines import (
+    _grid,
+    _scheme,
     block_markov_bound,
     bounds_record,
     cutset_bound,
     two_by_two_bound,
 )
 from linrelay.bound import ChannelParams
+from linrelay.codes import evaluate_rank1
 
 
 class TestClosedForms:
@@ -72,6 +76,25 @@ class TestTwoByTwo:
         res = two_by_two_cache(1.1, 5.0)
         halved = two_by_two_bound(ChannelParams(a=1.1, b=5.0), power_lo=5e-7)
         assert halved.value == pytest.approx(res.value, abs=1e-7)
+
+    def test_stacked_grid_matches_dense_oracle(self):
+        # The scan ranks the grid by the stacked oracle; the dense certifier,
+        # looped over every grid scheme here, must agree to rounding and pick
+        # the same first minimum.
+        channel = ChannelParams(a=1.1, b=2.0)
+        betas, P1s, P2s, values = _grid(channel, 1e-6)
+        dense = np.array(
+            [
+                [
+                    evaluate_rank1(channel, *_scheme(channel, beta, P1, P2)).normalized
+                    for P1, P2 in zip(P1s.tolist(), P2s.tolist())
+                ]
+                for beta in betas.tolist()
+            ]
+        )
+        assert values.shape == dense.shape == (41, 31 * 31)
+        np.testing.assert_allclose(values, dense, rtol=1e-14, atol=0.0)
+        assert np.argmin(values) == np.argmin(dense)
 
 
 class TestBoundsRecord:

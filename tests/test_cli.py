@@ -202,6 +202,26 @@ class TestExitCodes:
                 id="code-depth",
             ),
             pytest.param(
+                ["bound", "--a", "1e200", "--b", "1", "--Af", "1", "--Bf", "1"],
+                EXIT_COLLAPSE,
+                id="bound-overflow-gain",
+            ),
+            pytest.param(
+                ["bound", *CHANNEL_ARGS, "--Af", "1e200", "--Bf", "1e200"],
+                EXIT_COLLAPSE,
+                id="bound-overflow-pair",
+            ),
+            pytest.param(
+                ["bound", *CHANNEL_ARGS, "--Af", "1e-200", "--Bf", "1e-200"],
+                EXIT_COLLAPSE,
+                id="bound-zero-division-pair",
+            ),
+            pytest.param(
+                ["bound", "--a", "1.1", "--b", "1e-200", "--Af", "0.4774", "--Bf", "0.7594"],
+                EXIT_COLLAPSE,
+                id="bound-zero-division-gain",
+            ),
+            pytest.param(
                 ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "16",
                  "--out", "{tmp}/missing/x"],
                 EXIT_INVALID_INPUT,
@@ -210,8 +230,8 @@ class TestExitCodes:
         ],
     )
     def test_failure_maps_to_exit_code(self, argv, expected, tmp_path, capsys):
-        # Typed numerical failures exit 3 and unusable input exits 2, each
-        # with one error line and no traceback.
+        # Numerical failures, typed or bare arithmetic, exit 3 and unusable
+        # input exits 2, each with one error line and no traceback.
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         err = capsys.readouterr().err
         assert code == expected
