@@ -17,7 +17,6 @@ import sys
 
 from linrelay.bound import ChannelParams, optimize_bound
 from linrelay.codes import build_code, evaluate_rank1, export_code
-from linrelay.trajectory import build_trajectory
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,7 +25,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--b", type=float, default=2.0, help="relay-to-destination gain")
     parser.add_argument("--k-min", type=int, default=32, help="smallest blocklength")
     parser.add_argument("--k-max", type=int, default=2048, help="largest blocklength")
-    parser.add_argument("--n-samples", type=int, default=512, help="trajectory samples")
     parser.add_argument("--export", default=None, help="write the largest code here")
     args = parser.parse_args(argv)
     if args.k_min < 1 or args.k_max < args.k_min:
@@ -40,9 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         f"bound {evaluation.energy_per_bit:.9f} "
         f"(normalized {evaluation.normalized:.9f})"
     )
-    traj, lam, Q1 = build_trajectory(
-        evaluation.endpoint, channel, n_samples=args.n_samples
-    )
 
     print()
     print(f"{'k':>6}  {'oracle E/bit':>14}  {'rel gap':>10}  {'ratio':>6}")
@@ -51,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     code = None
     k = args.k_min
     while k <= args.k_max:
-        code = build_code(channel, traj, lam, Q1, k)
+        code = build_code(channel, evaluation.endpoint, k)
         oracle = evaluate_rank1(channel, code.s, code.D)
         gap = abs(oracle.energy_per_bit - evaluation.energy_per_bit) / evaluation.energy_per_bit
         ratio = "" if prev_gap is None else f"{prev_gap / gap:6.2f}"

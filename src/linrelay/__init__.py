@@ -19,6 +19,7 @@ from .bound import (
     EndpointSolution,
     compute_phi,
     f_eval,
+    lambda_and_Q1,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -45,7 +46,6 @@ from .trajectory import (
     build_trajectory,
     check_identities,
     invert_A_profile,
-    lambda_and_Q1,
     reconstruct_barred,
     unbar,
 )

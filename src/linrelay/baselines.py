@@ -15,7 +15,7 @@ import numpy as np
 
 from .bound import BoundaryPair, BoundEvaluation, ChannelParams, optimize_bound
 from .codes import evaluate_rank1, evaluate_rank1_stacked
-from .numerics import SimplexOptions, minimize_simplex
+from .numerics import minimize_simplex
 
 __all__ = [
     "BoundsRecord",
@@ -96,7 +96,7 @@ def _evaluate_scheme(channel: ChannelParams, beta: float, P1: float, P2: float) 
     return evaluate_rank1(channel, s, D).normalized
 
 
-def _grid(channel: ChannelParams, power_lo: float):
+def _grid(channel: ChannelParams):
     """The 2x2 scan grid and the stacked oracle's value at each of its schemes.
 
     Returns:
@@ -104,7 +104,7 @@ def _grid(channel: ChannelParams, power_lo: float):
         row-major order, then values (41, 961), row i for betas[i].
     """
     betas = np.linspace(0.0, 1.0, _BETA_POINTS)
-    powers = np.geomspace(power_lo, _POWER_HI, _POWER_POINTS)
+    powers = np.geomspace(_POWER_LO, _POWER_HI, _POWER_POINTS)
     P1s, P2s = (p.ravel() for p in np.meshgrid(powers, powers, indexing="ij"))
     # One stack per beta row: a single stack over the whole grid holds every
     # intermediate at once and raises peak memory by 9.7 MiB, not 1.3 MiB.
@@ -114,14 +114,11 @@ def _grid(channel: ChannelParams, power_lo: float):
     return betas, P1s, P2s, values
 
 
-def two_by_two_bound(
-    channel: ChannelParams,
-    power_lo: float = _POWER_LO,
-) -> TwoByTwoResult:
+def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
     """Minimize the 2x2 scheme's energy-per-bit over (beta, P1, P2).
 
     Grid: beta over 41 uniform points in [0, 1], P1 and P2 over 31
-    log-spaced points in [power_lo, 10].  Each beta row of 961 (P1, P2)
+    log-spaced points in [1e-6, 10].  Each beta row of 961 (P1, P2)
     schemes goes through the stacked matrix oracle in one call; the first
     grid minimum wins.  The dense oracle then evaluates the winner again and
     every probe of a Nelder-Mead refinement in (beta, ln P1, ln P2),
@@ -130,19 +127,18 @@ def two_by_two_bound(
 
     Args:
         channel: Channel gains.
-        power_lo: Lower cap of the power grid (exposed for cap-halving checks).
 
     Returns:
         Normalized minimum and its argmin.
     """
-    betas, P1s, P2s, values = _grid(channel, power_lo)
+    betas, P1s, P2s, values = _grid(channel)
     # First minimum in (beta, P1, P2) order.  The dense oracle evaluates it
     # again, since stacked values differ from dense ones by a few ulps.
     i, j = np.unravel_index(np.argmin(values), values.shape)
     point = (float(betas[i]), float(P1s[j]), float(P2s[j]))
     best = (_evaluate_scheme(channel, *point), *point)
 
-    log_lo, log_hi = math.log(power_lo), math.log(_POWER_HI)
+    log_lo, log_hi = math.log(_POWER_LO), math.log(_POWER_HI)
 
     def objective(x) -> float:
         beta, log_p1, log_p2 = float(x[0]), float(x[1]), float(x[2])
@@ -155,7 +151,7 @@ def two_by_two_bound(
         return _evaluate_scheme(channel, beta, math.exp(log_p1), math.exp(log_p2))
 
     start = [best[1], math.log(best[2]), math.log(best[3])]
-    x, value = minimize_simplex(objective, start, SimplexOptions())
+    x, value = minimize_simplex(objective, start)
     if value < best[0]:
         return TwoByTwoResult(
             value=value,

@@ -25,11 +25,11 @@ from .errors import (
     NoBracketError,
     NoFeasiblePointError,
     NonFiniteError,
+    RouteMismatchError,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    SimplexOptions,
     find_root_bracketed,
     integrate_adaptive,
     minimize_simplex,
@@ -43,6 +43,7 @@ __all__ = [
     "compute_phi",
     "f_eval",
     "solve_endpoint",
+    "lambda_and_Q1",
     "theorem_bound",
     "optimize_bound",
 ]
@@ -348,6 +349,36 @@ def _closed_forms(ep: EndpointSolution, channel: ChannelParams) -> _ClosedForms:
     )
 
 
+def lambda_and_Q1(
+    endpoint: EndpointSolution, channel: ChannelParams
+) -> tuple[float, float]:
+    """Multiplier scale lambda and source energy Q1 fixed by the boundary data.
+
+    lambda = a^2 c1^2 / A0 with c1 = b*psi, and Q1 solves the terminal
+    condition on Zbar.  Q1 is also (exp(J) - 1)/a^2 for J the second
+    cumulative integral; both routes must agree to within the cancellation
+    floor of the literal closed form.
+
+    Raises:
+        RouteMismatchError: If the two Q1 routes disagree.
+        DegenerateBoundError: If Q1 <= 0 (boundary pair).
+    """
+    a, b = channel.a, channel.b
+    cf = _closed_forms(endpoint, channel)
+    lam, Q1, c1 = cf.lam, cf.Q1, cf.c1
+    literal = -1.0 / (a * a) + b * b * endpoint.A0**3 * endpoint.B_f / (a**6 * c1 * c1)
+    # The literal form subtracts terms of size 1/a^2, so its accuracy floor
+    # is ulp(1/a^2); the agreement check is relative to that scale.
+    floor = 1e-12 * max(abs(Q1), 1.0 / (a * a))
+    if abs(Q1 - literal) > floor:
+        raise RouteMismatchError(
+            f"Q1 routes disagree: {Q1!r} vs {literal!r} beyond {floor:g}"
+        )
+    if Q1 <= 0.0:
+        raise DegenerateBoundError(f"Q1={Q1!r} is not positive; boundary pair")
+    return lam, Q1
+
+
 def theorem_bound(
     pair: BoundaryPair,
     channel: ChannelParams,
@@ -449,10 +480,7 @@ def _bf_grid(lo: float, hi: float, n: int) -> list[float]:
     return [10.0 ** (llo + i * (lhi - llo) / (n - 1)) for i in range(n)]
 
 
-def optimize_bound(
-    channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[BoundaryPair, BoundEvaluation]:
+def optimize_bound(channel: ChannelParams) -> tuple[BoundaryPair, BoundEvaluation]:
     """Infimum of the bound over valid pairs (A_f, B_f) for one channel.
 
     Strategy: scan a 24 x 25 log grid in (rho, B_f) with A_f = rho a^2 B_f,
@@ -464,8 +492,6 @@ def optimize_bound(
 
     Args:
         channel: Channel gains.
-        quadrature: Full-precision quadrature control for refinement and the
-            returned evaluation.
 
     Returns:
         Pair (best boundary pair, its full-precision evaluation).
@@ -473,16 +499,14 @@ def optimize_bound(
     Raises:
         NoFeasiblePointError: If every grid point is degenerate.
     """
-    pair, ev, on_cap = _optimize_bound_once(channel, quadrature, bf_lo=1e-3, bf_hi=1e3)
+    pair, ev, on_cap = _optimize_bound_once(channel, bf_lo=1e-3, bf_hi=1e3)
     if on_cap:
         warnings.warn(
             f"optimum B_f={pair.B_f:g} landed on the search cap; widening tenfold",
             RuntimeWarning,
             stacklevel=2,
         )
-        pair, ev, still_on_cap = _optimize_bound_once(
-            channel, quadrature, bf_lo=1e-4, bf_hi=1e4
-        )
+        pair, ev, still_on_cap = _optimize_bound_once(channel, bf_lo=1e-4, bf_hi=1e4)
         if still_on_cap:
             warnings.warn(
                 f"optimum B_f={pair.B_f:g} still on the widened cap; result suspect",
@@ -493,10 +517,7 @@ def optimize_bound(
 
 
 def _optimize_bound_once(
-    channel: ChannelParams,
-    quadrature: QuadratureSpec,
-    bf_lo: float,
-    bf_hi: float,
+    channel: ChannelParams, bf_lo: float, bf_hi: float
 ) -> tuple[BoundaryPair, BoundEvaluation, bool]:
     a = channel.a
     a2 = a * a
@@ -530,7 +551,7 @@ def _optimize_bound_once(
         if rho >= 1.0 - RATIO_MARGIN:
             return _PENALTY
         try:
-            ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel, quadrature)
+            ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel)
         except _FEASIBILITY_ERRORS:
             return _PENALTY
         return ev.normalized if math.isfinite(ev.normalized) else _PENALTY
@@ -539,7 +560,7 @@ def _optimize_bound_once(
     best_val = math.inf
     for _, rho, bf in candidates[:3]:
         start = [math.log(rho / (1.0 - rho)), math.log(bf)]
-        x, val = minimize_simplex(objective, start, SimplexOptions())
+        x, val = minimize_simplex(objective, start)
         if val < best_val:
             best_val = val
             best_x = x
@@ -549,6 +570,6 @@ def _optimize_bound_once(
     rho = 1.0 / (1.0 + math.exp(-float(best_x[0])))
     bf = math.exp(float(best_x[1]))
     pair = BoundaryPair(rho * a2 * bf, bf)
-    ev = theorem_bound(pair, channel, quadrature)
+    ev = theorem_bound(pair, channel)
     on_cap = bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99
     return pair, ev, on_cap

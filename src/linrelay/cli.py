@@ -26,6 +26,7 @@ from .baselines import (
     two_by_two_bound,
 )
 from .bound import (
+    RATIO_MARGIN,
     BoundaryPair,
     BoundEvaluation,
     ChannelParams,
@@ -285,6 +286,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_code(args) -> int:
     """Build a k-dimensional relay code, export it, report the oracle gap."""
+    if args.k < 1:
+        raise DomainError(f"k={args.k} must be at least 1")
     if args.k > DEFAULT_K_CAP and not args.force:
         raise DomainError(f"k={args.k} exceeds the cap {DEFAULT_K_CAP}; pass --force")
     channel = ChannelParams(a=args.a, b=args.b)
@@ -293,8 +296,7 @@ def cmd_code(args) -> int:
         pair, ev = optimize_bound(channel)
     else:
         ev = theorem_bound(pair, channel)
-    traj, lam, Q1 = build_trajectory(ev.endpoint, channel)
-    code = build_code(channel, traj, lam, Q1, args.k)
+    code = build_code(channel, ev.endpoint, args.k)
     Path(args.out).write_text(export_code(code, channel))
     oracle = evaluate_rank1(channel, code.s, code.D)
     gap = abs(oracle.energy_per_bit - ev.energy_per_bit) / ev.energy_per_bit
@@ -315,6 +317,8 @@ def cmd_code(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run residual and identity suites; print one line per check."""
+    if args.n_samples < 2:
+        raise DomainError(f"n-samples={args.n_samples} must be at least 2")
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
     if pair is None:
@@ -323,7 +327,7 @@ def cmd_verify(args) -> int:
     else:
         # Solved directly rather than through theorem_bound, whose
         # cancellation floors refuse near-boundary pairs verify still checks.
-        if pair.ratio() > channel.a**2 * (1.0 - 1e-9):
+        if pair.ratio() > channel.a**2 * (1.0 - RATIO_MARGIN):
             raise DomainError(
                 f"degenerate input, A_f/B_f={pair.ratio():g} sits on the a^2 boundary"
             )

@@ -2,7 +2,9 @@
 
 build_code discretizes the trajectory ODE with the component-sequential
 Euler recursion, extracting the auxiliary sequences u, z, r and the strictly
-lower-triangular relay matrix D they induce.  evaluate_rank1 computes the
+lower-triangular relay matrix D they induce.  The recursion starts from the
+state at S = 0, which follows in closed form from the endpoint solution, so
+no sampled trajectory is needed.  evaluate_rank1 computes the
 energy-per-bit of any (s, D) scheme directly from the defining matrix
 formula; it shares no arithmetic with the builder, so agreement between the
 two is a genuine cross-check of the whole pipeline.  evaluate_rank1_stacked
@@ -19,9 +21,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .bound import TWO_LN2, ChannelParams
+from .bound import TWO_LN2, ChannelParams, EndpointSolution, lambda_and_Q1
 from .errors import DenominatorCollapseError, FactorizationFailureError
-from .trajectory import TrajectoryGrid
 
 __all__ = [
     "RelayCode",
@@ -81,43 +82,48 @@ class CodeEvaluation:
     normalized: float
 
 
-def build_code(
-    channel: ChannelParams,
-    traj: TrajectoryGrid,
-    lam: float,
-    Q1: float,
-    k: int,
-) -> RelayCode:
-    """Construct the k-dimensional relay code from the trajectory data.
+def build_code(channel: ChannelParams, endpoint: EndpointSolution, k: int) -> RelayCode:
+    """Construct the k-dimensional relay code from one endpoint solution.
 
-    The state (V, Z, T, R) starts at (V(0), Z(0), 0, 0) taken from the
-    reconstructed trajectory and advances with step delta = Q1/k.  Per step,
-    in order: u_i and z_i from the previous T, R, S; then V and Z absorb
-    -u_i z_i and -z_i^2; then r_i from the fresh V, Z; then T and R absorb
-    r_i s_i and r_i^2.  This is the component-sequential Euler sweep, since
-    every increment equals delta times the matching derivative component.
-    Finally D_ij = -a^2 u_i s_j + z_i r_j / lam on the strict lower triangle.
+    lambda and Q1 come from lambda_and_Q1.  The state (V, Z, T, R) starts
+    at (V(0), Z(0), 0, 0), which the bar transform gives in closed form at
+    S = 0, where Sbar = 1/a^2 and Tbar = 0:
+
+        V(0) = (c1^3/Sbar)/(a^2 lam^2) - 1/(ab)
+        Z(0) = (c1^4 B0/Sbar)/lam^2 - lam/b^2,   c1 = b*psi
+
+    in the operation order of reconstruct_barred and unbar, so the start is
+    bit-identical to a rebuilt trajectory's first sample.
+
+    The state advances with step delta = Q1/k.  Per step, in order: u_i and
+    z_i from the previous T, R, S; then V and Z absorb -u_i z_i and -z_i^2;
+    then r_i from the fresh V, Z; then T and R absorb r_i s_i and r_i^2.
+    This is the component-sequential Euler sweep, since every increment
+    equals delta times the matching derivative component.  Finally
+    D_ij = -a^2 u_i s_j + z_i r_j / lam on the strict lower triangle.
 
     Args:
         channel: Channel gains.
-        traj: Reconstructed trajectory; supplies V(0) and Z(0).
-        lam: Multiplier scale from lambda_and_Q1.
-        Q1: Source energy from lambda_and_Q1.
+        endpoint: Endpoint solution; fixes lambda, Q1 and the start state.
         k: Blocklength, at least 1.
 
     Returns:
         The assembled relay code.
 
     Raises:
+        RouteMismatchError, DegenerateBoundError: From lambda_and_Q1.
         DenominatorCollapseError: If the positivity condition
             (1 + a^2 S)(lam - R) + a^2 T^2 > 0 fails numerically at any step.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    lam, Q1 = lambda_and_Q1(endpoint, channel)
     a, b = channel.a, channel.b
     a2 = a * a
-    V = float(traj.V[0])
-    Z = float(traj.Z[0])
+    sbar0 = 1.0 / (a * a)
+    c1 = b * endpoint.psi
+    V = (c1**3 / sbar0) / (a * a * lam * lam) - 1.0 / (a * b)
+    Z = (c1**4 * endpoint.B0 / sbar0) / (lam * lam) - lam / (b * b)
     T = 0.0
     R = 0.0
     delta = Q1 / k

@@ -40,6 +40,13 @@ _BRENT_RTOL_FLOOR = 4.0 * np.finfo(float).eps
 # endpoint singularities still refine normally.
 _WIDTH_FLOOR = 4096.0 * np.finfo(float).eps
 
+# Nelder-Mead settings suited to searches in log coordinates: the initial
+# simplex edge, the iteration cap, and the stopping tolerances on f and x.
+_SIMPLEX_SCALE = 0.25
+_SIMPLEX_MAX_ITER = 2000
+_SIMPLEX_F_TOL = 1e-10
+_SIMPLEX_X_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -191,20 +198,9 @@ def find_root_bracketed(
     return float(brentq(g, lo, hi, xtol=1e-300, rtol=rtol))
 
 
-@dataclass(frozen=True)
-class SimplexOptions:
-    """Knobs for minimize_simplex; defaults suit log-coordinate searches."""
-
-    scale: float = 0.25
-    max_iter: int = 2000
-    f_tol: float = 1e-10
-    x_tol: float = 1e-7
-
-
 def minimize_simplex(
     f: Callable[[np.ndarray], float],
     start: Sequence[float],
-    opts: SimplexOptions = SimplexOptions(),
 ) -> tuple[np.ndarray, float]:
     """Minimize f by deterministic Nelder-Mead from a fixed initial simplex.
 
@@ -214,7 +210,6 @@ def minimize_simplex(
     Args:
         f: Objective; must return finite values at every probed point.
         start: Starting point, one coordinate per dimension.
-        opts: Simplex scale, iteration cap, and stopping tolerances.
 
     Returns:
         Pair (point, value) with value <= f(start).
@@ -232,16 +227,16 @@ def minimize_simplex(
             raise NonFiniteError(f"objective returned {fx!r} at {x.tolist()!r}")
         return fx
 
-    simplex = np.vstack([x0] + [x0 + opts.scale * e for e in np.eye(x0.size)])
+    simplex = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(x0.size)])
     res = minimize(
         checked,
         x0,
         method="Nelder-Mead",
         options={
             "initial_simplex": simplex,
-            "maxiter": opts.max_iter,
-            "fatol": opts.f_tol,
-            "xatol": opts.x_tol,
+            "maxiter": _SIMPLEX_MAX_ITER,
+            "fatol": _SIMPLEX_F_TOL,
+            "xatol": _SIMPLEX_X_TOL,
         },
     )
     return np.asarray(res.x, dtype=float), float(res.fun)

@@ -18,12 +18,13 @@ from .bound import (
     ChannelParams,
     EndpointSolution,
     f_eval,
+    lambda_and_Q1,
     _closed_forms,
     _integrand_first,
     _integrand_second,
 )
-from .errors import DegenerateBoundError, ProfileMismatchError, RouteMismatchError
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_adaptive
+from .errors import ProfileMismatchError
+from .numerics import integrate_adaptive
 
 __all__ = [
     "TrajectoryGrid",
@@ -31,7 +32,6 @@ __all__ = [
     "invert_A_profile",
     "reconstruct_barred",
     "unbar",
-    "lambda_and_Q1",
     "check_identities",
     "build_trajectory",
 ]
@@ -50,12 +50,10 @@ _INVERT_TOL = 1e-12
 class TrajectoryGrid:
     """Sampled trajectory of the 4-D system and its barred transform.
 
-    All arrays share length n_samples and are indexed by increasing S.
-    Barred variables carry an overline in the derivation; Sbar = 1/a^2 + S.
-    U = Tbar/Sbar is the integral term driving Tbar.
+    All arrays share one length and are indexed by increasing S.  Barred
+    variables carry an overline in the derivation; Sbar = 1/a^2 + S.
     """
 
-    n_samples: int
     S: np.ndarray
     Sbar: np.ndarray
     A: np.ndarray
@@ -68,7 +66,6 @@ class TrajectoryGrid:
     R: np.ndarray
     Z: np.ndarray
     V: np.ndarray
-    U: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,39 +98,7 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def lambda_and_Q1(
-    endpoint: EndpointSolution, channel: ChannelParams
-) -> tuple[float, float]:
-    """Multiplier scale lambda and source energy Q1 fixed by the boundary data.
-
-    lambda = a^2 c1^2 / A0 with c1 = b*psi, and Q1 solves the terminal
-    condition on Zbar.  Q1 is also (exp(J) - 1)/a^2 for J the second
-    cumulative integral; both routes must agree to within the cancellation
-    floor of the literal closed form.
-
-    Raises:
-        RouteMismatchError: If the two Q1 routes disagree.
-        DegenerateBoundError: If Q1 <= 0 (boundary pair).
-    """
-    a, b = channel.a, channel.b
-    cf = _closed_forms(endpoint, channel)
-    lam, Q1, c1 = cf.lam, cf.Q1, cf.c1
-    literal = -1.0 / (a * a) + b * b * endpoint.A0**3 * endpoint.B_f / (a**6 * c1 * c1)
-    # The literal form subtracts terms of size 1/a^2, so its accuracy floor
-    # is ulp(1/a^2); the agreement check is relative to that scale.
-    floor = 1e-12 * max(abs(Q1), 1.0 / (a * a))
-    if abs(Q1 - literal) > floor:
-        raise RouteMismatchError(
-            f"Q1 routes disagree: {Q1!r} vs {literal!r} beyond {floor:g}"
-        )
-    if Q1 <= 0.0:
-        raise DegenerateBoundError(f"Q1={Q1!r} is not positive; boundary pair")
-    return lam, Q1
-
-
-def _profile_tables(
-    endpoint: EndpointSolution, quadrature: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]:
     """Fine monotone grid in w on [A_f, A0] and cumulative second integral."""
     A_f, A0 = endpoint.A_f, endpoint.A0
     phi = endpoint.phi
@@ -145,7 +110,7 @@ def _profile_tables(
     pieces[0] = 0.0
     for i in range(1, _PROFILE_NODES):
         pieces[i] = integrate_adaptive(
-            lambda w: _integrand_second(w, phi), nodes[i - 1], nodes[i], quadrature
+            lambda w: _integrand_second(w, phi), nodes[i - 1], nodes[i]
         )
     return nodes, np.cumsum(pieces)
 
@@ -155,7 +120,6 @@ def invert_A_profile(
     channel: ChannelParams,
     Q1: float,
     n_samples: int,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample S uniformly on [0, Q1] and invert the implicit profile for A(S).
 
@@ -170,7 +134,6 @@ def invert_A_profile(
         channel: Supplies the gain a.
         Q1: Source energy; must be positive.
         n_samples: Number of S samples, at least 2.
-        quadrature: Quadrature control for table construction and inversion.
 
     Returns:
         Arrays (S, A) of length n_samples, with A[0] = A0 and A[-1] = A_f.
@@ -184,7 +147,7 @@ def invert_A_profile(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     a2 = channel.a * channel.a
-    nodes, cum = _profile_tables(endpoint, quadrature)
+    nodes, cum = _profile_tables(endpoint)
     total = cum[-1]
     expected = math.log1p(a2 * Q1)
     if abs(total - expected) > _PROFILE_TOL:
@@ -208,7 +171,7 @@ def invert_A_profile(
         while hi - lo > width_floor:
             mid = 0.5 * (lo + hi)
             seg = integrate_adaptive(
-                lambda w: _integrand_second(w, phi), nodes[idx - 1], mid, quadrature
+                lambda w: _integrand_second(w, phi), nodes[idx - 1], mid
             )
             if base + seg < target:
                 lo = mid
@@ -219,28 +182,26 @@ def invert_A_profile(
 
 
 def reconstruct_barred(
-    S: np.ndarray,
+    Sbar: np.ndarray,
     A: np.ndarray,
     endpoint: EndpointSolution,
     channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form barred variables along a sampled A profile.
 
-    U(S) integrates f/(1+w f^2) from A(S) up to A0 (accumulated between
-    consecutive samples, so each segment is integrated once); then
-    Tbar = Sbar*U, Rbar = Tbar^2/Sbar - Sbar*A/c1^2, Zbar = c1^4 B/Sbar,
-    Vbar = (c1^3 + Tbar*Zbar)/Sbar with c1 = b*psi.
+    Sbar = 1/a^2 + S holds the samples of A.  U(S) integrates f/(1+w f^2)
+    from A(S) up to A0 (accumulated between consecutive samples, so each
+    segment is integrated once) and is divided by c1 = b*psi; then
+    Tbar = Sbar*U, Rbar = Tbar^2/Sbar - Sbar*A/c1^2, Zbar = c1^4 B/Sbar and
+    Vbar = (c1^3 + Tbar*Zbar)/Sbar.
 
     Returns:
-        Arrays (B, Tbar, Rbar, Zbar, Vbar, U), each aligned with S, where
+        Arrays (B, Tbar, Rbar, Zbar, Vbar), each aligned with Sbar, where
         B = f(A).
     """
-    a, b = channel.a, channel.b
-    c1 = b * endpoint.psi
+    c1 = channel.b * endpoint.psi
     phi = endpoint.phi
-    n = len(S)
-    Sbar = 1.0 / (a * a) + np.asarray(S, dtype=float)
+    n = len(Sbar)
     A = np.asarray(A, dtype=float)
     B = np.array([f_eval(w, phi) for w in A])
 
@@ -248,16 +209,14 @@ def reconstruct_barred(
     upper = np.empty(n)
     upper[0] = 0.0
     for j in range(1, n):
-        seg = integrate_adaptive(
-            lambda w: _integrand_first(w, phi), A[j], A[j - 1], quadrature
-        )
+        seg = integrate_adaptive(lambda w: _integrand_first(w, phi), A[j], A[j - 1])
         upper[j] = upper[j - 1] + seg
     U = upper / c1
     Tbar = Sbar * U
     Rbar = Tbar * Tbar / Sbar - Sbar * A / (c1 * c1)
     Zbar = c1**4 * B / Sbar
     Vbar = (c1**3 + Tbar * Zbar) / Sbar
-    return B, Tbar, Rbar, Zbar, Vbar, U
+    return B, Tbar, Rbar, Zbar, Vbar
 
 
 def unbar(
@@ -283,7 +242,6 @@ def build_trajectory(
     endpoint: EndpointSolution,
     channel: ChannelParams,
     n_samples: int = 512,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[TrajectoryGrid, float, float]:
     """Assemble the full sampled trajectory for one endpoint solution.
 
@@ -291,13 +249,13 @@ def build_trajectory(
         Tuple (grid, lambda, Q1).
     """
     lam, Q1 = lambda_and_Q1(endpoint, channel)
-    S, A = invert_A_profile(endpoint, channel, Q1, n_samples, quadrature)
-    B, Tbar, Rbar, Zbar, Vbar, U = reconstruct_barred(S, A, endpoint, channel, quadrature)
+    S, A = invert_A_profile(endpoint, channel, Q1, n_samples)
+    Sbar = 1.0 / (channel.a * channel.a) + S
+    B, Tbar, Rbar, Zbar, Vbar = reconstruct_barred(Sbar, A, endpoint, channel)
     T, R, Z, V = unbar(Tbar, Rbar, Zbar, Vbar, lam, channel)
     grid = TrajectoryGrid(
-        n_samples=n_samples,
         S=S,
-        Sbar=1.0 / (channel.a * channel.a) + S,
+        Sbar=Sbar,
         A=A,
         B=B,
         Tbar=Tbar,
@@ -308,7 +266,6 @@ def build_trajectory(
         R=R,
         Z=Z,
         V=V,
-        U=U,
     )
     return grid, lam, Q1
 

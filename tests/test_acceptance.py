@@ -175,11 +175,10 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
     """
     channel = ChannelParams(a=GRID_A, b=2.0)
     _, evaluation = optimized_cache(GRID_A, 2.0)
-    traj, lam, Q1 = build_trajectory(evaluation.endpoint, channel, n_samples=512)
     ks = (128, 256, 512, 1024, 2048)
     gaps = []
     for k in ks:
-        code = build_code(channel, traj, lam, Q1, k)
+        code = build_code(channel, evaluation.endpoint, k)
         oracle = evaluate_rank1(channel, code.s, code.D)
         gaps.append(
             abs(oracle.energy_per_bit - evaluation.energy_per_bit)
@@ -201,16 +200,18 @@ def test_criterion_07_euler_first_order(criterion_recorder):
 
     The exact trajectory ends at Z(Q1) = V(Q1) = 0.  The sweep's terminal
     state Z0 - sum z_i^2 and V0 - sum u_i z_i misses it by its
-    discretization error, which must fall like 1/k.
+    discretization error, which must fall like 1/k.  Z0 and V0 are read off
+    the reconstructed trajectory, not the builder's closed-form start.
     """
     channel = ChannelParams(a=GRID_A, b=2.0)
     pair = BoundaryPair(A_f=0.47745726861858833, B_f=0.7594024699528037)
-    traj, lam, Q1 = build_trajectory(solve_endpoint(pair, channel), channel, n_samples=512)
+    endpoint = solve_endpoint(pair, channel)
+    traj, _, _ = build_trajectory(endpoint, channel, n_samples=512)
     Z0, V0 = float(traj.Z[0]), float(traj.V[0])
     steps = (256, 512, 1024, 2048)
     z_res, v_res = [], []
     for k in steps:
-        code = build_code(channel, traj, lam, Q1, k)
+        code = build_code(channel, endpoint, k)
         z_res.append(abs(Z0 - float(np.sum(code.z * code.z))))
         v_res.append(abs(V0 - float(np.sum(code.u * code.z))))
     log_k = np.log(np.array(steps, float))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrelay import baselines
 from linrelay.baselines import (
     _grid,
     _scheme,
@@ -70,11 +71,12 @@ class TestTwoByTwo:
     def test_beats_direct_when_relay_strong(self, two_by_two_cache):
         assert two_by_two_cache(1.1, 5.0).value < 1.0
 
-    def test_power_floor_not_binding_when_relay_strong(self, two_by_two_cache):
+    def test_power_floor_not_binding_when_relay_strong(self, two_by_two_cache, monkeypatch):
         # Halving the smallest allowed power must not move the optimum when
         # the argmin is interior; this validates the floor choice.
         res = two_by_two_cache(1.1, 5.0)
-        halved = two_by_two_bound(ChannelParams(a=1.1, b=5.0), power_lo=5e-7)
+        monkeypatch.setattr(baselines, "_POWER_LO", 5e-7)
+        halved = two_by_two_bound(ChannelParams(a=1.1, b=5.0))
         assert halved.value == pytest.approx(res.value, abs=1e-7)
 
     def test_stacked_grid_matches_dense_oracle(self):
@@ -82,7 +84,7 @@ class TestTwoByTwo:
         # looped over every grid scheme here, must agree to rounding and pick
         # the same first minimum.
         channel = ChannelParams(a=1.1, b=2.0)
-        betas, P1s, P2s, values = _grid(channel, 1e-6)
+        betas, P1s, P2s, values = _grid(channel)
         dense = np.array(
             [
                 [

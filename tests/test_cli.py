@@ -227,11 +227,26 @@ class TestExitCodes:
                 EXIT_INVALID_INPUT,
                 id="code-unwritable-out",
             ),
+            pytest.param(
+                ["code", *CHANNEL_ARGS, "--k", "0", "--out", "{tmp}/x"],
+                EXIT_INVALID_INPUT,
+                id="code-zero-k",
+            ),
+            pytest.param(
+                ["verify", *CHANNEL_ARGS, "--n-samples", "1"],
+                EXIT_INVALID_INPUT,
+                id="verify-one-sample",
+            ),
         ],
     )
-    def test_failure_maps_to_exit_code(self, argv, expected, tmp_path, capsys):
+    def test_failure_maps_to_exit_code(self, argv, expected, tmp_path, capsys, monkeypatch):
         # Numerical failures, typed or bare arithmetic, exit 3 and unusable
-        # input exits 2, each with one error line and no traceback.
+        # input exits 2, each with one error line and no traceback.  Bad
+        # sizes are refused before the optimizer runs.
+        def no_optimize(channel):
+            raise AssertionError("optimize_bound called")
+
+        monkeypatch.setattr("linrelay.cli.optimize_bound", no_optimize)
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         err = capsys.readouterr().err
         assert code == expected

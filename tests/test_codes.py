@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from linrelay.bound import BoundaryPair, ChannelParams, solve_endpoint, theorem_bound
+from linrelay.bound import (
+    BoundaryPair,
+    ChannelParams,
+    lambda_and_Q1,
+    solve_endpoint,
+    theorem_bound,
+)
 from linrelay.codes import (
     DEFAULT_K_CAP,
     build_code,
@@ -15,16 +21,15 @@ from linrelay.codes import (
     export_code,
     parse_code,
 )
-from linrelay.trajectory import build_trajectory, lambda_and_Q1
+from linrelay.trajectory import build_trajectory
 
 A11 = ChannelParams(a=1.1, b=2.0)
 PAIR = BoundaryPair(A_f=0.47745726861858833, B_f=0.7594024699528037)
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    endpoint = solve_endpoint(PAIR, A11)
-    return build_trajectory(endpoint, A11, n_samples=256)
+def endpoint():
+    return solve_endpoint(PAIR, A11)
 
 
 class TestEvaluateRank1:
@@ -118,9 +123,9 @@ class TestEvaluateRank1Stacked:
 
 
 class TestBuildCode:
-    def test_shapes_and_step(self, pipeline):
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 48)
+    def test_shapes_and_step(self, endpoint):
+        _, Q1 = lambda_and_Q1(endpoint, A11)
+        code = build_code(A11, endpoint, 48)
         assert code.k == 48
         assert code.delta == pytest.approx(Q1 / 48.0, rel=1e-15)
         assert code.s.shape == (48,)
@@ -128,51 +133,68 @@ class TestBuildCode:
         assert code.D.shape == (48, 48)
         assert np.all(np.triu(code.D) == 0.0)
 
-    def test_aux_sequence_identities(self, pipeline):
+    def test_aux_sequence_identities(self, endpoint):
         # D s recovers u and D r recovers z - s exactly (the defining
         # algebra of the matrix entries), up to summation roundoff.
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 48)
+        code = build_code(A11, endpoint, 48)
         assert np.allclose(code.D @ code.s, code.u, rtol=0.0, atol=1e-12)
         assert np.allclose(code.D @ code.r, code.z - code.s, rtol=0.0, atol=1e-12)
 
-    def test_first_step_has_no_feedback(self, pipeline):
+    def test_first_step_has_no_feedback(self, endpoint):
         # T starts at zero, so u_0 = 0 and row 1 of D is empty anyway.
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 8)
+        code = build_code(A11, endpoint, 8)
         assert code.u[0] == 0.0
 
-    def test_oracle_gap_shrinks_with_k(self, pipeline):
-        traj, lam, Q1 = pipeline
+    def test_oracle_gap_shrinks_with_k(self, endpoint):
         target = theorem_bound(PAIR, A11).energy_per_bit
         gaps = []
         for k in (32, 64, 128):
-            code = build_code(A11, traj, lam, Q1, k)
+            code = build_code(A11, endpoint, k)
             out = evaluate_rank1(A11, code.s, code.D)
             gaps.append(abs(out.energy_per_bit - target) / target)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2e-3
 
-    def test_deterministic(self, pipeline):
-        traj, lam, Q1 = pipeline
-        c1 = build_code(A11, traj, lam, Q1, 16)
-        c2 = build_code(A11, traj, lam, Q1, 16)
+    def test_deterministic(self, endpoint):
+        c1 = build_code(A11, endpoint, 16)
+        c2 = build_code(A11, endpoint, 16)
         assert np.array_equal(c1.D, c2.D)
         assert np.array_equal(c1.r, c2.r)
 
-    def test_k_validation(self, pipeline):
-        traj, lam, Q1 = pipeline
+    @pytest.mark.parametrize("optimized_b", [None, 2.0, 5.0], ids=["pinned", "b2", "b5"])
+    def test_start_state_matches_trajectory(self, optimized_b, endpoint, optimized_cache):
+        # The builder reads V(0) and Z(0) off the endpoint in closed form.
+        # Its first step, recomputed here from a rebuilt trajectory's first
+        # sample, must agree bit for bit.
+        if optimized_b is None:
+            channel, ep = A11, endpoint
+        else:
+            channel = ChannelParams(a=1.1, b=optimized_b)
+            ep = optimized_cache(1.1, optimized_b)[1].endpoint
+        traj, lam, Q1 = build_trajectory(ep, channel, n_samples=64)
+        a, b = channel.a, channel.b
+        s_0 = math.sqrt(Q1 / 32)
+        # At S = 0, T = R = 0: u_0 = 0 and the denominator is lam.
+        z_0 = lam * s_0 / lam
+        V = float(traj.V[0])
+        Z = float(traj.Z[0]) - z_0 * z_0
+        r_0 = lam * (a * b + a * a * b * b * V) * s_0 / (lam + b * b * Z)
+        code = build_code(channel, ep, 32)
+        assert code.lam == lam
+        assert code.z[0] == z_0
+        assert code.r[0] == r_0
+
+    def test_k_validation(self, endpoint):
         with pytest.raises(ValueError):
-            build_code(A11, traj, lam, Q1, 0)
+            build_code(A11, endpoint, 0)
 
     def test_cap_constant_reasonable(self):
         assert DEFAULT_K_CAP == 4096
 
 
 class TestExchangeFormat:
-    def test_round_trip_is_exact(self, pipeline):
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 12)
+    def test_round_trip_is_exact(self, endpoint):
+        code = build_code(A11, endpoint, 12)
         text = export_code(code, A11)
         channel, parsed = parse_code(text)
         assert channel == A11
@@ -181,17 +203,15 @@ class TestExchangeFormat:
         assert np.array_equal(parsed.s, code.s)
         assert np.array_equal(parsed.D, code.D)
 
-    def test_round_trip_evaluation_matches(self, pipeline):
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 12)
+    def test_round_trip_evaluation_matches(self, endpoint):
+        code = build_code(A11, endpoint, 12)
         channel, parsed = parse_code(export_code(code, A11))
         direct = evaluate_rank1(A11, code.s, code.D)
         reparsed = evaluate_rank1(channel, parsed.s, parsed.D)
         assert reparsed.energy_per_bit == direct.energy_per_bit
 
-    def test_header_layout(self, pipeline):
-        traj, lam, Q1 = pipeline
-        code = build_code(A11, traj, lam, Q1, 5)
+    def test_header_layout(self, endpoint):
+        code = build_code(A11, endpoint, 5)
         lines = export_code(code, A11).splitlines()
         assert lines[0].split()[0] == "5"
         assert len(lines) == 1 + 1 + 4  # header, s, rows 2..5

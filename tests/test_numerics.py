@@ -12,7 +12,6 @@ from linrelay.errors import DepthExceededError, NoBracketError, NonFiniteError
 from linrelay.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    SimplexOptions,
     find_root_bracketed,
     integrate_adaptive,
     minimize_simplex,
@@ -138,11 +137,3 @@ class TestMinimizeSimplex:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             minimize_simplex(lambda x: 0.0, [])
-
-
-class TestSimplexOptions:
-    def test_defaults_frozen(self):
-        opts = SimplexOptions()
-        assert opts.scale == 0.25
-        with pytest.raises(AttributeError):
-            opts.scale = 1.0

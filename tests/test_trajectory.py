@@ -7,13 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from linrelay.bound import BoundaryPair, ChannelParams, solve_endpoint, theorem_bound
+from linrelay.bound import (
+    BoundaryPair,
+    ChannelParams,
+    lambda_and_Q1,
+    solve_endpoint,
+    theorem_bound,
+)
 from linrelay.errors import DegenerateBoundError, ProfileMismatchError
 from linrelay.trajectory import (
     build_trajectory,
     check_identities,
     invert_A_profile,
-    lambda_and_Q1,
     unbar,
 )
 
