@@ -29,7 +29,6 @@ from .codes import (
     RelayCode,
     build_code,
     evaluate_rank1,
-    evaluate_rank1_stacked,
     export_code,
     parse_code,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "compute_phi",
     "cutset_bound",
     "evaluate_rank1",
-    "evaluate_rank1_stacked",
     "export_code",
     "f_eval",
     "find_root_bracketed",

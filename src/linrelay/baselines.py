@@ -2,9 +2,10 @@
 
 The first two are closed-form arithmetic.  The 2x2 scheme is a genuine
 small optimization over (beta, P1, P2): a grid scan ranks its candidate
-schemes through the stacked form of the matrix oracle, one beta row at a
-time, and a simplex refinement from the best grid point evaluates each
-scheme through the dense oracle that certifies the constructed codes.
+schemes by the matrix formula in closed form, which is short algebra for
+this family since I + b^2 D D^T is diagonal, and a simplex refinement from
+the best grid point evaluates each scheme through the dense oracle that
+certifies the constructed codes.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import BoundaryPair, BoundEvaluation, ChannelParams, optimize_bound
-from .codes import evaluate_rank1, evaluate_rank1_stacked
+from .bound import TWO_LN2, BoundaryPair, BoundEvaluation, ChannelParams, optimize_bound
+from .codes import evaluate_rank1
 from .numerics import minimize_simplex
 
 __all__ = [
@@ -75,19 +76,12 @@ def cutset_bound(channel: ChannelParams) -> float:
     return (1.0 + a2 + b2) / ((1.0 + a2) * (1.0 + b2))
 
 
-def _scheme(channel: ChannelParams, beta, P1, P2):
-    """Source vectors and relay matrices of the 2x2 scheme at given powers.
-
-    The arguments broadcast together.  Scalars give s with shape (2,) and D
-    with shape (2, 2); a broadcast shape (n,) gives the stacks (n, 2) and
-    (n, 2, 2).
-    """
-    beta, P1, P2 = np.broadcast_arrays(beta, P1, P2)
-    d = np.sqrt(2.0 * P2 / (2.0 * channel.a**2 * beta * P1 + 1.0))
-    root = np.sqrt(2.0 * P1)
-    s = np.stack([root * np.sqrt(beta), root * np.sqrt(1.0 - beta)], axis=-1)
-    D = np.zeros(d.shape + (2, 2))
-    D[..., 1, 0] = d
+def _scheme(channel: ChannelParams, beta: float, P1: float, P2: float):
+    """Source vector s (2,) and relay matrix D (2, 2) of the 2x2 scheme."""
+    d = math.sqrt(2.0 * P2 / (2.0 * channel.a**2 * beta * P1 + 1.0))
+    root = math.sqrt(2.0 * P1)
+    s = np.array([root * math.sqrt(beta), root * math.sqrt(1.0 - beta)])
+    D = np.array([[0.0, 0.0], [d, 0.0]])
     return s, D
 
 
@@ -97,33 +91,43 @@ def _evaluate_scheme(channel: ChannelParams, beta: float, P1: float, P2: float) 
 
 
 def _grid(channel: ChannelParams):
-    """The 2x2 scan grid and the stacked oracle's value at each of its schemes.
+    """The 2x2 scan grid and the matrix formula's value at each of its schemes.
+
+    With s = (s1, s2) and D = [[0, 0], [d, 0]] the formula is closed form:
+
+        numerator = s1^2 + s2^2 + a^2 (d s1)^2 + d^2
+        quad      = s1^2 + (s2 + a b d s1)^2 / (1 + b^2 d^2)
 
     Returns:
-        betas (41,), then P1s and P2s (961,) holding the (P1, P2) pairs in
-        row-major order, then values (41, 961), row i for betas[i].
+        betas (41,), powers (31,), and values (41, 31, 31), where
+        values[i, j1, j2] is the scheme at (betas[i], powers[j1], powers[j2]).
     """
+    a, b = channel.a, channel.b
     betas = np.linspace(0.0, 1.0, _BETA_POINTS)
     powers = np.geomspace(_POWER_LO, _POWER_HI, _POWER_POINTS)
-    P1s, P2s = (p.ravel() for p in np.meshgrid(powers, powers, indexing="ij"))
-    # One stack per beta row: a single stack over the whole grid holds every
-    # intermediate at once and raises peak memory by 9.7 MiB, not 1.3 MiB.
-    values = np.array(
-        [evaluate_rank1_stacked(channel, *_scheme(channel, beta, P1s, P2s)) for beta in betas]
-    )
-    return betas, P1s, P2s, values
+    P1, P2 = powers[:, None], powers[None, :]
+    root = np.sqrt(2.0 * P1)
+    values = np.empty((_BETA_POINTS, _POWER_POINTS, _POWER_POINTS))
+    for row, beta in zip(values, betas.tolist()):
+        d = np.sqrt(2.0 * P2 / (2.0 * a**2 * beta * P1 + 1.0))
+        s1 = root * math.sqrt(beta)
+        s2 = root * math.sqrt(1.0 - beta)
+        numerator = s1 * s1 + s2 * s2 + a * a * (d * s1) ** 2 + d * d
+        quad = s1 * s1 + (s2 + a * b * d * s1) ** 2 / (1.0 + b * b * d * d)
+        row[...] = numerator / (0.5 * np.log1p(quad) / math.log(2.0)) / TWO_LN2
+    return betas, powers, values
 
 
 def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
     """Minimize the 2x2 scheme's energy-per-bit over (beta, P1, P2).
 
     Grid: beta over 41 uniform points in [0, 1], P1 and P2 over 31
-    log-spaced points in [1e-6, 10].  Each beta row of 961 (P1, P2)
-    schemes goes through the stacked matrix oracle in one call; the first
-    grid minimum wins.  The dense oracle then evaluates the winner again and
-    every probe of a Nelder-Mead refinement in (beta, ln P1, ln P2),
-    constrained to the same box, so every value returned comes from the
-    dense oracle.
+    log-spaced points in [1e-6, 10].  The grid is ranked by the matrix
+    formula in closed form, one beta row of 31 x 31 (P1, P2) schemes at a
+    time; the first grid minimum wins.  The dense oracle then evaluates the
+    winner again and every probe of a Nelder-Mead refinement in
+    (beta, ln P1, ln P2), constrained to the same box, so every value
+    returned comes from the dense oracle.
 
     Args:
         channel: Channel gains.
@@ -131,11 +135,11 @@ def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
     Returns:
         Normalized minimum and its argmin.
     """
-    betas, P1s, P2s, values = _grid(channel)
+    betas, powers, values = _grid(channel)
     # First minimum in (beta, P1, P2) order.  The dense oracle evaluates it
-    # again, since stacked values differ from dense ones by a few ulps.
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    point = (float(betas[i]), float(P1s[j]), float(P2s[j]))
+    # again, since closed-form values differ from dense ones by a few ulps.
+    i, j1, j2 = np.unravel_index(np.argmin(values), values.shape)
+    point = (float(betas[i]), float(powers[j1]), float(powers[j2]))
     best = (_evaluate_scheme(channel, *point), *point)
 
     log_lo, log_hi = math.log(_POWER_LO), math.log(_POWER_HI)

@@ -7,9 +7,9 @@ state at S = 0, which follows in closed form from the endpoint solution, so
 no sampled trajectory is needed.  evaluate_rank1 computes the
 energy-per-bit of any (s, D) scheme directly from the defining matrix
 formula; it shares no arithmetic with the builder, so agreement between the
-two is a genuine cross-check of the whole pipeline.  evaluate_rank1_stacked
-is the same formula over a stack of small schemes, for scans that evaluate
-thousands of them at once.
+two is a genuine cross-check of the whole pipeline.  It is the package's one
+matrix oracle: the 2x2 baseline ranks its grid by the same formula in
+closed form, tied to this oracle by a test, and reports values from it.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_K_CAP",
     "build_code",
     "evaluate_rank1",
-    "evaluate_rank1_stacked",
     "export_code",
     "parse_code",
 ]
@@ -206,65 +205,6 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
     )
 
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, as a stack of (1, k) @ (k, 1) products.
-
-    At k = 2 these round as evaluate_rank1's vector dots do, bit for bit.
-    """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def evaluate_rank1_stacked(
-    channel: ChannelParams, s: np.ndarray, D: np.ndarray
-) -> np.ndarray:
-    """Normalized energies-per-bit of a stack of (s, D) schemes.
-
-    The formula of evaluate_rank1, applied to n schemes at once: M = I +
-    b^2 D D^T is factored as L L^T by a stacked Cholesky, and the quadratic
-    form is |L^{-1} (I + a b D) s|^2.  Values agree with evaluate_rank1 to a
-    few ulps, not bit for bit (the solve and log1p round differently), so a
-    scan may rank schemes with it but reports values from evaluate_rank1.
-
-    Args:
-        channel: Channel gains.
-        s: Source vectors, shape (n, k), every row nonzero.
-        D: Relay matrices, shape (n, k, k), each strictly lower-triangular.
-
-    Returns:
-        The n normalized energies-per-bit.
-
-    Raises:
-        ValueError: If the shapes do not match, some D is not strictly
-            lower-triangular or some s is zero.
-        FactorizationFailureError: If some M fails the positive-definite
-            factorization.
-    """
-    s = np.asarray(s, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if s.ndim != 2:
-        raise ValueError(f"s must be n x k, got shape {s.shape}")
-    n, k = s.shape
-    if D.shape != (n, k, k):
-        raise ValueError(f"D must be {n} x {k} x {k}, got {D.shape}")
-    if np.any(np.triu(D) != 0.0):
-        raise ValueError("D must be strictly lower-triangular")
-    norm_s2 = _row_dot(s, s)
-    if np.any(norm_s2 == 0.0):
-        raise ValueError("s must be nonzero")
-    a, b = channel.a, channel.b
-    Ds = (D @ s[..., None])[..., 0]
-    numerator = norm_s2 + a * a * _row_dot(Ds, Ds) + np.sum(D * D, axis=(-2, -1))
-    M = np.eye(k) + (b * b) * (D @ np.swapaxes(D, -1, -2))
-    v = s + a * b * Ds
-    try:
-        L = np.linalg.cholesky(M)
-    except LinAlgError as exc:
-        raise FactorizationFailureError(f"I + b^2 D D^T not positive definite: {exc}")
-    y = np.linalg.solve(L, v[..., None])[..., 0]
-    bits = 0.5 * np.log1p(_row_dot(y, y)) / math.log(2.0)
-    return numerator / bits / TWO_LN2
-
-
 def export_code(code: RelayCode, channel: ChannelParams) -> str:
     """Serialize a relay code to the textual exchange format.
 
@@ -292,7 +232,8 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
     arrays since only (s, D, lambda) matter for evaluation.
 
     Raises:
-        ValueError: On malformed content (wrong counts, non-numeric fields).
+        ValueError: On malformed content (wrong counts, non-numeric fields,
+            k below 1).
     """
     if isinstance(source, Path):
         text = source.read_text()
@@ -303,6 +244,8 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
     if len(header) != 5:
         raise ValueError(f"header must have 5 fields, got {len(header)}")
     k = int(header[0])
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     a, b, lam, q1 = (float(x) for x in header[1:])
     s = np.array([float(x) for x in stream.readline().split()])
     if s.shape != (k,):

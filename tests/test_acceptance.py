@@ -172,6 +172,7 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
 
     The evaluator only sees (s, D) and the channel; it shares no arithmetic
     with the bound computation, so a shrinking gap certifies both sides.
+    The gap must fall at first order, halving with each doubling of k.
     """
     channel = ChannelParams(a=GRID_A, b=2.0)
     _, evaluation = optimized_cache(GRID_A, 2.0)
@@ -184,13 +185,14 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
             abs(oracle.energy_per_bit - evaluation.energy_per_bit)
             / evaluation.energy_per_bit
         )
-    decreasing = all(hi > lo for hi, lo in zip(gaps, gaps[1:]))
-    ok = decreasing and gaps[-1] < 0.05
+    ratios = [hi / lo for hi, lo in zip(gaps, gaps[1:])]
+    ok = all(1.5 <= ratio <= 2.5 for ratio in ratios) and gaps[-1] < 1e-3
     criterion_recorder(
         6,
         "finite-k oracle gap shrinks",
         ok,
-        f"gaps {['%.2e' % g for g in gaps]} over k {list(ks)}, final < 0.05",
+        f"gaps {['%.2e' % g for g in gaps]} over k {list(ks)}, "
+        f"ratios {['%.4f' % r for r in ratios]} need [1.5, 2.5], final < 1e-3",
     )
     assert ok
 

@@ -79,22 +79,25 @@ class TestTwoByTwo:
         halved = two_by_two_bound(ChannelParams(a=1.1, b=5.0))
         assert halved.value == pytest.approx(res.value, abs=1e-7)
 
-    def test_stacked_grid_matches_dense_oracle(self):
-        # The scan ranks the grid by the stacked oracle; the dense certifier,
-        # looped over every grid scheme here, must agree to rounding and pick
-        # the same first minimum.
+    def test_closed_form_grid_matches_dense_oracle(self):
+        # The scan ranks the grid by the matrix formula in closed form; the
+        # dense certifier, looped over every grid scheme here, must agree to
+        # rounding and pick the same first minimum.
         channel = ChannelParams(a=1.1, b=2.0)
-        betas, P1s, P2s, values = _grid(channel)
+        betas, powers, values = _grid(channel)
         dense = np.array(
             [
                 [
-                    evaluate_rank1(channel, *_scheme(channel, beta, P1, P2)).normalized
-                    for P1, P2 in zip(P1s.tolist(), P2s.tolist())
+                    [
+                        evaluate_rank1(channel, *_scheme(channel, beta, P1, P2)).normalized
+                        for P2 in powers.tolist()
+                    ]
+                    for P1 in powers.tolist()
                 ]
                 for beta in betas.tolist()
             ]
         )
-        assert values.shape == dense.shape == (41, 31 * 31)
+        assert values.shape == dense.shape == (41, 31, 31)
         np.testing.assert_allclose(values, dense, rtol=1e-14, atol=0.0)
         assert np.argmin(values) == np.argmin(dense)
 

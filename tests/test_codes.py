@@ -17,7 +17,6 @@ from linrelay.codes import (
     DEFAULT_K_CAP,
     build_code,
     evaluate_rank1,
-    evaluate_rank1_stacked,
     export_code,
     parse_code,
 )
@@ -76,50 +75,20 @@ class TestEvaluateRank1:
         with pytest.raises(ValueError):
             evaluate_rank1(A11, np.ones(3), np.zeros((2, 2)))
 
-    def test_non_lower_triangular_rejected(self):
-        D = np.array([[0.0, 0.5], [0.0, 0.0]])
+    @pytest.mark.parametrize(
+        "D",
+        [
+            pytest.param(np.array([[0.0, 0.5], [0.0, 0.0]]), id="upper"),
+            pytest.param(np.array([[0.5, 0.0], [0.0, 0.0]]), id="diagonal"),
+        ],
+    )
+    def test_non_lower_triangular_rejected(self, D):
         with pytest.raises(ValueError):
             evaluate_rank1(A11, np.ones(2), D)
 
     def test_zero_source_rejected(self):
         with pytest.raises(ValueError):
             evaluate_rank1(A11, np.zeros(2), np.zeros((2, 2)))
-
-
-class TestEvaluateRank1Stacked:
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
-    def test_matches_dense_oracle(self, k):
-        # The stacked form solves through its own Cholesky and log1p, so it
-        # matches the dense certifier to rounding, not bit for bit.
-        rng = np.random.default_rng(k)
-        n = 64
-        s = rng.normal(size=(n, k))
-        D = np.tril(rng.normal(size=(n, k, k)), k=-1)
-        stacked = evaluate_rank1_stacked(A11, s, D)
-        dense = [evaluate_rank1(A11, s[i], D[i]).normalized for i in range(n)]
-        assert stacked.shape == (n,)
-        np.testing.assert_allclose(stacked, dense, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize(
-        ("s", "D"),
-        [
-            pytest.param(np.ones(2), np.array([[0.0, 0.5], [0.0, 0.0]]), id="upper"),
-            pytest.param(np.ones(2), np.array([[0.5, 0.0], [0.0, 0.0]]), id="diagonal"),
-            pytest.param(np.zeros(2), np.zeros((2, 2)), id="zero-source"),
-            pytest.param(np.ones(3), np.zeros((2, 2)), id="shape-mismatch"),
-        ],
-    )
-    def test_rejects_what_the_dense_oracle_rejects(self, s, D):
-        # The bad scheme sits second in a stack behind a valid one.
-        with pytest.raises(ValueError):
-            evaluate_rank1(A11, s, D)
-        good_s, good_D = np.ones(s.shape), np.zeros(D.shape)
-        with pytest.raises(ValueError):
-            evaluate_rank1_stacked(A11, np.stack([good_s, s]), np.stack([good_D, D]))
-
-    def test_rejects_unstacked_input(self):
-        with pytest.raises(ValueError):
-            evaluate_rank1_stacked(A11, np.ones(2), np.zeros((2, 2)))
 
 
 class TestBuildCode:
@@ -225,6 +194,7 @@ class TestExchangeFormat:
             "2 1.1 2 1.0 0.5\n0.1\n",
             "2 1.1 2 1.0 0.5\n0.1 0.2\n0.3 0.4\n",
             "2 1.1 2 1.0 0.5\n0.1 nope\n",
+            "0 1.1 2 1 1\n\n",
         ],
     )
     def test_malformed_content_rejected(self, text):
