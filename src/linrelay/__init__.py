@@ -19,6 +19,7 @@ from .bound import (
     EndpointSolution,
     compute_phi,
     f_eval,
+    integrate_adaptive,
     lambda_and_Q1,
     optimize_bound,
     solve_endpoint,
@@ -36,7 +37,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     find_root_bracketed,
-    integrate_adaptive,
     minimize_simplex,
 )
 from .trajectory import (

@@ -8,11 +8,17 @@ term yield an upper bound E(A_f, B_f) on the minimum energy-per-bit
 achievable with rank-1 linear relaying.  The overall bound is the infimum of
 E over valid pairs, realized here by a coarse log-grid scan followed by
 Nelder-Mead refinement.
+
+The two endpoint integrals are computed together by one adaptive Simpson
+walk (integrate_adaptive) that evaluates f once per node.  It is
+hand-rolled because callers need precise control over the failure modes: a
+hard recursion cap and an explicit error when a tolerance is unreachable.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +28,7 @@ from .errors import (
     DegenerateBoundError,
     DepthExceededError,
     DomainError,
+    LinrelayError,
     NoBracketError,
     NoFeasiblePointError,
     NonFiniteError,
@@ -31,7 +38,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     find_root_bracketed,
-    integrate_adaptive,
     minimize_simplex,
 )
 
@@ -42,6 +48,7 @@ __all__ = [
     "BoundEvaluation",
     "compute_phi",
     "f_eval",
+    "integrate_adaptive",
     "solve_endpoint",
     "lambda_and_Q1",
     "theorem_bound",
@@ -61,6 +68,16 @@ _CANCEL_FLOOR = 1e-10
 
 # Bracket expansion cap when hunting for the endpoint A0.
 _BRACKET_CAP = 1e30
+
+# Subintervals narrower than this multiple of their endpoints' ulp spacing
+# are treated as converged.  Any variation on that scale is evaluation
+# jitter, not structure a float64 integrand can express, and the abandoned
+# contribution is bounded by jitter times width.  The multiplier is sized so
+# that jitter-limited integrands (whose error estimate shrinks exactly as
+# fast as the halving tolerance) stop in reasonable time instead of refining
+# to single-ulp intervals.  Intervals adjacent to zero never trigger it, so
+# endpoint singularities still refine normally.
+_WIDTH_FLOOR = 4096.0 * sys.float_info.epsilon
 
 # Penalty value returned to the simplex for infeasible probe points.  Finite,
 # so the minimizer backs off instead of aborting.
@@ -169,6 +186,19 @@ def compute_phi(pair: BoundaryPair) -> float:
     return pair.A_f * pair.B_f + 1.0 / pair.A_f - 1.0 / pair.B_f
 
 
+def _f_terms(w: float, phi: float) -> tuple[float, float, float]:
+    # f(w) and the two endpoint integrands f/(1+w f^2) and f^2/(1+w f^2);
+    # the one place the formula for f is written.
+    t = phi * w - 1.0
+    disc = math.sqrt(t * t + 4.0 * w * w * w)
+    if t < 0.0:
+        fw = 2.0 * w / (disc - t)
+    else:
+        fw = (t + disc) / (2.0 * w * w)
+    den = 1.0 + w * fw * fw
+    return fw, fw / den, fw * fw / den
+
+
 def f_eval(w: float, phi: float) -> float:
     """Positive root B of w*B + 1/w - 1/B = phi, as a function of w.
 
@@ -188,21 +218,218 @@ def f_eval(w: float, phi: float) -> float:
     """
     if w <= 0.0:
         raise DomainError(f"f is defined for w > 0, got {w!r}")
-    t = phi * w - 1.0
-    disc = math.sqrt(t * t + 4.0 * w * w * w)
-    if t < 0.0:
-        return 2.0 * w / (disc - t)
-    return (t + disc) / (2.0 * w * w)
+    return _f_terms(w, phi)[0]
 
 
-def _integrand_first(w: float, phi: float) -> float:
-    fw = f_eval(w, phi)
-    return fw / (1.0 + w * fw * fw)
+def _non_finite(g: float, x: float) -> NonFiniteError:
+    return NonFiniteError(f"integrand returned {g!r} at x={x!r}")
 
 
-def _integrand_second(w: float, phi: float) -> float:
-    fw = f_eval(w, phi)
-    return fw * fw / (1.0 + w * fw * fw)
+def _too_deep(eps: float, lo: float, hi: float, depth: int) -> DepthExceededError:
+    return DepthExceededError(
+        f"tolerance {eps:g} unreachable on [{lo!r}, {hi!r}] at depth {depth}"
+    )
+
+
+def _one(
+    phi: float,
+    lo: float,
+    hi: float,
+    fa: float,
+    fm: float,
+    fb: float,
+    whole: float,
+    eps: float,
+    depth: int,
+    max_depth: int,
+    k: int,
+) -> float:
+    # Adaptive Simpson on [lo, hi] for integrand k alone (1 or 2).
+    mid = 0.5 * (lo + hi)
+    lmid = 0.5 * (lo + mid)
+    rmid = 0.5 * (mid + hi)
+    # Interval exhausted in floating point; the current estimate is final.
+    # The walk starts at lo > 0, so hi is the larger endpoint magnitude.
+    if (
+        lmid <= lo
+        or rmid <= mid
+        or mid >= hi
+        or hi - lo <= _WIDTH_FLOOR * hi
+    ):
+        return whole
+    flm = _f_terms(lmid, phi)[k]
+    if not math.isfinite(flm):
+        raise _non_finite(flm, lmid)
+    frm = _f_terms(rmid, phi)[k]
+    if not math.isfinite(frm):
+        raise _non_finite(frm, rmid)
+    left = ((mid - lo) / 6.0) * (fa + 4.0 * flm + fm)
+    right = ((hi - mid) / 6.0) * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * eps:
+        # Richardson extrapolation: the halved rule plus its error estimate.
+        return left + right + err / 15.0
+    if depth >= max_depth:
+        raise _too_deep(eps, lo, hi, depth)
+    half = 0.5 * eps
+    return _one(phi, lo, mid, fa, flm, fm, left, half, depth + 1, max_depth, k) + _one(
+        phi, mid, hi, fm, frm, fb, right, half, depth + 1, max_depth, k
+    )
+
+
+def _two(
+    phi: float,
+    lo: float,
+    hi: float,
+    fa1: float,
+    fm1: float,
+    fb1: float,
+    fa2: float,
+    fm2: float,
+    fb2: float,
+    whole1: float,
+    whole2: float,
+    eps1: float,
+    eps2: float,
+    depth: int,
+    max_depth: int,
+) -> tuple[float, float | LinrelayError]:
+    # Adaptive Simpson on [lo, hi] for both integrands while both refine.
+    # Each keeps its own error test, eps and summation order, so each value
+    # is bit for bit what _one would return for it.  A failure of the first
+    # raises; a failure of the second is returned in place of its value and
+    # stops it from refining.
+    mid = 0.5 * (lo + hi)
+    lmid = 0.5 * (lo + mid)
+    rmid = 0.5 * (mid + hi)
+    if (
+        lmid <= lo
+        or rmid <= mid
+        or mid >= hi
+        or hi - lo <= _WIDTH_FLOOR * hi
+    ):
+        return whole1, whole2
+    _, flm1, flm2 = _f_terms(lmid, phi)
+    _, frm1, frm2 = _f_terms(rmid, phi)
+    if not math.isfinite(flm1):
+        raise _non_finite(flm1, lmid)
+    if not math.isfinite(frm1):
+        raise _non_finite(frm1, rmid)
+    if not (math.isfinite(flm2) and math.isfinite(frm2)):
+        held = _non_finite(flm2, lmid) if not math.isfinite(flm2) else _non_finite(frm2, rmid)
+        return _one(phi, lo, hi, fa1, fm1, fb1, whole1, eps1, depth, max_depth, 1), held
+    left1 = ((mid - lo) / 6.0) * (fa1 + 4.0 * flm1 + fm1)
+    right1 = ((hi - mid) / 6.0) * (fm1 + 4.0 * frm1 + fb1)
+    left2 = ((mid - lo) / 6.0) * (fa2 + 4.0 * flm2 + fm2)
+    right2 = ((hi - mid) / 6.0) * (fm2 + 4.0 * frm2 + fb2)
+    err1 = left1 + right1 - whole1
+    err2 = left2 + right2 - whole2
+    if abs(err2) <= 15.0 * eps2:
+        v2 = left2 + right2 + err2 / 15.0
+        if abs(err1) <= 15.0 * eps1:
+            return left1 + right1 + err1 / 15.0, v2
+        if depth >= max_depth:
+            raise _too_deep(eps1, lo, hi, depth)
+        half = 0.5 * eps1
+        return (
+            _one(phi, lo, mid, fa1, flm1, fm1, left1, half, depth + 1, max_depth, 1)
+            + _one(phi, mid, hi, fm1, frm1, fb1, right1, half, depth + 1, max_depth, 1),
+            v2,
+        )
+    if abs(err1) <= 15.0 * eps1:
+        v1 = left1 + right1 + err1 / 15.0
+        if depth >= max_depth:
+            return v1, _too_deep(eps2, lo, hi, depth)
+        half = 0.5 * eps2
+        try:
+            v2 = _one(phi, lo, mid, fa2, flm2, fm2, left2, half, depth + 1, max_depth, 2) + _one(
+                phi, mid, hi, fm2, frm2, fb2, right2, half, depth + 1, max_depth, 2
+            )
+        except (NonFiniteError, DepthExceededError) as exc:
+            v2 = exc
+        return v1, v2
+    if depth >= max_depth:
+        raise _too_deep(eps1, lo, hi, depth)
+    half1 = 0.5 * eps1
+    half2 = 0.5 * eps2
+    l1, l2 = _two(
+        phi, lo, mid, fa1, flm1, fm1, fa2, flm2, fm2,
+        left1, left2, half1, half2, depth + 1, max_depth,
+    )
+    if l2.__class__ is not float:
+        return l1 + _one(phi, mid, hi, fm1, frm1, fb1, right1, half1, depth + 1, max_depth, 1), l2
+    r1, r2 = _two(
+        phi, mid, hi, fm1, frm1, fb1, fm2, frm2, fb2,
+        right1, right2, half1, half2, depth + 1, max_depth,
+    )
+    if r2.__class__ is not float:
+        return l1 + r1, r2
+    return l1 + r1, l2 + r2
+
+
+def integrate_adaptive(
+    phi: float,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> tuple[float, float]:
+    """Both endpoint integrals over [lo, hi] by one adaptive Simpson walk.
+
+    The integrands are f/(1 + w f^2) and f^2/(1 + w f^2) with f = f_eval(., phi).
+    The walk evaluates f once per node and refines each integral with its
+    own error test, so each value I satisfies |I - integral| <=
+    max(abs_tol, rel_tol*|I|) for integrands smooth on the interval, and is
+    exactly what a separate adaptive Simpson run on that integrand returns.
+
+    Args:
+        phi: The conserved constant.
+        lo: Lower limit; must not exceed hi.
+        hi: Upper limit.
+        spec: Tolerances and recursion cap, applied to each integral.
+
+    Returns:
+        Pair (I1, I2); exactly (0.0, 0.0) when lo == hi.
+
+    Raises:
+        ValueError: If lo > hi.
+        DomainError: If lo <= 0 and lo < hi.
+        NonFiniteError: If an integrand is NaN or infinite where it is sampled.
+        DepthExceededError: If a tolerance cannot be met within max_depth.
+        The first integral's failure is raised as soon as it occurs; the
+        second's only once the first has finished.
+    """
+    if lo > hi:
+        raise ValueError(f"lo={lo!r} exceeds hi={hi!r}")
+    if lo == hi:
+        return 0.0, 0.0
+    if lo <= 0.0:
+        f_eval(lo, phi)  # raises f's DomainError
+    # Python floats: numpy scalars give the same bits, more slowly, and the
+    # walk tells a value from a held failure by its class.
+    phi, lo, hi = float(phi), float(lo), float(hi)
+    mid = 0.5 * (lo + hi)
+    _, fa1, fa2 = _f_terms(lo, phi)
+    _, fm1, fm2 = _f_terms(mid, phi)
+    _, fb1, fb2 = _f_terms(hi, phi)
+    for x, g in ((lo, fa1), (mid, fm1), (hi, fb1)):
+        if not math.isfinite(g):
+            raise _non_finite(g, x)
+    whole1 = ((hi - lo) / 6.0) * (fa1 + 4.0 * fm1 + fb1)
+    eps1 = max(spec.abs_tol, spec.rel_tol * abs(whole1))
+    for x, g in ((lo, fa2), (mid, fm2), (hi, fb2)):
+        if not math.isfinite(g):
+            # The first integral's own failure, if any, takes precedence.
+            _one(phi, lo, hi, fa1, fm1, fb1, whole1, eps1, 0, spec.max_depth, 1)
+            raise _non_finite(g, x)
+    whole2 = ((hi - lo) / 6.0) * (fa2 + 4.0 * fm2 + fb2)
+    eps2 = max(spec.abs_tol, spec.rel_tol * abs(whole2))
+    i1, i2 = _two(
+        phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
+        whole1, whole2, eps1, eps2, 0, spec.max_depth,
+    )
+    if i2.__class__ is not float:
+        raise i2
+    return i1, i2
 
 
 class _CumulativeIntegrals:
@@ -226,13 +453,9 @@ class _CumulativeIntegrals:
         """Return (I1(w), I2(w)) for w >= the anchor origin A_f."""
         idx = bisect.bisect_right(self._ws, w) - 1
         base_w = self._ws[idx]
-        phi = self._phi
-        i1 = self._i1[idx] + integrate_adaptive(
-            lambda x: _integrand_first(x, phi), base_w, w, self._quadrature
-        )
-        i2 = self._i2[idx] + integrate_adaptive(
-            lambda x: _integrand_second(x, phi), base_w, w, self._quadrature
-        )
+        d1, d2 = integrate_adaptive(self._phi, base_w, w, self._quadrature)
+        i1 = self._i1[idx] + d1
+        i2 = self._i2[idx] + d2
         if w > base_w:
             at = idx + 1
             self._ws.insert(at, w)

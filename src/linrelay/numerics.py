@@ -1,12 +1,9 @@
 """Generic numerical kernels used by the rest of the package.
 
-Three tools live here: adaptive Simpson quadrature, bracketed root-finding,
-and a deterministic Nelder-Mead wrapper.
-
-The quadrature is hand-rolled because callers need precise control over the
-failure modes (a hard recursion cap and an explicit error when a tolerance is
-unreachable).  Root-finding and simplex minimization wrap scipy; re-deriving
-Brent or Nelder-Mead buys nothing.
+Two tools live here, bracketed root-finding and a deterministic Nelder-Mead
+wrapper, plus the tolerance settings (QuadratureSpec) of the adaptive
+Simpson walk over the endpoint integrals in bound.py.  Both tools wrap
+scipy; re-deriving Brent or Nelder-Mead buys nothing.
 """
 from __future__ import annotations
 
@@ -17,28 +14,17 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import DepthExceededError, NoBracketError, NonFiniteError
+from .errors import NoBracketError, NonFiniteError
 
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "integrate_adaptive",
     "find_root_bracketed",
     "minimize_simplex",
 ]
 
 # brentq refuses relative tolerances below 4 ulp.
 _BRENT_RTOL_FLOOR = 4.0 * np.finfo(float).eps
-
-# Subintervals narrower than this multiple of their endpoints' ulp spacing
-# are treated as converged.  Any variation on that scale is evaluation
-# jitter, not structure a float64 integrand can express, and the abandoned
-# contribution is bounded by jitter times width.  The multiplier is sized so
-# that jitter-limited integrands (whose error estimate shrinks exactly as
-# fast as the halving tolerance) stop in reasonable time instead of refining
-# to single-ulp intervals.  Intervals adjacent to zero never trigger it, so
-# endpoint singularities still refine normally.
-_WIDTH_FLOOR = 4096.0 * np.finfo(float).eps
 
 # Nelder-Mead settings suited to searches in log coordinates: the initial
 # simplex edge, the iteration cap, and the stopping tolerances on f and x.
@@ -63,105 +49,14 @@ class QuadratureSpec:
     max_depth: int = 60
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (tol > 0.0 and math.isfinite(tol)):
+                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def _checked(f: Callable[[float], float], x: float) -> float:
-    fx = f(x)
-    if not math.isfinite(fx):
-        raise NonFiniteError(f"integrand returned {fx!r} at x={x!r}")
-    return float(fx)
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _adapt(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    eps: float,
-    depth: int,
-    max_depth: int,
-) -> float:
-    mid = 0.5 * (lo + hi)
-    lmid = 0.5 * (lo + mid)
-    rmid = 0.5 * (mid + hi)
-    # Interval exhausted in floating point; the current estimate is final.
-    # The width check matters for integrands whose rounding jitter tracks
-    # the halving tolerance: without it they refine to single-ulp intervals.
-    if (
-        lmid <= lo
-        or rmid <= mid
-        or mid >= hi
-        or hi - lo <= _WIDTH_FLOOR * max(abs(lo), abs(hi))
-    ):
-        return whole
-    flm = _checked(f, lmid)
-    frm = _checked(f, rmid)
-    left = _simpson(fa, flm, fm, mid - lo)
-    right = _simpson(fm, frm, fb, hi - mid)
-    err = left + right - whole
-    if abs(err) <= 15.0 * eps:
-        # Richardson extrapolation: the halved rule plus its error estimate.
-        return left + right + err / 15.0
-    if depth >= max_depth:
-        raise DepthExceededError(
-            f"tolerance {eps:g} unreachable on [{lo!r}, {hi!r}] at depth {depth}"
-        )
-    half = 0.5 * eps
-    return _adapt(f, lo, mid, fa, flm, fm, left, half, depth + 1, max_depth) + _adapt(
-        f, mid, hi, fm, frm, fb, right, half, depth + 1, max_depth
-    )
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate f over [lo, hi] with adaptive Simpson refinement.
-
-    The returned value I satisfies |I - integral| <= max(abs_tol, rel_tol*|I|)
-    for integrands that are smooth on the interval.
-
-    Args:
-        f: Real function of one real variable, finite on [lo, hi].
-        lo: Lower limit; must not exceed hi.
-        hi: Upper limit.
-        spec: Tolerances and recursion cap.
-
-    Returns:
-        The integral estimate; exactly 0.0 when lo == hi.
-
-    Raises:
-        ValueError: If lo > hi.
-        NonFiniteError: If f returns NaN or infinity anywhere it is sampled.
-        DepthExceededError: If the tolerance cannot be met within max_depth.
-    """
-    if lo > hi:
-        raise ValueError(f"lo={lo!r} exceeds hi={hi!r}")
-    if lo == hi:
-        return 0.0
-    fa = _checked(f, lo)
-    mid = 0.5 * (lo + hi)
-    fm = _checked(f, mid)
-    fb = _checked(f, hi)
-    whole = _simpson(fa, fm, fb, hi - lo)
-    eps = max(spec.abs_tol, spec.rel_tol * abs(whole))
-    return _adapt(f, lo, hi, fa, fm, fb, whole, eps, 0, spec.max_depth)
 
 
 def find_root_bracketed(

@@ -18,13 +18,11 @@ from .bound import (
     ChannelParams,
     EndpointSolution,
     f_eval,
+    integrate_adaptive,
     lambda_and_Q1,
     _closed_forms,
-    _integrand_first,
-    _integrand_second,
 )
 from .errors import ProfileMismatchError
-from .numerics import integrate_adaptive
 
 __all__ = [
     "TrajectoryGrid",
@@ -109,9 +107,7 @@ def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]
     pieces = np.empty(_PROFILE_NODES)
     pieces[0] = 0.0
     for i in range(1, _PROFILE_NODES):
-        pieces[i] = integrate_adaptive(
-            lambda w: _integrand_second(w, phi), nodes[i - 1], nodes[i]
-        )
+        pieces[i] = integrate_adaptive(phi, nodes[i - 1], nodes[i])[1]
     return nodes, np.cumsum(pieces)
 
 
@@ -170,9 +166,7 @@ def invert_A_profile(
         base = cum[idx - 1]
         while hi - lo > width_floor:
             mid = 0.5 * (lo + hi)
-            seg = integrate_adaptive(
-                lambda w: _integrand_second(w, phi), nodes[idx - 1], mid
-            )
+            seg = integrate_adaptive(phi, nodes[idx - 1], mid)[1]
             if base + seg < target:
                 lo = mid
             else:
@@ -209,7 +203,7 @@ def reconstruct_barred(
     upper = np.empty(n)
     upper[0] = 0.0
     for j in range(1, n):
-        seg = integrate_adaptive(lambda w: _integrand_first(w, phi), A[j], A[j - 1])
+        seg = integrate_adaptive(phi, A[j], A[j - 1])[0]
         upper[j] = upper[j - 1] + seg
     U = upper / c1
     Tbar = Sbar * U

@@ -1,4 +1,5 @@
-"""Tests for the stable branch, endpoint solve, and the bound itself.
+"""Tests for the stable branch, the endpoint quadrature, the endpoint solve,
+and the bound itself.
 
 The heavyweight check re-derives the bound at a fixed pair through an
 entirely independent path: QUADPACK quadrature, scipy's brentq on the raw
@@ -17,16 +18,24 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from linrelay.bound import (
+    _SCAN_QUADRATURE,
     TWO_LN2,
     BoundaryPair,
     ChannelParams,
     compute_phi,
     f_eval,
+    integrate_adaptive,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
 )
-from linrelay.errors import DegenerateBoundError, DomainError
+from linrelay.errors import (
+    DegenerateBoundError,
+    DepthExceededError,
+    DomainError,
+    NonFiniteError,
+)
+from linrelay.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 
 A11 = ChannelParams(a=1.1, b=2.0)
 
@@ -80,6 +89,110 @@ def _independent_bound(pair: BoundaryPair, channel: ChannelParams) -> float:
     return (Q1 + Q2) / (0.5 * math.log2(log_arg)) / TWO_LN2
 
 
+# Reference for the endpoint walk: the generic adaptive Simpson rule that
+# integrated each endpoint integrand in its own call before the two were
+# fused.  The walk must reproduce each call's value bit for bit, and its
+# first failure with the same class and message.
+_REF_WIDTH_FLOOR = 4096.0 * np.finfo(float).eps
+
+
+def _ref_checked(f, x):
+    fx = f(x)
+    if not math.isfinite(fx):
+        raise NonFiniteError(f"integrand returned {fx!r} at x={x!r}")
+    return float(fx)
+
+
+def _ref_simpson(fa, fm, fb, h):
+    return (h / 6.0) * (fa + 4.0 * fm + fb)
+
+
+def _ref_adapt(f, lo, hi, fa, fm, fb, whole, eps, depth, max_depth):
+    mid = 0.5 * (lo + hi)
+    lmid = 0.5 * (lo + mid)
+    rmid = 0.5 * (mid + hi)
+    if (
+        lmid <= lo
+        or rmid <= mid
+        or mid >= hi
+        or hi - lo <= _REF_WIDTH_FLOOR * max(abs(lo), abs(hi))
+    ):
+        return whole
+    flm = _ref_checked(f, lmid)
+    frm = _ref_checked(f, rmid)
+    left = _ref_simpson(fa, flm, fm, mid - lo)
+    right = _ref_simpson(fm, frm, fb, hi - mid)
+    err = left + right - whole
+    if abs(err) <= 15.0 * eps:
+        return left + right + err / 15.0
+    if depth >= max_depth:
+        raise DepthExceededError(
+            f"tolerance {eps:g} unreachable on [{lo!r}, {hi!r}] at depth {depth}"
+        )
+    half = 0.5 * eps
+    return _ref_adapt(f, lo, mid, fa, flm, fm, left, half, depth + 1, max_depth) + _ref_adapt(
+        f, mid, hi, fm, frm, fb, right, half, depth + 1, max_depth
+    )
+
+
+def _ref_integrate(f, lo, hi, spec):
+    if lo > hi:
+        raise ValueError(f"lo={lo!r} exceeds hi={hi!r}")
+    if lo == hi:
+        return 0.0
+    fa = _ref_checked(f, lo)
+    mid = 0.5 * (lo + hi)
+    fm = _ref_checked(f, mid)
+    fb = _ref_checked(f, hi)
+    whole = _ref_simpson(fa, fm, fb, hi - lo)
+    eps = max(spec.abs_tol, spec.rel_tol * abs(whole))
+    return _ref_adapt(f, lo, hi, fa, fm, fb, whole, eps, 0, spec.max_depth)
+
+
+def _first(w, phi):
+    fw = f_eval(w, phi)
+    return fw / (1.0 + w * fw * fw)
+
+
+def _second(w, phi):
+    fw = f_eval(w, phi)
+    return fw * fw / (1.0 + w * fw * fw)
+
+
+def _outcome(call):
+    """Hex bits of both values, or the class and message of the failure."""
+    try:
+        values = call()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome
+        return type(exc), str(exc)
+    return tuple(float(v).hex() for v in values)
+
+
+def _reference_pair(phi, lo, hi, spec):
+    # Two calls in sequence: a failure of the first stops before the second.
+    return (
+        _ref_integrate(lambda w: _first(w, phi), lo, hi, spec),
+        _ref_integrate(lambda w: _second(w, phi), lo, hi, spec),
+    )
+
+
+def _random_cases(n, seed):
+    # (phi, lo, hi, spec) around endpoint-like intervals: phi from a pair
+    # (A_f, B_f), lo near A_f, hi up to about 30 lo.  Every fourth case takes a
+    # depth cap of 3, so the failure paths of both integrals are exercised.
+    rng = np.random.default_rng(seed)
+    specs = (DEFAULT_QUADRATURE, _SCAN_QUADRATURE, QuadratureSpec(max_depth=3))
+    cases = []
+    for i in range(n):
+        A_f, B_f = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        phi = compute_phi(BoundaryPair(A_f=float(A_f), B_f=float(B_f)))
+        lo = float(A_f * 10.0 ** rng.uniform(-0.5, 0.3))
+        hi = float(lo * 10.0 ** rng.uniform(0.0, 1.5))
+        spec = specs[2] if i % 4 == 3 else specs[i % 2]
+        cases.append((phi, lo, hi, spec))
+    return cases
+
+
 class TestParams:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, math.nan)])
     def test_channel_rejects_bad_gains(self, a, b):
@@ -131,6 +244,88 @@ class TestStableBranch:
         residual = w * w * B * B + (1.0 - phi * w) * B - w
         scale = max(w * w * B * B, abs(1.0 - phi * w) * B, w)
         assert abs(residual) <= 1e-10 * scale
+
+
+class TestIntegrateAdaptive:
+    def test_matches_two_separate_walks_bit_for_bit(self):
+        cases = _random_cases(320, seed=20261018)
+        outcomes = []
+        for phi, lo, hi, spec in cases:
+            expected = _outcome(lambda: _reference_pair(phi, lo, hi, spec))
+            got = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
+            assert got == expected, (phi, lo, hi, spec)
+            outcomes.append(expected)
+        # The cases must reach both values and the failure paths.
+        failed = sum(isinstance(o[0], type) for o in outcomes)
+        assert 30 <= failed <= len(outcomes) - 200
+
+    @pytest.mark.parametrize(
+        "phi,lo,hi,max_depth,first_fails",
+        [
+            # f^2 overflows, so the first integrand is 0 and the second NaN.
+            (1e150, 1e-10, 2e-10, 60, False),
+            # Only the second integral misses its tolerance.
+            (501.93215503576994, 146.32007499555917, 165.28277205838668, 3, False),
+            # Both miss, the second at an earlier node than the first.
+            (5.21957865840629, 0.07686600681226329, 0.09742031807355596, 3, True),
+        ],
+    )
+    def test_failure_of_second_waits_for_first(self, phi, lo, hi, max_depth, first_fails):
+        spec = QuadratureSpec(max_depth=max_depth)
+        second = _outcome(lambda: [_ref_integrate(lambda w: _second(w, phi), lo, hi, spec)])
+        first = _outcome(lambda: [_ref_integrate(lambda w: _first(w, phi), lo, hi, spec)])
+        assert isinstance(second[0], type)
+        assert isinstance(first[0], type) == first_fails
+        got = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
+        assert got == (first if first_fails else second)
+
+    @pytest.mark.parametrize(
+        "phi,lo,hi",
+        [(1.0, 1.0, 3.0), (-2.5, 0.1, 4.0), (40.0, 0.02, 0.7), (0.3, 2.0, 50.0)],
+    )
+    def test_agrees_with_quadpack(self, phi, lo, hi):
+        i1, i2 = integrate_adaptive(phi, lo, hi)
+        opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert i1 == pytest.approx(quad(_first, lo, hi, args=(phi,), **opts)[0], rel=1e-10)
+        assert i2 == pytest.approx(quad(_second, lo, hi, args=(phi,), **opts)[0], rel=1e-10)
+
+    def test_empty_interval_is_zero(self):
+        assert integrate_adaptive(1.0, 1.5, 1.5) == (0.0, 0.0)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_adaptive(1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    def test_nonpositive_lower_limit_is_outside_domain(self, lo):
+        with pytest.raises(DomainError):
+            integrate_adaptive(1.0, lo, 1.0)
+
+    def test_non_finite_integrand(self):
+        # phi*w overflows at w = 10, so f and both integrands are NaN there.
+        with pytest.raises(NonFiniteError):
+            integrate_adaptive(1e308, 10.0, 20.0)
+
+    def test_depth_cap_raises(self):
+        with pytest.raises(DepthExceededError):
+            integrate_adaptive(1.0, 0.01, 100.0, QuadratureSpec(max_depth=1))
+
+    @given(
+        log_af=st.floats(-1.0, 1.0),
+        log_bf=st.floats(-1.0, 1.0),
+        split=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interval_additivity(self, log_af, log_bf, split):
+        phi = compute_phi(BoundaryPair(A_f=10.0**log_af, B_f=10.0**log_bf))
+        lo = 10.0**log_af
+        hi = 4.0 * lo
+        mid = lo + split * (hi - lo)
+        whole = integrate_adaptive(phi, lo, hi)
+        left = integrate_adaptive(phi, lo, mid)
+        right = integrate_adaptive(phi, mid, hi)
+        for k in range(2):
+            assert whole[k] == pytest.approx(left[k] + right[k], rel=1e-11, abs=1e-12)
 
 
 class TestSolveEndpoint:

@@ -25,3 +25,12 @@ _NAMES = [entry[:2] for entry in _tracing.SPANNED + _tracing.COUNTED]
 def test_traced_name_resolves_to_callable(module, attr):
     # A refactor that renames or deletes one of these breaks `--trace 1`.
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_trajectory_uses_the_traced_walk():
+    # The tracer wraps the endpoint walk under both names.  A second
+    # quadrature in the trajectory would leave its `trajectory.quad` spans
+    # empty without any other failure.
+    bound = importlib.import_module("linrelay.bound")
+    trajectory = importlib.import_module("linrelay.trajectory")
+    assert trajectory.integrate_adaptive is bound.integrate_adaptive

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from linrelay.bound import (
     BoundaryPair,
     ChannelParams,
+    f_eval,
     lambda_and_Q1,
     solve_endpoint,
     theorem_bound,
@@ -60,18 +62,18 @@ class TestInvertAProfile:
         assert np.all(np.diff(A) < 0.0)
 
     def test_samples_satisfy_defining_integral(self, endpoint):
-        # Check one interior sample against the defining relation by direct
-        # quadrature on the same integrand.
-        from linrelay.bound import _integrand_second
-        from linrelay.numerics import integrate_adaptive
-
+        # Check one interior sample against the defining relation by QUADPACK
+        # quadrature of f^2/(1+w f^2), apart from the package's own walk.
         lam, Q1 = lambda_and_Q1(endpoint, A11)
         S, A = invert_A_profile(endpoint, A11, Q1, 16)
         a2 = A11.a**2
         j = 7
-        lhs = integrate_adaptive(
-            lambda w: _integrand_second(w, endpoint.phi), endpoint.A_f, A[j]
-        )
+
+        def integrand(w: float) -> float:
+            fw = f_eval(w, endpoint.phi)
+            return fw * fw / (1.0 + w * fw * fw)
+
+        lhs = quad(integrand, endpoint.A_f, A[j], epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         rhs = math.log((1.0 + a2 * Q1) / (1.0 + a2 * S[j]))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
