@@ -13,10 +13,12 @@ from .baselines import (
     two_by_two_bound,
 )
 from .bound import (
+    DEFAULT_QUADRATURE,
     BoundaryPair,
     BoundEvaluation,
     ChannelParams,
     EndpointSolution,
+    QuadratureSpec,
     compute_phi,
     f_eval,
     integrate_adaptive,
@@ -33,12 +35,7 @@ from .codes import (
     export_code,
     parse_code,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    find_root_bracketed,
-    minimize_simplex,
-)
+from .numerics import find_root_bracketed, minimize_simplex
 from .trajectory import (
     IdentityReport,
     TrajectoryGrid,

@@ -76,13 +76,17 @@ def cutset_bound(channel: ChannelParams) -> float:
     return (1.0 + a2 + b2) / ((1.0 + a2) * (1.0 + b2))
 
 
+def _entries(a: float, beta: float, P1, P2):
+    """Relay gain d and source entries s1, s2 of the 2x2 scheme, elementwise in P1, P2."""
+    d = np.sqrt(2.0 * P2 / (2.0 * a**2 * beta * P1 + 1.0))
+    root = np.sqrt(2.0 * P1)
+    return d, root * math.sqrt(beta), root * math.sqrt(1.0 - beta)
+
+
 def _scheme(channel: ChannelParams, beta: float, P1: float, P2: float):
     """Source vector s (2,) and relay matrix D (2, 2) of the 2x2 scheme."""
-    d = math.sqrt(2.0 * P2 / (2.0 * channel.a**2 * beta * P1 + 1.0))
-    root = math.sqrt(2.0 * P1)
-    s = np.array([root * math.sqrt(beta), root * math.sqrt(1.0 - beta)])
-    D = np.array([[0.0, 0.0], [d, 0.0]])
-    return s, D
+    d, s1, s2 = _entries(channel.a, beta, P1, P2)
+    return np.array([s1, s2]), np.array([[0.0, 0.0], [d, 0.0]])
 
 
 def _evaluate_scheme(channel: ChannelParams, beta: float, P1: float, P2: float) -> float:
@@ -106,12 +110,9 @@ def _grid(channel: ChannelParams):
     betas = np.linspace(0.0, 1.0, _BETA_POINTS)
     powers = np.geomspace(_POWER_LO, _POWER_HI, _POWER_POINTS)
     P1, P2 = powers[:, None], powers[None, :]
-    root = np.sqrt(2.0 * P1)
     values = np.empty((_BETA_POINTS, _POWER_POINTS, _POWER_POINTS))
     for row, beta in zip(values, betas.tolist()):
-        d = np.sqrt(2.0 * P2 / (2.0 * a**2 * beta * P1 + 1.0))
-        s1 = root * math.sqrt(beta)
-        s2 = root * math.sqrt(1.0 - beta)
+        d, s1, s2 = _entries(a, beta, P1, P2)
         numerator = s1 * s1 + s2 * s2 + a * a * (d * s1) ** 2 + d * d
         quad = s1 * s1 + (s2 + a * b * d * s1) ** 2 / (1.0 + b * b * d * d)
         row[...] = numerator / (0.5 * np.log1p(quad) / math.log(2.0)) / TWO_LN2

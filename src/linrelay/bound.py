@@ -10,9 +10,11 @@ E over valid pairs, realized here by a coarse log-grid scan followed by
 Nelder-Mead refinement.
 
 The two endpoint integrals are computed together by one adaptive Simpson
-walk (integrate_adaptive) that evaluates f once per node.  It is
-hand-rolled because callers need precise control over the failure modes: a
-hard recursion cap and an explicit error when a tolerance is unreachable.
+walk (integrate_adaptive) that evaluates f once per node, with tolerances
+and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
+because callers need precise control over the failure modes: a hard
+recursion cap and an explicit error when a tolerance is unreachable.  The
+walk raises the first failure it meets, of either integral.
 """
 from __future__ import annotations
 
@@ -28,20 +30,16 @@ from .errors import (
     DegenerateBoundError,
     DepthExceededError,
     DomainError,
-    LinrelayError,
     NoBracketError,
     NoFeasiblePointError,
     NonFiniteError,
     RouteMismatchError,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    find_root_bracketed,
-    minimize_simplex,
-)
+from .numerics import find_root_bracketed, minimize_simplex
 
 __all__ = [
+    "QuadratureSpec",
+    "DEFAULT_QUADRATURE",
     "ChannelParams",
     "BoundaryPair",
     "EndpointSolution",
@@ -221,6 +219,31 @@ def f_eval(w: float, phi: float) -> float:
     return _f_terms(w, phi)[0]
 
 
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Tolerances and recursion cap of the endpoint walk, per integral.
+
+    Attributes:
+        abs_tol: Absolute tolerance on the integral value.
+        rel_tol: Relative tolerance on the integral value.
+        max_depth: Maximum bisection depth before giving up.
+    """
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    max_depth: int = 60
+
+    def __post_init__(self) -> None:
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (tol > 0.0 and math.isfinite(tol)):
+                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
+
+
+DEFAULT_QUADRATURE = QuadratureSpec()
+
+
 def _non_finite(g: float, x: float) -> NonFiniteError:
     return NonFiniteError(f"integrand returned {g!r} at x={x!r}")
 
@@ -293,12 +316,10 @@ def _two(
     eps2: float,
     depth: int,
     max_depth: int,
-) -> tuple[float, float | LinrelayError]:
+) -> tuple[float, float]:
     # Adaptive Simpson on [lo, hi] for both integrands while both refine.
     # Each keeps its own error test, eps and summation order, so each value
-    # is bit for bit what _one would return for it.  A failure of the first
-    # raises; a failure of the second is returned in place of its value and
-    # stops it from refining.
+    # is bit for bit what _one would return for it.
     mid = 0.5 * (lo + hi)
     lmid = 0.5 * (lo + mid)
     rmid = 0.5 * (mid + hi)
@@ -315,9 +336,10 @@ def _two(
         raise _non_finite(flm1, lmid)
     if not math.isfinite(frm1):
         raise _non_finite(frm1, rmid)
-    if not (math.isfinite(flm2) and math.isfinite(frm2)):
-        held = _non_finite(flm2, lmid) if not math.isfinite(flm2) else _non_finite(frm2, rmid)
-        return _one(phi, lo, hi, fa1, fm1, fb1, whole1, eps1, depth, max_depth, 1), held
+    if not math.isfinite(flm2):
+        raise _non_finite(flm2, lmid)
+    if not math.isfinite(frm2):
+        raise _non_finite(frm2, rmid)
     left1 = ((mid - lo) / 6.0) * (fa1 + 4.0 * flm1 + fm1)
     right1 = ((hi - mid) / 6.0) * (fm1 + 4.0 * frm1 + fb1)
     left2 = ((mid - lo) / 6.0) * (fa2 + 4.0 * flm2 + fm2)
@@ -337,17 +359,14 @@ def _two(
             v2,
         )
     if abs(err1) <= 15.0 * eps1:
-        v1 = left1 + right1 + err1 / 15.0
         if depth >= max_depth:
-            return v1, _too_deep(eps2, lo, hi, depth)
+            raise _too_deep(eps2, lo, hi, depth)
         half = 0.5 * eps2
-        try:
-            v2 = _one(phi, lo, mid, fa2, flm2, fm2, left2, half, depth + 1, max_depth, 2) + _one(
-                phi, mid, hi, fm2, frm2, fb2, right2, half, depth + 1, max_depth, 2
-            )
-        except (NonFiniteError, DepthExceededError) as exc:
-            v2 = exc
-        return v1, v2
+        return (
+            left1 + right1 + err1 / 15.0,
+            _one(phi, lo, mid, fa2, flm2, fm2, left2, half, depth + 1, max_depth, 2)
+            + _one(phi, mid, hi, fm2, frm2, fb2, right2, half, depth + 1, max_depth, 2),
+        )
     if depth >= max_depth:
         raise _too_deep(eps1, lo, hi, depth)
     half1 = 0.5 * eps1
@@ -356,14 +375,10 @@ def _two(
         phi, lo, mid, fa1, flm1, fm1, fa2, flm2, fm2,
         left1, left2, half1, half2, depth + 1, max_depth,
     )
-    if l2.__class__ is not float:
-        return l1 + _one(phi, mid, hi, fm1, frm1, fb1, right1, half1, depth + 1, max_depth, 1), l2
     r1, r2 = _two(
         phi, mid, hi, fm1, frm1, fb1, fm2, frm2, fb2,
         right1, right2, half1, half2, depth + 1, max_depth,
     )
-    if r2.__class__ is not float:
-        return l1 + r1, r2
     return l1 + r1, l2 + r2
 
 
@@ -395,8 +410,8 @@ def integrate_adaptive(
         DomainError: If lo <= 0 and lo < hi.
         NonFiniteError: If an integrand is NaN or infinite where it is sampled.
         DepthExceededError: If a tolerance cannot be met within max_depth.
-        The first integral's failure is raised as soon as it occurs; the
-        second's only once the first has finished.
+        The walk fails exactly when a separate run on either integrand
+        would, and raises the first failure it meets.
     """
     if lo > hi:
         raise ValueError(f"lo={lo!r} exceeds hi={hi!r}")
@@ -404,32 +419,24 @@ def integrate_adaptive(
         return 0.0, 0.0
     if lo <= 0.0:
         f_eval(lo, phi)  # raises f's DomainError
-    # Python floats: numpy scalars give the same bits, more slowly, and the
-    # walk tells a value from a held failure by its class.
+    # Python floats: numpy scalars give the same bits, more slowly.
     phi, lo, hi = float(phi), float(lo), float(hi)
     mid = 0.5 * (lo + hi)
     _, fa1, fa2 = _f_terms(lo, phi)
     _, fm1, fm2 = _f_terms(mid, phi)
     _, fb1, fb2 = _f_terms(hi, phi)
-    for x, g in ((lo, fa1), (mid, fm1), (hi, fb1)):
+    for x, g in ((lo, fa1), (mid, fm1), (hi, fb1), (lo, fa2), (mid, fm2), (hi, fb2)):
         if not math.isfinite(g):
             raise _non_finite(g, x)
     whole1 = ((hi - lo) / 6.0) * (fa1 + 4.0 * fm1 + fb1)
-    eps1 = max(spec.abs_tol, spec.rel_tol * abs(whole1))
-    for x, g in ((lo, fa2), (mid, fm2), (hi, fb2)):
-        if not math.isfinite(g):
-            # The first integral's own failure, if any, takes precedence.
-            _one(phi, lo, hi, fa1, fm1, fb1, whole1, eps1, 0, spec.max_depth, 1)
-            raise _non_finite(g, x)
     whole2 = ((hi - lo) / 6.0) * (fa2 + 4.0 * fm2 + fb2)
-    eps2 = max(spec.abs_tol, spec.rel_tol * abs(whole2))
-    i1, i2 = _two(
+    return _two(
         phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
-        whole1, whole2, eps1, eps2, 0, spec.max_depth,
+        whole1, whole2,
+        max(spec.abs_tol, spec.rel_tol * abs(whole1)),
+        max(spec.abs_tol, spec.rel_tol * abs(whole2)),
+        0, spec.max_depth,
     )
-    if i2.__class__ is not float:
-        raise i2
-    return i1, i2
 
 
 class _CumulativeIntegrals:

@@ -233,7 +233,7 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
 
     Raises:
         ValueError: On malformed content (wrong counts, non-numeric fields,
-            k below 1).
+            k below 1, lambda or Q1 not positive and finite).
     """
     if isinstance(source, Path):
         text = source.read_text()
@@ -247,6 +247,8 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     a, b, lam, q1 = (float(x) for x in header[1:])
+    if not (lam > 0.0 and math.isfinite(lam) and q1 > 0.0 and math.isfinite(q1)):
+        raise ValueError(f"lambda and Q1 must be positive and finite, got {lam!r}, {q1!r}")
     s = np.array([float(x) for x in stream.readline().split()])
     if s.shape != (k,):
         raise ValueError(f"expected {k} source entries, got {s.shape[0]}")

@@ -1,14 +1,11 @@
 """Generic numerical kernels used by the rest of the package.
 
 Two tools live here, bracketed root-finding and a deterministic Nelder-Mead
-wrapper, plus the tolerance settings (QuadratureSpec) of the adaptive
-Simpson walk over the endpoint integrals in bound.py.  Both tools wrap
-scipy; re-deriving Brent or Nelder-Mead buys nothing.
+wrapper.  Both wrap scipy; re-deriving Brent or Nelder-Mead buys nothing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,8 +14,6 @@ from scipy.optimize import brentq, minimize
 from .errors import NoBracketError, NonFiniteError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "find_root_bracketed",
     "minimize_simplex",
 ]
@@ -32,31 +27,6 @@ _SIMPLEX_SCALE = 0.25
 _SIMPLEX_MAX_ITER = 2000
 _SIMPLEX_F_TOL = 1e-10
 _SIMPLEX_X_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and recursion cap for adaptive quadrature.
-
-    Attributes:
-        abs_tol: Absolute tolerance on the integral value.
-        rel_tol: Relative tolerance on the integral value.
-        max_depth: Maximum bisection depth before giving up.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_depth: int = 60
-
-    def __post_init__(self) -> None:
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (tol > 0.0 and math.isfinite(tol)):
-                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def find_root_bracketed(
@@ -77,10 +47,11 @@ def find_root_bracketed(
         A point x in [lo, hi] with the bracket shrunk to width tol*|x|.
 
     Raises:
+        ValueError: If tol is not positive and finite.
         NoBracketError: If g has the same strict sign at both ends.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     glo = g(lo)
     ghi = g(hi)
     if glo == 0.0:

@@ -1,5 +1,5 @@
-"""Tests for the stable branch, the endpoint quadrature, the endpoint solve,
-and the bound itself.
+"""Tests for the stable branch, the endpoint quadrature and its settings, the
+endpoint solve, and the bound itself.
 
 The heavyweight check re-derives the bound at a fixed pair through an
 entirely independent path: QUADPACK quadrature, scipy's brentq on the raw
@@ -19,9 +19,11 @@ from scipy.optimize import brentq
 
 from linrelay.bound import (
     _SCAN_QUADRATURE,
+    DEFAULT_QUADRATURE,
     TWO_LN2,
     BoundaryPair,
     ChannelParams,
+    QuadratureSpec,
     compute_phi,
     f_eval,
     integrate_adaptive,
@@ -35,7 +37,6 @@ from linrelay.errors import (
     DomainError,
     NonFiniteError,
 )
-from linrelay.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 
 A11 = ChannelParams(a=1.1, b=2.0)
 
@@ -91,8 +92,9 @@ def _independent_bound(pair: BoundaryPair, channel: ChannelParams) -> float:
 
 # Reference for the endpoint walk: the generic adaptive Simpson rule that
 # integrated each endpoint integrand in its own call before the two were
-# fused.  The walk must reproduce each call's value bit for bit, and its
-# first failure with the same class and message.
+# fused.  The walk must reproduce each call's value bit for bit, and fail
+# exactly when one of the calls fails, with the class and message of a
+# failing call.
 _REF_WIDTH_FLOOR = 4096.0 * np.finfo(float).eps
 
 
@@ -168,11 +170,11 @@ def _outcome(call):
     return tuple(float(v).hex() for v in values)
 
 
-def _reference_pair(phi, lo, hi, spec):
-    # Two calls in sequence: a failure of the first stops before the second.
-    return (
-        _ref_integrate(lambda w: _first(w, phi), lo, hi, spec),
-        _ref_integrate(lambda w: _second(w, phi), lo, hi, spec),
+def _separate(phi, lo, hi, spec):
+    """Outcomes of the two reference calls, each run on its own."""
+    return tuple(
+        _outcome(lambda: [_ref_integrate(lambda w: g(w, phi), lo, hi, spec)])
+        for g in (_first, _second)
     )
 
 
@@ -246,38 +248,67 @@ class TestStableBranch:
         assert abs(residual) <= 1e-10 * scale
 
 
+class TestQuadratureSpec:
+    def test_defaults(self):
+        spec = QuadratureSpec()
+        assert spec.abs_tol == 1e-12
+        assert spec.rel_tol == 1e-12
+        assert spec.max_depth == 60
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"abs_tol": 0.0},
+            {"rel_tol": -1e-9},
+            {"max_depth": 0},
+            {"abs_tol": math.nan},
+            {"rel_tol": math.inf},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+
+
 class TestIntegrateAdaptive:
     def test_matches_two_separate_walks_bit_for_bit(self):
         cases = _random_cases(320, seed=20261018)
-        outcomes = []
+        failed = both_failed = 0
         for phi, lo, hi, spec in cases:
-            expected = _outcome(lambda: _reference_pair(phi, lo, hi, spec))
+            first, second = _separate(phi, lo, hi, spec)
             got = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
-            assert got == expected, (phi, lo, hi, spec)
-            outcomes.append(expected)
-        # The cases must reach both values and the failure paths.
-        failed = sum(isinstance(o[0], type) for o in outcomes)
-        assert 30 <= failed <= len(outcomes) - 200
+            failures = [o for o in (first, second) if isinstance(o[0], type)]
+            if failures:
+                assert got in failures, (phi, lo, hi, spec)
+            else:
+                assert got == first + second, (phi, lo, hi, spec)
+            failed += bool(failures)
+            both_failed += len(failures) == 2
+        # The cases must reach both values and the failure paths, including
+        # failures of both integrals.
+        assert 30 <= failed <= len(cases) - 200
+        assert both_failed >= 20
 
     @pytest.mark.parametrize(
-        "phi,lo,hi,max_depth,first_fails",
+        "phi,lo,hi,max_depth,first_fails,raised",
         [
             # f^2 overflows, so the first integrand is 0 and the second NaN.
-            (1e150, 1e-10, 2e-10, 60, False),
+            (1e150, 1e-10, 2e-10, 60, False, "second"),
             # Only the second integral misses its tolerance.
-            (501.93215503576994, 146.32007499555917, 165.28277205838668, 3, False),
+            (501.93215503576994, 146.32007499555917, 165.28277205838668, 3, False, "second"),
             # Both miss, the second at an earlier node than the first.
-            (5.21957865840629, 0.07686600681226329, 0.09742031807355596, 3, True),
+            (5.21957865840629, 0.07686600681226329, 0.09742031807355596, 3, True, "second"),
+            # Both miss, the first at an earlier node than the second.
+            (72.8184051122198, 0.005377774945970034, 0.009886878122795716, 3, True, "first"),
         ],
     )
-    def test_failure_of_second_waits_for_first(self, phi, lo, hi, max_depth, first_fails):
+    def test_first_failure_in_walk_order(self, phi, lo, hi, max_depth, first_fails, raised):
         spec = QuadratureSpec(max_depth=max_depth)
-        second = _outcome(lambda: [_ref_integrate(lambda w: _second(w, phi), lo, hi, spec)])
-        first = _outcome(lambda: [_ref_integrate(lambda w: _first(w, phi), lo, hi, spec)])
+        first, second = _separate(phi, lo, hi, spec)
         assert isinstance(second[0], type)
         assert isinstance(first[0], type) == first_fails
         got = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
-        assert got == (first if first_fails else second)
+        assert got == {"first": first, "second": second}[raised]
 
     @pytest.mark.parametrize(
         "phi,lo,hi",

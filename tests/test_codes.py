@@ -195,6 +195,9 @@ class TestExchangeFormat:
             "2 1.1 2 1.0 0.5\n0.1 0.2\n0.3 0.4\n",
             "2 1.1 2 1.0 0.5\n0.1 nope\n",
             "0 1.1 2 1 1\n\n",
+            "2 1.1 2 nan -1\n0.5 0.5\n0.1\n",
+            "2 1.1 2 1.0 inf\n0.5 0.5\n0.1\n",
+            "2 1.1 2 0 0.5\n0.5 0.5\n0.1\n",
         ],
     )
     def test_malformed_content_rejected(self, text):
