@@ -37,7 +37,7 @@ from .codes import (
 )
 from .numerics import find_root_bracketed, minimize_simplex
 from .trajectory import (
-    IdentityReport,
+    IdentityCheck,
     TrajectoryGrid,
     build_trajectory,
     check_identities,
@@ -56,7 +56,7 @@ __all__ = [
     "CodeEvaluation",
     "DEFAULT_QUADRATURE",
     "EndpointSolution",
-    "IdentityReport",
+    "IdentityCheck",
     "QuadratureSpec",
     "RelayCode",
     "TrajectoryGrid",

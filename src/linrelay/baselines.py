@@ -57,7 +57,6 @@ class BoundsRecord:
     cutset: float
     two_by_two: float
     rank1: float
-    two_by_two_argmin: TwoByTwoResult
     rank1_pair: BoundaryPair
     rank1_eval: BoundEvaluation
 
@@ -178,7 +177,6 @@ def bounds_record(channel: ChannelParams) -> BoundsRecord:
         cutset=cutset_bound(channel),
         two_by_two=two.value,
         rank1=ev.normalized,
-        two_by_two_argmin=two,
         rank1_pair=pair,
         rank1_eval=ev,
     )

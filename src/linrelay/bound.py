@@ -44,6 +44,7 @@ __all__ = [
     "BoundaryPair",
     "EndpointSolution",
     "BoundEvaluation",
+    "check_pair",
     "compute_phi",
     "f_eval",
     "integrate_adaptive",
@@ -124,7 +125,6 @@ class EndpointSolution:
         B0: f(A0), the B value at S = 0.
         A_f: Echo of the input pair (terminal A).
         B_f: Echo of the input pair (terminal B).
-        i1_value: First cumulative integral of f/(1+w f^2) over [A_f, A0].
         i2_value: Second cumulative integral of f^2/(1+w f^2) over [A_f, A0].
         residual_first: Scaled residual of the first integral equation.
         residual_second: Scaled residual of the second integral equation.
@@ -136,7 +136,6 @@ class EndpointSolution:
     B0: float
     A_f: float
     B_f: float
-    i1_value: float
     i2_value: float
     residual_first: float
     residual_second: float
@@ -544,7 +543,6 @@ def solve_endpoint(
         B0=B0,
         A_f=pair.A_f,
         B_f=pair.B_f,
-        i1_value=i1,
         i2_value=i2,
         residual_first=res_first,
         residual_second=res_second,
@@ -609,6 +607,22 @@ def lambda_and_Q1(
     return lam, Q1
 
 
+def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
+    """The a^2 rule: DomainError beyond a^2, DegenerateBoundError within RATIO_MARGIN.
+
+    No endpoint exists beyond a^2, and at a^2 the bound is 0/0.  a**2 raises
+    OverflowError where a * a is inf; the margin keeps a * a, which can differ
+    from a**2 by an ulp and decides which optimizer probes are feasible.
+    """
+    ratio = pair.ratio()
+    if ratio > channel.a**2:
+        raise DomainError(f"A_f/B_f={ratio:g} exceeds a^2={channel.a**2:g}")
+    if ratio > channel.a * channel.a * (1.0 - RATIO_MARGIN):
+        raise DegenerateBoundError(
+            f"A_f/B_f={ratio!r} within {RATIO_MARGIN:g} of the a^2 boundary"
+        )
+
+
 def theorem_bound(
     pair: BoundaryPair,
     channel: ChannelParams,
@@ -630,14 +644,12 @@ def theorem_bound(
         The bound evaluation with all intermediate constants.
 
     Raises:
+        DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
         DegenerateBoundError: At or numerically too close to the boundary
-            (Q1 <= 0, log_arg <= 1, or nonpositive total energy).
+            (check_pair, Q1 <= 0, log_arg <= 1, or nonpositive total energy).
     """
     a, b = channel.a, channel.b
-    if pair.ratio() > a * a * (1.0 - RATIO_MARGIN):
-        raise DegenerateBoundError(
-            f"A_f/B_f={pair.ratio()!r} within {RATIO_MARGIN:g} of the a^2 boundary"
-        )
+    check_pair(pair, channel)
     ep = solve_endpoint(pair, channel, quadrature, root_tol)
     cf = _closed_forms(ep, channel)
     if not (math.isfinite(cf.Q2) and math.isfinite(cf.log_arg)):

@@ -1,5 +1,8 @@
 """Command-line surface: point bounds, sweeps, code export, verification.
 
+It decides nothing numerical: the a^2 rule is bound.check_pair, and every
+verify check with its tolerance comes from trajectory.check_identities.
+
 Subcommands:
     bound   one channel point, JSON report with baselines
     sweep   CSV/JSON table over a range of b, optional SVG chart
@@ -12,8 +15,10 @@ collapse.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -26,10 +31,10 @@ from .baselines import (
     two_by_two_bound,
 )
 from .bound import (
-    RATIO_MARGIN,
     BoundaryPair,
     BoundEvaluation,
     ChannelParams,
+    check_pair,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -101,6 +106,12 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _check_out_dir(path: str) -> None:
+    # Refused before any solve with the error that writing would raise.
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _pair_args(args) -> BoundaryPair | None:
     if (args.Af is None) != (args.Bf is None):
         raise DomainError("provide both --Af and --Bf or neither")
@@ -132,10 +143,6 @@ def cmd_bound(args) -> int:
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
     if pair is not None:
-        if pair.ratio() > channel.a**2:
-            raise DomainError(
-                f"A_f/B_f={pair.ratio():g} exceeds a^2={channel.a ** 2:g}"
-            )
         ev = theorem_bound(pair, channel)
     else:
         pair, ev = optimize_bound(channel)
@@ -276,6 +283,8 @@ def cmd_sweep(args) -> int:
         format=args.format,
     )
     ChannelParams(a=config.a, b=max(config.b_max, _MIN_B))
+    for path in filter(None, (config.output_path, args.svg)):
+        _check_out_dir(path)
     rows = run_sweep(config)
     _write_rows(rows, config)
     if args.svg:
@@ -292,6 +301,7 @@ def cmd_code(args) -> int:
         raise DomainError(f"k={args.k} exceeds the cap {DEFAULT_K_CAP}; pass --force")
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
+    _check_out_dir(args.out)
     if pair is None:
         pair, ev = optimize_bound(channel)
     else:
@@ -316,7 +326,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run residual and identity suites; print one line per check."""
+    """Print one line per check of check_identities; exit 1 if any fails."""
     if args.n_samples < 2:
         raise DomainError(f"n-samples={args.n_samples} must be at least 2")
     channel = ChannelParams(a=args.a, b=args.b)
@@ -327,27 +337,16 @@ def cmd_verify(args) -> int:
     else:
         # Solved directly rather than through theorem_bound, whose
         # cancellation floors refuse near-boundary pairs verify still checks.
-        if pair.ratio() > channel.a**2 * (1.0 - RATIO_MARGIN):
-            raise DomainError(
-                f"degenerate input, A_f/B_f={pair.ratio():g} sits on the a^2 boundary"
-            )
+        check_pair(pair, channel)
         endpoint = solve_endpoint(pair, channel)
     traj, lam, Q1 = build_trajectory(endpoint, channel, n_samples=args.n_samples)
-    report = check_identities(traj, endpoint, channel, lam, Q1)
-    all_ok = report.passed
-    res_scale = max(abs(endpoint.residual_first), abs(endpoint.residual_second))
-    lemma_ok = res_scale <= 1e-8
-    all_ok = all_ok and lemma_ok
-    print(
-        f"endpoint_residuals: worst={res_scale:.3e} tol=1.0e-08 "
-        f"{'PASS' if lemma_ok else 'FAIL'}"
-    )
-    for check in report.checks:
+    checks = check_identities(traj, endpoint, channel, lam, Q1)
+    for check in checks:
         print(
             f"{check.name}: worst={check.worst_residual:.3e} "
             f"tol={check.tolerance:.1e} {'PASS' if check.passed else 'FAIL'}"
         )
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

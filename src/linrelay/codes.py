@@ -233,7 +233,7 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
 
     Raises:
         ValueError: On malformed content (wrong counts, non-numeric fields,
-            k below 1, lambda or Q1 not positive and finite).
+            k below 1, lambda or Q1 not positive and finite, s or D not finite).
     """
     if isinstance(source, Path):
         text = source.read_text()
@@ -258,6 +258,8 @@ def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
         if len(row) != i:
             raise ValueError(f"row {i + 1} must carry {i} entries, got {len(row)}")
         D[i, :i] = row
+    if not (np.isfinite(s).all() and np.isfinite(D).all()):
+        raise ValueError("entries of s and D must be finite")
     channel = ChannelParams(a=a, b=b)
     empty = np.empty(0)
     code = RelayCode(

@@ -4,8 +4,8 @@ The boundary-value ODE system behind the bound never needs forward
 integration: once the endpoint (A0, psi) is known, A(S) is defined
 implicitly by a cumulative integral, and every remaining variable follows
 from A by algebra.  This module builds that sampled trajectory, recovers the
-unbarred variables, and verifies the conserved quantities and the two final
-identities that tie the trajectory back to the bound formula.
+unbarred variables, and runs every check of `linrelay verify`: the endpoint
+residuals, the conserved quantities and the two final trajectory identities.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import ProfileMismatchError
 
 __all__ = [
     "TrajectoryGrid",
-    "IdentityReport",
+    "IdentityCheck",
     "invert_A_profile",
     "reconstruct_barred",
     "unbar",
@@ -77,23 +77,6 @@ class IdentityCheck:
     @property
     def passed(self) -> bool:
         return self.worst_residual <= self.tolerance
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of all trajectory identity checks."""
-
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> IdentityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +253,12 @@ def check_identities(
     channel: ChannelParams,
     lam: float,
     Q1: float,
-) -> IdentityReport:
-    """Verify conservation laws and the two final trajectory identities.
+) -> tuple[IdentityCheck, ...]:
+    """Verify the endpoint, the conservation laws and the two final identities.
 
-    Checks, with their tolerances:
+    These are every check `linrelay verify` runs, in the order it prints
+    them, with their tolerances:
+      endpoint_residuals  both integral equations' residuals within 1e-8
       conservation   |Sbar Vbar - Tbar Zbar - c1^3| <= 1e-6 |c1^3| at all samples
       ab_invariant   |A B + 1/A - 1/B - phi| <= 1e-8 at all samples
       q2_identity    a T(Q1)/(b lam) - R(Q1)/(b^2 lam) = Q2, 1e-8 relative
@@ -288,7 +273,8 @@ def check_identities(
     independently from the sampled terminal state.
 
     Returns:
-        Report with one entry per check; never raises on failure.
+        One IdentityCheck per check, in the order above; never raises on
+        failure.
     """
     a, b = channel.a, channel.b
     cf = _closed_forms(endpoint, channel)
@@ -313,7 +299,10 @@ def check_identities(
 
     z_sign = float(max(0.0, -np.min(traj.Z)))
 
-    checks = (
+    residuals = max(abs(endpoint.residual_first), abs(endpoint.residual_second))
+
+    return (
+        IdentityCheck("endpoint_residuals", residuals, 1e-8),
         IdentityCheck("conservation", float(cons), cons_tol),
         IdentityCheck("ab_invariant", float(ab_res), 1e-8),
         IdentityCheck("q2_identity", float(q2_res), 1e-8),
@@ -322,4 +311,3 @@ def check_identities(
         IdentityCheck("terminal_zero", terminal_zero, 1e-8),
         IdentityCheck("z_sign", z_sign, 1e-10),
     )
-    return IdentityReport(checks=checks)

@@ -110,7 +110,6 @@ class TestBoundsRecord:
         assert record.block_markov == block_markov_bound(ChannelParams(a=1.1, b=2.0))
         assert record.cutset == cutset_bound(ChannelParams(a=1.1, b=2.0))
         assert record.rank1 == record.rank1_eval.normalized
-        assert record.two_by_two == record.two_by_two_argmin.value
         # Same channel, same deterministic searches as the cached fixtures.
         pair, ev = optimized_cache(1.1, 2.0)
         assert record.rank1 == ev.normalized

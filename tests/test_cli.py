@@ -22,6 +22,7 @@ AF = "0.47745726861858833"
 BF = "0.7594024699528037"
 CHANNEL_ARGS = ["--a", "1.1", "--b", "2"]
 PAIR_ARGS = ["--Af", AF, "--Bf", BF]
+SWEEP_ARGS = ["sweep", "--a", "1.1", "--b-min", "2", "--b-max", "5", "--n-points", "2"]
 
 
 class TestBoundCommand:
@@ -176,6 +177,28 @@ class TestVerifyCommand:
         assert "boundary" in capsys.readouterr().err
 
 
+class TestPairRule:
+    @pytest.mark.parametrize("command", ["bound", "code", "verify"])
+    @pytest.mark.parametrize(
+        ("Af", "message"),
+        [
+            pytest.param("10", "A_f/B_f=10 exceeds a^2=1.21", id="exceeds"),
+            pytest.param(
+                "1.2099999999",
+                "A_f/B_f=1.2099999999 within 1e-09 of the a^2 boundary",
+                id="within",
+            ),
+        ],
+    )
+    def test_one_rule_for_every_command(self, command, Af, message, tmp_path, capsys):
+        # At a = 1.1 every command refuses a pair beyond a^2, and one within
+        # the margin of it, with the same words.
+        extra = ["--k", "16", "--out", str(tmp_path / "x")] if command == "code" else []
+        code = main([command, *CHANNEL_ARGS, "--Af", Af, "--Bf", "1", *extra])
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         ("argv", "expected"),
@@ -253,3 +276,43 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["code", *CHANNEL_ARGS, "--k", "1024", "--out", "{tmp}/missing/x"],
+                id="code-optimized",
+            ),
+            pytest.param(
+                ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "16", "--out", "{tmp}/missing/x"],
+                id="code-pair",
+            ),
+            pytest.param([*SWEEP_ARGS, "--out", "{tmp}/missing/x"], id="sweep-out"),
+            pytest.param(
+                [*SWEEP_ARGS, "--out", "{tmp}/t.csv", "--svg", "{tmp}/missing/x"],
+                id="sweep-svg",
+            ),
+        ],
+    )
+    def test_missing_directory_refused_before_any_solve(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        # A missing directory is refused before any solve, and nothing is
+        # written.
+        def no_solve(*args):
+            raise AssertionError("solved before the output directory was checked")
+
+        for name in (
+            "linrelay.cli.theorem_bound",
+            "linrelay.cli.optimize_bound",
+            "linrelay.baselines.optimize_bound",
+        ):
+            monkeypatch.setattr(name, no_solve)
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        missing = tmp_path / "missing" / "x"
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert not any(tmp_path.iterdir())

@@ -198,6 +198,8 @@ class TestExchangeFormat:
             "2 1.1 2 nan -1\n0.5 0.5\n0.1\n",
             "2 1.1 2 1.0 inf\n0.5 0.5\n0.1\n",
             "2 1.1 2 0 0.5\n0.5 0.5\n0.1\n",
+            "2 1.1 2 1.0 0.5\nnan 0.5\n0.1\n",
+            "2 1.1 2 1.0 0.5\n0.5 0.5\ninf\n",
         ],
     )
     def test_malformed_content_rejected(self, text):

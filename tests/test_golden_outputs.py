@@ -1,0 +1,62 @@
+"""Reported numbers must not change: sha256 digests of whole CLI outputs.
+
+The digests hold for numpy 2.4.6 and scipy 1.17.1 on Python 3.11; other
+versions may round the last digit of a value differently.  A change that
+alters any reported number on purpose updates the digest it breaks and says
+why.  The stdout of `code` is not pinned: its dense oracle's blocked
+Cholesky may round differently with the BLAS thread count.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from linrelay import cli
+
+PINNED = [
+    "--a", "1.1", "--b", "2",
+    "--Af", "0.47745726861858833", "--Bf", "0.7594024699528037",
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        pytest.param(
+            ["bound", *PINNED],
+            "b22fff0482500cd26b0649b1b83e405aa7f766ab2c5c3cc8a74f3e0b4bf2822e",
+            id="bound-pinned",
+        ),
+        pytest.param(
+            ["verify", *PINNED, "--n-samples", "512"],
+            "78e10d5015dd7f9aeebada160b325ab2cff879df1198aed5aac374cd5b6be1b0",
+            id="verify-pinned",
+        ),
+    ],
+)
+def test_stdout(argv, digest, capsys):
+    assert cli.main(argv) == 0
+    assert _digest(capsys.readouterr().out.encode()) == digest
+
+
+def test_optimized_bound_stdout(optimized_cache, monkeypatch, capsys):
+    # The optimum comes from the shared cache, which holds optimize_bound's
+    # own result, so the suite solves it once.
+    monkeypatch.setattr(cli, "optimize_bound", lambda ch: optimized_cache(ch.a, ch.b))
+    assert cli.main(["bound", "--a", "1.1", "--b", "2.0"]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == (
+        "8203b31fcfde01a148aaeaea181365be8240100b398a2291f9d665697c139f76"
+    )
+
+
+def test_exported_code(tmp_path, capsys):
+    out = tmp_path / "code.txt"
+    assert cli.main(["code", *PINNED, "--k", "256", "--out", str(out)]) == 0
+    assert _digest(out.read_bytes()) == (
+        "0e7a596bac2132937be2bb9f8ea994c389b47816a006173074c68dcd735333e0"
+    )

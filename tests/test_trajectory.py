@@ -158,27 +158,34 @@ class TestBuildTrajectory:
 class TestCheckIdentities:
     def test_clean_trajectory_passes(self, endpoint, trajectory):
         traj, lam, Q1 = trajectory
-        report = check_identities(traj, endpoint, A11, lam, Q1)
-        assert report.passed
-        for check in report.checks:
+        checks = check_identities(traj, endpoint, A11, lam, Q1)
+        # Every check verify prints, in its order.
+        assert [c.name for c in checks] == [
+            "endpoint_residuals", "conservation", "ab_invariant", "q2_identity",
+            "log_identity", "start_zero", "terminal_zero", "z_sign",
+        ]
+        for check in checks:
             assert check.passed, check.name
-
-    def test_report_lookup(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
-        report = check_identities(traj, endpoint, A11, lam, Q1)
-        assert report["conservation"].worst_residual < 1e-10
-        with pytest.raises(KeyError):
-            report["no_such_check"]
+        assert checks[1].worst_residual < 1e-10
 
     def test_corrupted_lambda_is_flagged(self, endpoint, trajectory):
         traj, lam, Q1 = trajectory
         bad = lam * 1.01
         T, R, Z, V = unbar(traj.Tbar, traj.Rbar, traj.Zbar, traj.Vbar, bad, A11)
         corrupted = dataclasses.replace(traj, T=T, R=R, Z=Z, V=V)
-        report = check_identities(corrupted, endpoint, A11, bad, Q1)
-        assert not report.passed
-        assert not report["q2_identity"].passed
-        assert not report["log_identity"].passed
-        # Barred-only checks are untouched by the corruption.
-        assert report["conservation"].passed
-        assert report["ab_invariant"].passed
+        checks = {c.name: c for c in check_identities(corrupted, endpoint, A11, bad, Q1)}
+        assert not checks["q2_identity"].passed
+        assert not checks["log_identity"].passed
+        # Barred-only checks and the endpoint are untouched by the corruption.
+        assert checks["conservation"].passed
+        assert checks["ab_invariant"].passed
+        assert checks["endpoint_residuals"].passed
+
+    def test_endpoint_residual_is_flagged(self, endpoint, trajectory):
+        traj, lam, Q1 = trajectory
+        bad = dataclasses.replace(endpoint, residual_second=-2e-8)
+        checks = check_identities(traj, bad, A11, lam, Q1)
+        assert checks[0].name == "endpoint_residuals"
+        assert checks[0].worst_residual == 2e-8
+        assert not checks[0].passed
+        assert all(c.passed for c in checks[1:])
