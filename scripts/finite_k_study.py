@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.export is not None and code is not None:
         with open(args.export, "w") as fh:
-            fh.write(export_code(code, channel))
+            export_code(code, channel, fh)
         print()
         print(f"exported k={code.k} code to {args.export}")
     return 0

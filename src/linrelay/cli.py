@@ -307,7 +307,8 @@ def cmd_code(args) -> int:
     else:
         ev = theorem_bound(pair, channel)
     code = build_code(channel, ev.endpoint, args.k)
-    Path(args.out).write_text(export_code(code, channel))
+    with open(args.out, "w") as fh:
+        export_code(code, channel, fh)
     oracle = evaluate_rank1(channel, code.s, code.D)
     gap = abs(oracle.energy_per_bit - ev.energy_per_bit) / ev.energy_per_bit
     _print_json(

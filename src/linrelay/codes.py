@@ -10,6 +10,10 @@ formula; it shares no arithmetic with the builder, so agreement between the
 two is a genuine cross-check of the whole pipeline.  It is the package's one
 matrix oracle: the 2x2 baseline ranks its grid by the same formula in
 closed form, tied to this oracle by a test, and reports values from it.
+
+The code path holds at most D and one more k x k matrix: the builder fills
+D in place, export_code streams it row by row, and the oracle's M is formed
+and factored in place.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -69,14 +74,11 @@ class CodeEvaluation:
     """Energy-per-bit of one (s, D) scheme via the matrix formula.
 
     Attributes:
-        numerator_energy: ||s||^2 + a^2 ||D s||^2 + trace(D D^T).
-        mutual_info_bits: 0.5 log2(1 + s^T (I+abD^T)(I+b^2 D D^T)^{-1} (I+abD) s).
-        energy_per_bit: Ratio of the two.
+        energy_per_bit: (||s||^2 + a^2 ||D s||^2 + trace(D D^T)) divided by
+            0.5 log2(1 + s^T (I+abD^T)(I+b^2 D D^T)^{-1} (I+abD) s).
         normalized: energy_per_bit / (2 ln 2).
     """
 
-    numerator_energy: float
-    mutual_info_bits: float
     energy_per_bit: float
     normalized: float
 
@@ -99,7 +101,9 @@ def build_code(channel: ChannelParams, endpoint: EndpointSolution, k: int) -> Re
     then r_i from the fresh V, Z; then T and R absorb r_i s_i and r_i^2.
     This is the component-sequential Euler sweep, since every increment
     equals delta times the matching derivative component.  Finally
-    D_ij = -a^2 u_i s_j + z_i r_j / lam on the strict lower triangle.
+    D_ij = -a^2 u_i s_j + z_i r_j / lam on the strict lower triangle,
+    filled row by row into one zeroed k x k array, so D is the only k x k
+    allocation.
 
     Args:
         channel: Channel gains.
@@ -148,7 +152,9 @@ def build_code(channel: ChannelParams, endpoint: EndpointSolution, k: int) -> Re
         z[i] = z_i
         r[i] = r_i
     s = np.full(k, s_i)
-    D = np.tril(-a2 * np.outer(u, s) + np.outer(z, r) / lam, k=-1)
+    D = np.zeros((k, k))
+    for i in range(1, k):
+        D[i, :i] = -a2 * (u[i] * s[:i]) + (z[i] * r[:i]) / lam
     return RelayCode(k=k, delta=delta, s=s, u=u, z=z, r=r, D=D, lam=lam)
 
 
@@ -157,7 +163,9 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
 
     The denominator quadratic form is computed by assembling
     M = I + b^2 D D^T and solving M x = (I + a b D) s through a Cholesky
-    factorization; no builder sequences are consulted.
+    factorization; no builder sequences are consulted.  M is the one k x k
+    array beside D: D D^T is scaled and its diagonal raised in place, and
+    LAPACK factors it in place.
 
     Args:
         channel: Channel gains.
@@ -185,10 +193,15 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
     a, b = channel.a, channel.b
     Ds = D @ s
     numerator = norm_s2 + a * a * float(Ds @ Ds) + float(np.sum(D * D))
-    M = np.eye(k) + (b * b) * (D @ D.T)
+    # numpy forms D @ D.T with syrk and mirrors it, so M is exactly
+    # symmetric and M.T is the same matrix in the Fortran order potrf
+    # factors without a copy.
+    M = D @ D.T
+    M *= b * b
+    M.ravel()[:: k + 1] += 1.0
     v = s + a * b * Ds
     try:
-        factor = cho_factor(M, lower=True)
+        factor = cho_factor(M.T, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise FactorizationFailureError(f"I + b^2 D D^T not positive definite: {exc}")
     x = cho_solve(factor, v)
@@ -197,67 +210,60 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
     # 1 + quad would round away most of quad.
     bits = 0.5 * math.log1p(quad) / math.log(2.0)
     energy = numerator / bits
-    return CodeEvaluation(
-        numerator_energy=numerator,
-        mutual_info_bits=bits,
-        energy_per_bit=energy,
-        normalized=energy / TWO_LN2,
-    )
+    return CodeEvaluation(energy_per_bit=energy, normalized=energy / TWO_LN2)
 
 
-def export_code(code: RelayCode, channel: ChannelParams) -> str:
-    """Serialize a relay code to the textual exchange format.
+def export_code(code: RelayCode, channel: ChannelParams, fh: TextIO) -> None:
+    """Write a relay code to the text stream fh in the exchange format.
 
     Layout: a header line `k a b lambda Q1`, one line with the k entries of
     s, then the strict lower triangle of D row by row starting at row 2
     (row i carries i-1 entries).  All floats use 17 significant digits, so
-    parsing reproduces them bit for bit.
+    parsing reproduces them bit for bit.  Rows are formatted and written
+    one at a time, so no string of the whole file is ever held.
     """
     fmt = "%.17g"
     q1 = code.k * code.delta
-    lines = [
-        f"{code.k} {fmt % channel.a} {fmt % channel.b} {fmt % code.lam} {fmt % q1}",
-        " ".join(fmt % v for v in code.s),
-    ]
+    fh.write(f"{code.k} {fmt % channel.a} {fmt % channel.b} {fmt % code.lam} {fmt % q1}\n")
+    # One format for k entries; its first 6n - 1 characters format n.
+    row_fmt = " ".join([fmt] * code.k)
+    fh.write(row_fmt % tuple(code.s.tolist()) + "\n")
     for i in range(1, code.k):
-        lines.append(" ".join(fmt % v for v in code.D[i, :i]))
-    return "\n".join(lines) + "\n"
+        fh.write(row_fmt[: 6 * i - 1] % tuple(code.D[i, :i].tolist()) + "\n")
 
 
 def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
     """Parse the textual exchange format back into a channel and code.
 
-    Accepts either the text itself or a path to a file holding it.  The u,
-    z, r sequences are not part of the format; they are restored as empty
-    arrays since only (s, D, lambda) matter for evaluation.
+    Accepts either the text itself or a path to a file holding it; a file
+    is read line by line, never whole.  The u, z, r sequences are not part
+    of the format; they are restored as empty arrays since only (s, D,
+    lambda) matter for evaluation.
 
     Raises:
         ValueError: On malformed content (wrong counts, non-numeric fields,
             k below 1, lambda or Q1 not positive and finite, s or D not finite).
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    else:
-        text = source
-    stream = io.StringIO(text)
-    header = stream.readline().split()
-    if len(header) != 5:
-        raise ValueError(f"header must have 5 fields, got {len(header)}")
-    k = int(header[0])
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    a, b, lam, q1 = (float(x) for x in header[1:])
-    if not (lam > 0.0 and math.isfinite(lam) and q1 > 0.0 and math.isfinite(q1)):
-        raise ValueError(f"lambda and Q1 must be positive and finite, got {lam!r}, {q1!r}")
-    s = np.array([float(x) for x in stream.readline().split()])
-    if s.shape != (k,):
-        raise ValueError(f"expected {k} source entries, got {s.shape[0]}")
-    D = np.zeros((k, k))
-    for i in range(1, k):
-        row = [float(x) for x in stream.readline().split()]
-        if len(row) != i:
-            raise ValueError(f"row {i + 1} must carry {i} entries, got {len(row)}")
-        D[i, :i] = row
+    stream = source.open() if isinstance(source, Path) else io.StringIO(source)
+    with stream:
+        header = stream.readline().split()
+        if len(header) != 5:
+            raise ValueError(f"header must have 5 fields, got {len(header)}")
+        k = int(header[0])
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        a, b, lam, q1 = (float(x) for x in header[1:])
+        if not (lam > 0.0 and math.isfinite(lam) and q1 > 0.0 and math.isfinite(q1)):
+            raise ValueError(f"lambda and Q1 must be positive and finite, got {lam!r}, {q1!r}")
+        s = np.array([float(x) for x in stream.readline().split()])
+        if s.shape != (k,):
+            raise ValueError(f"expected {k} source entries, got {s.shape[0]}")
+        D = np.zeros((k, k))
+        for i in range(1, k):
+            row = [float(x) for x in stream.readline().split()]
+            if len(row) != i:
+                raise ValueError(f"row {i + 1} must carry {i} entries, got {len(row)}")
+            D[i, :i] = row
     if not (np.isfinite(s).all() and np.isfinite(D).all()):
         raise ValueError("entries of s and D must be finite")
     channel = ChannelParams(a=a, b=b)

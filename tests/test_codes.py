@@ -1,10 +1,13 @@
 """Tests for code construction, the matrix oracle, and the exchange format."""
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from linrelay.bound import (
     BoundaryPair,
@@ -31,14 +34,45 @@ def endpoint():
     return solve_endpoint(PAIR, A11)
 
 
+def _export(code, channel) -> str:
+    buf = io.StringIO()
+    export_code(code, channel, buf)
+    return buf.getvalue()
+
+
+def _energy_longhand(channel, s, D) -> float:
+    # evaluate_rank1's formula with M assembled out of place and copied
+    # into LAPACK's layout; the in-place oracle must reproduce its bits.
+    k = s.shape[0]
+    a, b = channel.a, channel.b
+    Ds = D @ s
+    numerator = float(s @ s) + a * a * float(Ds @ Ds) + float(np.sum(D * D))
+    M = np.eye(k) + (b * b) * (D @ D.T)
+    v = s + a * b * Ds
+    quad = float(v @ cho_solve(cho_factor(M, lower=True), v))
+    return numerator / (0.5 * math.log1p(quad) / math.log(2.0))
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated by fn at its peak, as numpy reports them to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvaluateRank1:
     def test_relay_off_closed_form(self):
         # With D = 0 and unit s: numerator 1, rate 0.5 log2(2) = 0.5,
         # energy 2, normalized 1/ln 2.
         out = evaluate_rank1(A11, np.array([1.0]), np.zeros((1, 1)))
-        assert out.numerator_energy == 1.0
-        assert out.mutual_info_bits == pytest.approx(0.5, rel=1e-15)
-        assert out.energy_per_bit == pytest.approx(2.0, rel=1e-14)
+        numerator = 1.0
+        bits = 0.5 * math.log2(2.0)
+        assert out.energy_per_bit == pytest.approx(numerator / bits, rel=1e-14)
         assert out.normalized == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
 
     def test_two_dim_longhand(self):
@@ -52,8 +86,6 @@ class TestEvaluateRank1:
         numerator = s1 * s1 + s2 * s2 + a * a * d * d * s1 * s1 + d * d
         quad = s1 * s1 + (s2 + a * b * d * s1) ** 2 / (1.0 + b * b * d * d)
         bits = 0.5 * math.log2(1.0 + quad)
-        assert out.numerator_energy == pytest.approx(numerator, rel=1e-14)
-        assert out.mutual_info_bits == pytest.approx(bits, rel=1e-14)
         assert out.energy_per_bit == pytest.approx(numerator / bits, rel=1e-13)
 
     def test_matches_dense_solve(self):
@@ -70,6 +102,23 @@ class TestEvaluateRank1:
         numerator = float(s @ s) + a * a * float((D @ s) @ (D @ s)) + float(np.sum(D * D))
         out = evaluate_rank1(A11, s, D)
         assert out.energy_per_bit == pytest.approx(numerator / bits, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 257])
+    def test_bits_match_out_of_place_formula(self, k):
+        # b^2 is not a power of two, so a reordered scaling of M changes
+        # bits; a small s keeps log1p(quad) near quad, so a last-bit change
+        # of quad reaches the energy instead of rounding away.
+        channel = ChannelParams(a=0.9, b=1.7)
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)), k=-1)
+        s = 1e-8 * rng.normal(size=k)
+        out = evaluate_rank1(channel, s, D)
+        assert out.energy_per_bit.hex() == _energy_longhand(channel, s, D).hex()
+
+    def test_bits_match_out_of_place_formula_on_built_code(self, endpoint):
+        code = build_code(A11, endpoint, 257)
+        out = evaluate_rank1(A11, code.s, code.D)
+        assert out.energy_per_bit.hex() == _energy_longhand(A11, code.s, code.D).hex()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +202,16 @@ class TestBuildCode:
         assert code.z[0] == z_0
         assert code.r[0] == r_0
 
+    @pytest.mark.parametrize("k", [1, 2, 48, 257])
+    def test_matrix_matches_outer_product_formula(self, endpoint, k):
+        code = build_code(A11, endpoint, k)
+        a2 = A11.a * A11.a
+        expected = np.tril(
+            -a2 * np.outer(code.u, code.s) + np.outer(code.z, code.r) / code.lam, k=-1
+        )
+        assert np.array_equal(code.D, expected)
+        assert np.array_equal(np.signbit(code.D), np.signbit(expected))
+
     def test_k_validation(self, endpoint):
         with pytest.raises(ValueError):
             build_code(A11, endpoint, 0)
@@ -164,8 +223,7 @@ class TestBuildCode:
 class TestExchangeFormat:
     def test_round_trip_is_exact(self, endpoint):
         code = build_code(A11, endpoint, 12)
-        text = export_code(code, A11)
-        channel, parsed = parse_code(text)
+        channel, parsed = parse_code(_export(code, A11))
         assert channel == A11
         assert parsed.k == 12
         assert parsed.lam == code.lam
@@ -174,14 +232,14 @@ class TestExchangeFormat:
 
     def test_round_trip_evaluation_matches(self, endpoint):
         code = build_code(A11, endpoint, 12)
-        channel, parsed = parse_code(export_code(code, A11))
+        channel, parsed = parse_code(_export(code, A11))
         direct = evaluate_rank1(A11, code.s, code.D)
         reparsed = evaluate_rank1(channel, parsed.s, parsed.D)
         assert reparsed.energy_per_bit == direct.energy_per_bit
 
     def test_header_layout(self, endpoint):
         code = build_code(A11, endpoint, 5)
-        lines = export_code(code, A11).splitlines()
+        lines = _export(code, A11).splitlines()
         assert lines[0].split()[0] == "5"
         assert len(lines) == 1 + 1 + 4  # header, s, rows 2..5
         assert len(lines[2].split()) == 1
@@ -205,3 +263,25 @@ class TestExchangeFormat:
     def test_malformed_content_rejected(self, text):
         with pytest.raises(ValueError):
             parse_code(text)
+
+
+class TestMemory:
+    # At k = 512 a k x k float matrix is one unit.  The builder holds only D,
+    # the oracle only M beside the caller's D, and the export one row.
+    K = 512
+    UNIT = 8 * K * K
+
+    def test_build_holds_only_D(self, endpoint):
+        assert _traced_peak(lambda: build_code(A11, endpoint, self.K)) < 1.5 * self.UNIT
+
+    def test_oracle_holds_only_M(self, endpoint):
+        code = build_code(A11, endpoint, self.K)
+        peak = _traced_peak(lambda: evaluate_rank1(A11, code.s, code.D))
+        assert peak < 1.5 * self.UNIT
+
+    def test_export_streams_rows(self, endpoint, tmp_path):
+        code = build_code(A11, endpoint, self.K)
+        path = tmp_path / "code.txt"
+        with path.open("w") as fh:
+            peak = _traced_peak(lambda: export_code(code, A11, fh))
+        assert peak < 0.1 * path.stat().st_size

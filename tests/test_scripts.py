@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 from linrelay.bound import ChannelParams
-from linrelay.codes import build_code, evaluate_rank1
+from linrelay.codes import build_code, evaluate_rank1, parse_code
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -17,16 +17,21 @@ def _load(name: str):
     return module
 
 
-def test_finite_k_study_table(optimized_cache, monkeypatch, capsys):
-    # The script's gap column must be the oracle gap of build_code's codes.
+def _load_study(optimized_cache, monkeypatch):
     script = _load("finite_k_study")
-    channel = ChannelParams(a=1.1, b=2.0)
 
     def cached(ch):
-        assert ch == channel
+        assert ch == ChannelParams(a=1.1, b=2.0)
         return optimized_cache(1.1, 2.0)
 
     monkeypatch.setattr(script, "optimize_bound", cached)
+    return script
+
+
+def test_finite_k_study_table(optimized_cache, monkeypatch, capsys):
+    # The script's gap column must be the oracle gap of build_code's codes.
+    script = _load_study(optimized_cache, monkeypatch)
+    channel = ChannelParams(a=1.1, b=2.0)
     assert script.main(["--k-min", "16", "--k-max", "64"]) == 0
     out = capsys.readouterr().out
     table = out.split("-" * 42 + "\n", 1)[1]
@@ -39,3 +44,17 @@ def test_finite_k_study_table(optimized_cache, monkeypatch, capsys):
         oracle = evaluate_rank1(channel, code.s, code.D)
         gap = abs(oracle.energy_per_bit - target.energy_per_bit) / target.energy_per_bit
         assert row[2] == f"{gap:.3e}"
+
+
+def test_finite_k_study_export(optimized_cache, monkeypatch, tmp_path):
+    # --export writes the largest code; parsing it must give back
+    # build_code's s and D bit for bit.
+    script = _load_study(optimized_cache, monkeypatch)
+    out = tmp_path / "code.txt"
+    assert script.main(["--k-min", "16", "--k-max", "32", "--export", str(out)]) == 0
+    channel = ChannelParams(a=1.1, b=2.0)
+    code = build_code(channel, optimized_cache(1.1, 2.0)[1].endpoint, 32)
+    parsed_channel, parsed = parse_code(out)
+    assert parsed_channel == channel
+    assert parsed.s.tobytes() == code.s.tobytes()
+    assert parsed.D.tobytes() == code.D.tobytes()
