@@ -20,7 +20,6 @@ from .numerics import minimize_simplex
 
 __all__ = [
     "BoundsRecord",
-    "TwoByTwoResult",
     "block_markov_bound",
     "cutset_bound",
     "two_by_two_bound",
@@ -35,16 +34,6 @@ _POWER_LO = 1e-6
 _POWER_HI = 10.0
 _POWER_POINTS = 31
 _BETA_POINTS = 41
-
-
-@dataclass(frozen=True)
-class TwoByTwoResult:
-    """Optimized 2x2 linear scheme: normalized value and its argmin."""
-
-    value: float
-    beta: float
-    P1: float
-    P2: float
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ def _grid(channel: ChannelParams):
     return betas, powers, values
 
 
-def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
+def two_by_two_bound(channel: ChannelParams) -> float:
     """Minimize the 2x2 scheme's energy-per-bit over (beta, P1, P2).
 
     Grid: beta over 41 uniform points in [0, 1], P1 and P2 over 31
@@ -133,14 +122,15 @@ def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
         channel: Channel gains.
 
     Returns:
-        Normalized minimum and its argmin.
+        Normalized minimum; the refined value only if it is strictly below
+        the grid winner's.
     """
     betas, powers, values = _grid(channel)
     # First minimum in (beta, P1, P2) order.  The dense oracle evaluates it
     # again, since closed-form values differ from dense ones by a few ulps.
     i, j1, j2 = np.unravel_index(np.argmin(values), values.shape)
-    point = (float(betas[i]), float(powers[j1]), float(powers[j2]))
-    best = (_evaluate_scheme(channel, *point), *point)
+    beta, P1, P2 = float(betas[i]), float(powers[j1]), float(powers[j2])
+    best = _evaluate_scheme(channel, beta, P1, P2)
 
     log_lo, log_hi = math.log(_POWER_LO), math.log(_POWER_HI)
 
@@ -154,28 +144,20 @@ def two_by_two_bound(channel: ChannelParams) -> TwoByTwoResult:
             return _PENALTY
         return _evaluate_scheme(channel, beta, math.exp(log_p1), math.exp(log_p2))
 
-    start = [best[1], math.log(best[2]), math.log(best[3])]
-    x, value = minimize_simplex(objective, start)
-    if value < best[0]:
-        return TwoByTwoResult(
-            value=value,
-            beta=float(x[0]),
-            P1=math.exp(float(x[1])),
-            P2=math.exp(float(x[2])),
-        )
-    return TwoByTwoResult(value=best[0], beta=best[1], P1=best[2], P2=best[3])
+    _, value = minimize_simplex(objective, [beta, math.log(P1), math.log(P2)])
+    return value if value < best else best
 
 
 def bounds_record(channel: ChannelParams) -> BoundsRecord:
     """Compute all four normalized bounds for one channel point."""
-    two = two_by_two_bound(channel)
+    two_by_two = two_by_two_bound(channel)
     pair, ev = optimize_bound(channel)
     return BoundsRecord(
         a=channel.a,
         b=channel.b,
         block_markov=block_markov_bound(channel),
         cutset=cutset_bound(channel),
-        two_by_two=two.value,
+        two_by_two=two_by_two,
         rank1=ev.normalized,
         rank1_pair=pair,
         rank1_eval=ev,

@@ -470,6 +470,22 @@ class _CumulativeIntegrals:
         return i1, i2
 
 
+def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
+    """The a^2 rule: DomainError beyond a^2, DegenerateBoundError within RATIO_MARGIN.
+
+    No endpoint exists beyond a^2, and at a^2 the bound is 0/0.  a**2 raises
+    OverflowError where a * a is inf; the margin keeps a * a, which can differ
+    from a**2 by an ulp and decides which optimizer probes are feasible.
+    """
+    ratio = pair.ratio()
+    if ratio > channel.a**2:
+        raise DomainError(f"A_f/B_f={ratio:g} exceeds a^2={channel.a**2:g}")
+    if ratio > channel.a * channel.a * (1.0 - RATIO_MARGIN):
+        raise DegenerateBoundError(
+            f"A_f/B_f={ratio!r} within {RATIO_MARGIN:g} of the a^2 boundary"
+        )
+
+
 def solve_endpoint(
     pair: BoundaryPair,
     channel: ChannelParams,
@@ -484,7 +500,7 @@ def solve_endpoint(
     equation is evaluated as an independent residual check.
 
     Args:
-        pair: Terminal pair with A_f/B_f <= a^2.
+        pair: Terminal pair strictly inside the a^2 boundary.
         channel: Channel gains.
         quadrature: Quadrature control for the integral evaluations.
         root_tol: Relative bracket tolerance for the A0 root.
@@ -493,14 +509,12 @@ def solve_endpoint(
         The endpoint solution with both residuals populated.
 
     Raises:
-        DomainError: If the pair violates A_f/B_f <= a^2.
+        DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
+        DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
         BracketOverflowError: If no sign change appears below the growth cap.
     """
+    check_pair(pair, channel)
     a = channel.a
-    if pair.ratio() > a * a * (1.0 + 1e-12):
-        raise DomainError(
-            f"A_f/B_f={pair.ratio()!r} exceeds a^2={a * a!r}; no endpoint exists"
-        )
     phi = compute_phi(pair)
     cache = _CumulativeIntegrals(phi, pair.A_f, quadrature)
     inv_Bf = 1.0 / pair.B_f
@@ -513,8 +527,10 @@ def solve_endpoint(
         return inv_Bf + i1 - scale * math.exp(exponent)
 
     if zero(pair.A_f) >= 0.0:
-        # Only possible (up to roundoff) at the exact ratio boundary, where
-        # the root sits at A_f itself and both integrals are empty.
+        # check_pair keeps the ratio off a^2, where the root would sit at
+        # A_f itself.  What still lands here is an A_f*B_f that overflows:
+        # phi is inf and scale 0, so the root collapses onto A_f, and the
+        # closed forms downstream raise OverflowError.
         A0 = pair.A_f
     else:
         hi = max(2.0 * pair.A_f, 1.0)
@@ -607,22 +623,6 @@ def lambda_and_Q1(
     return lam, Q1
 
 
-def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
-    """The a^2 rule: DomainError beyond a^2, DegenerateBoundError within RATIO_MARGIN.
-
-    No endpoint exists beyond a^2, and at a^2 the bound is 0/0.  a**2 raises
-    OverflowError where a * a is inf; the margin keeps a * a, which can differ
-    from a**2 by an ulp and decides which optimizer probes are feasible.
-    """
-    ratio = pair.ratio()
-    if ratio > channel.a**2:
-        raise DomainError(f"A_f/B_f={ratio:g} exceeds a^2={channel.a**2:g}")
-    if ratio > channel.a * channel.a * (1.0 - RATIO_MARGIN):
-        raise DegenerateBoundError(
-            f"A_f/B_f={ratio!r} within {RATIO_MARGIN:g} of the a^2 boundary"
-        )
-
-
 def theorem_bound(
     pair: BoundaryPair,
     channel: ChannelParams,
@@ -644,12 +644,11 @@ def theorem_bound(
         The bound evaluation with all intermediate constants.
 
     Raises:
-        DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
+        DomainError: Beyond the a^2 boundary (check_pair, via solve_endpoint).
         DegenerateBoundError: At or numerically too close to the boundary
             (check_pair, Q1 <= 0, log_arg <= 1, or nonpositive total energy).
     """
     a, b = channel.a, channel.b
-    check_pair(pair, channel)
     ep = solve_endpoint(pair, channel, quadrature, root_tol)
     cf = _closed_forms(ep, channel)
     if not (math.isfinite(cf.Q2) and math.isfinite(cf.log_arg)):

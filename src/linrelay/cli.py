@@ -1,7 +1,8 @@
 """Command-line surface: point bounds, sweeps, code export, verification.
 
-It decides nothing numerical: the a^2 rule is bound.check_pair, and every
-verify check with its tolerance comes from trajectory.check_identities.
+It decides nothing numerical: the a^2 rule is bound.check_pair, inside
+solve_endpoint, and every verify check with its tolerance comes from
+trajectory.check_identities.
 
 Subcommands:
     bound   one channel point, JSON report with baselines
@@ -21,7 +22,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .baselines import (
@@ -34,7 +34,6 @@ from .bound import (
     BoundaryPair,
     BoundEvaluation,
     ChannelParams,
-    check_pair,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -43,7 +42,7 @@ from .codes import DEFAULT_K_CAP, build_code, evaluate_rank1, export_code
 from .errors import EXIT_COLLAPSE, EXIT_INVALID_INPUT, DomainError, LinrelayError
 from .trajectory import build_trajectory, check_identities
 
-__all__ = ["main", "SweepConfig", "cmd_bound", "cmd_sweep", "cmd_code", "cmd_verify"]
+__all__ = ["main", "cmd_bound", "cmd_sweep", "cmd_code", "cmd_verify"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -72,29 +71,6 @@ _SERIES_STYLE = [
     ("two_by_two", "2x2 linear", "#ff7f0e"),
     ("rank1", "rank-1 linear", "#d62728"),
 ]
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of a b-sweep at fixed a."""
-
-    a: float
-    b_min: float
-    b_max: float
-    n_points: int
-    grid: str = "log"
-    output_path: str = "sweep.csv"
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2")
-        if self.grid not in ("linear", "log"):
-            raise ValueError(f"grid must be linear or log, got {self.grid!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if not self.b_max >= self.b_min:
-            raise ValueError("b_max must not be below b_min")
 
 
 def _fmt(x: float) -> str:
@@ -150,14 +126,13 @@ def cmd_bound(args) -> int:
     payload["baselines"] = {
         "block_markov": block_markov_bound(channel),
         "cutset": cutset_bound(channel),
-        "two_by_two": two_by_two_bound(channel).value,
+        "two_by_two": two_by_two_bound(channel),
     }
     _print_json(payload)
     return EXIT_OK
 
 
-def _sweep_b_values(config: SweepConfig) -> list[float]:
-    b_min, b_max = config.b_min, config.b_max
+def _sweep_b_values(b_min: float, b_max: float, n: int, grid: str) -> list[float]:
     if b_min < _MIN_B:
         warnings.warn(
             f"b_min={b_min:g} clamped to {_MIN_B:g}; zero gains remove the relay",
@@ -166,8 +141,7 @@ def _sweep_b_values(config: SweepConfig) -> list[float]:
         )
         b_min = _MIN_B
         b_max = max(b_max, b_min)
-    n = config.n_points
-    if config.grid == "linear":
+    if grid == "linear":
         step = (b_max - b_min) / (n - 1)
         values = [b_min + i * step for i in range(n)]
     else:
@@ -177,11 +151,11 @@ def _sweep_b_values(config: SweepConfig) -> list[float]:
     return values
 
 
-def run_sweep(config: SweepConfig) -> list[dict]:
+def run_sweep(a: float, b_values: list[float]) -> list[dict]:
     """Compute one bounds row per b value; returns the row dicts in order."""
     rows = []
-    for b in _sweep_b_values(config):
-        record = bounds_record(ChannelParams(a=config.a, b=b))
+    for b in b_values:
+        record = bounds_record(ChannelParams(a=a, b=b))
         rows.append(
             {
                 "a": record.a,
@@ -202,15 +176,14 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     return rows
 
 
-def _write_rows(rows: list[dict], config: SweepConfig) -> None:
-    path = Path(config.output_path)
-    if config.format == "csv":
+def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
+    if fmt == "csv":
         lines = [",".join(_CSV_COLUMNS)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in _CSV_COLUMNS))
-        path.write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
     else:
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        Path(path).write_text(json.dumps(rows, indent=2) + "\n")
 
 
 def _write_svg(path: Path, rows: list[dict]) -> None:
@@ -273,23 +246,20 @@ def _write_svg(path: Path, rows: list[dict]) -> None:
 
 def cmd_sweep(args) -> int:
     """Sweep b and write the bounds table; optionally render the SVG chart."""
-    config = SweepConfig(
-        a=args.a,
-        b_min=args.b_min,
-        b_max=args.b_max,
-        n_points=args.n_points,
-        grid=args.grid,
-        output_path=args.out,
-        format=args.format,
-    )
-    ChannelParams(a=config.a, b=max(config.b_max, _MIN_B))
-    for path in filter(None, (config.output_path, args.svg)):
+    # argparse's choices already restrict --grid and --format.
+    if args.n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    if not args.b_max >= args.b_min:
+        raise ValueError("b_max must not be below b_min")
+    ChannelParams(a=args.a, b=max(args.b_max, _MIN_B))
+    for path in filter(None, (args.out, args.svg)):
         _check_out_dir(path)
-    rows = run_sweep(config)
-    _write_rows(rows, config)
+    b_values = _sweep_b_values(args.b_min, args.b_max, args.n_points, args.grid)
+    rows = run_sweep(args.a, b_values)
+    _write_rows(rows, args.out, args.format)
     if args.svg:
         _write_svg(Path(args.svg), rows)
-    print(f"wrote {len(rows)} rows to {config.output_path}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -338,10 +308,9 @@ def cmd_verify(args) -> int:
     else:
         # Solved directly rather than through theorem_bound, whose
         # cancellation floors refuse near-boundary pairs verify still checks.
-        check_pair(pair, channel)
         endpoint = solve_endpoint(pair, channel)
-    traj, lam, Q1 = build_trajectory(endpoint, channel, n_samples=args.n_samples)
-    checks = check_identities(traj, endpoint, channel, lam, Q1)
+    traj = build_trajectory(endpoint, channel, n_samples=args.n_samples)
+    checks = check_identities(traj, endpoint, channel)
     for check in checks:
         print(
             f"{check.name}: worst={check.worst_residual:.3e} "

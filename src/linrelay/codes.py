@@ -185,7 +185,8 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
     k = s.shape[0]
     if D.shape != (k, k):
         raise ValueError(f"D must be {k} x {k}, got {D.shape}")
-    if np.any(np.triu(D) != 0.0):
+    # Row by row, so no k x k copy is made to look at the upper triangle.
+    if any(D[i, i:].any() for i in range(k)):
         raise ValueError("D must be strictly lower-triangular")
     norm_s2 = float(s @ s)
     if norm_s2 == 0.0:

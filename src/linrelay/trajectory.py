@@ -83,8 +83,6 @@ def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]
     """Fine monotone grid in w on [A_f, A0] and cumulative second integral."""
     A_f, A0 = endpoint.A_f, endpoint.A0
     phi = endpoint.phi
-    if A0 <= A_f:
-        return np.array([A_f, A0]), np.array([0.0, 0.0])
     nodes = np.geomspace(A_f, A0, _PROFILE_NODES)
     nodes[0], nodes[-1] = A_f, A0
     pieces = np.empty(_PROFILE_NODES)
@@ -219,11 +217,11 @@ def build_trajectory(
     endpoint: EndpointSolution,
     channel: ChannelParams,
     n_samples: int = 512,
-) -> tuple[TrajectoryGrid, float, float]:
+) -> TrajectoryGrid:
     """Assemble the full sampled trajectory for one endpoint solution.
 
-    Returns:
-        Tuple (grid, lambda, Q1).
+    lambda and Q1 come from lambda_and_Q1, whose refusal of Q1 <= 0 also
+    guarantees A0 > A_f for the profile tables.
     """
     lam, Q1 = lambda_and_Q1(endpoint, channel)
     S, A = invert_A_profile(endpoint, channel, Q1, n_samples)
@@ -244,15 +242,13 @@ def build_trajectory(
         Z=Z,
         V=V,
     )
-    return grid, lam, Q1
+    return grid
 
 
 def check_identities(
     traj: TrajectoryGrid,
     endpoint: EndpointSolution,
     channel: ChannelParams,
-    lam: float,
-    Q1: float,
 ) -> tuple[IdentityCheck, ...]:
     """Verify the endpoint, the conservation laws and the two final identities.
 
@@ -268,9 +264,9 @@ def check_identities(
       terminal_zero  Z(Q1) and V(Q1) within 1e-8 of 0
       z_sign         Z >= -1e-10 at all samples
 
-    Q2 and the log argument come from the closed forms theorem_bound reports
-    at this endpoint; the trajectory side of each identity is computed
-    independently from the sampled terminal state.
+    lambda, Q1, Q2 and the log argument come from the closed forms
+    theorem_bound reports at this endpoint; the trajectory side of each
+    identity is computed independently from the sampled terminal state.
 
     Returns:
         One IdentityCheck per check, in the order above; never raises on
@@ -278,7 +274,7 @@ def check_identities(
     """
     a, b = channel.a, channel.b
     cf = _closed_forms(endpoint, channel)
-    c1 = cf.c1
+    c1, lam, Q1 = cf.c1, cf.lam, cf.Q1
     phi = endpoint.phi
 
     cons = np.max(np.abs(traj.Sbar * traj.Vbar - traj.Tbar * traj.Zbar - c1**3))

@@ -46,7 +46,7 @@ def optimized_cache():
 @pytest.fixture(scope="session")
 def two_by_two_cache():
     """Memoized two_by_two_bound keyed by (a, b)."""
-    cache: dict[tuple[float, float], object] = {}
+    cache: dict[tuple[float, float], float] = {}
 
     def get(a: float, b: float):
         key = (a, b)

@@ -43,7 +43,7 @@ def test_criterion_01_rank1_at_or_below_two_by_two(
     worst = -math.inf
     for b in GRID_B:
         rank1 = optimized_cache(GRID_A, b)[1].normalized
-        two = two_by_two_cache(GRID_A, b).value
+        two = two_by_two_cache(GRID_A, b)
         worst = max(worst, rank1 - two)
     ok = worst <= tol
     criterion_recorder(
@@ -66,7 +66,7 @@ def test_criterion_02_cutset_under_every_achievable(
         cut = cutset_bound(channel)
         achievable = (
             block_markov_bound(channel),
-            two_by_two_cache(GRID_A, b).value,
+            two_by_two_cache(GRID_A, b),
             optimized_cache(GRID_A, b)[1].normalized,
         )
         worst = max(worst, max(cut - v for v in achievable))
@@ -88,7 +88,7 @@ def test_criterion_03_linear_relaying_beats_block_markov(
     best = -math.inf
     for b in GRID_B:
         channel = ChannelParams(a=GRID_A, b=b)
-        best = max(best, block_markov_bound(channel) - two_by_two_cache(GRID_A, b).value)
+        best = max(best, block_markov_bound(channel) - two_by_two_cache(GRID_A, b))
     ok = best > margin
     criterion_recorder(
         3,
@@ -153,8 +153,8 @@ def test_criterion_05_trajectory_identities_at_optima(
         channel = ChannelParams(a=GRID_A, b=b)
         _, evaluation = optimized_cache(GRID_A, b)
         ep = evaluation.endpoint
-        traj, lam, Q1 = build_trajectory(ep, channel, n_samples=512)
-        checks = check_identities(traj, ep, channel, lam, Q1)
+        traj = build_trajectory(ep, channel, n_samples=512)
+        checks = check_identities(traj, ep, channel)
         all_pass = all_pass and all(c.passed for c in checks)
         for check in checks:
             worst_ratio = max(worst_ratio, check.worst_residual / check.tolerance)
@@ -208,7 +208,7 @@ def test_criterion_07_euler_first_order(criterion_recorder):
     channel = ChannelParams(a=GRID_A, b=2.0)
     pair = BoundaryPair(A_f=0.47745726861858833, B_f=0.7594024699528037)
     endpoint = solve_endpoint(pair, channel)
-    traj, _, _ = build_trajectory(endpoint, channel, n_samples=512)
+    traj = build_trajectory(endpoint, channel, n_samples=512)
     Z0, V0 = float(traj.Z[0]), float(traj.V[0])
     steps = (256, 512, 1024, 2048)
     z_res, v_res = [], []

@@ -59,25 +59,19 @@ class TestClosedForms:
 class TestTwoByTwo:
     def test_reference_value(self, two_by_two_cache):
         # Frozen output of the grid + refinement at (1.1, 2).
-        res = two_by_two_cache(1.1, 2.0)
-        assert res.value == pytest.approx(0.9568873603879826, abs=1e-6)
-
-    def test_argmin_inside_box(self, two_by_two_cache):
-        res = two_by_two_cache(1.1, 2.0)
-        assert 0.0 <= res.beta <= 1.0
-        assert 1e-6 <= res.P1 <= 10.0
-        assert 1e-6 <= res.P2 <= 10.0
+        value = two_by_two_cache(1.1, 2.0)
+        assert value == pytest.approx(0.9568873603879826, abs=1e-6)
 
     def test_beats_direct_when_relay_strong(self, two_by_two_cache):
-        assert two_by_two_cache(1.1, 5.0).value < 1.0
+        assert two_by_two_cache(1.1, 5.0) < 1.0
 
     def test_power_floor_not_binding_when_relay_strong(self, two_by_two_cache, monkeypatch):
         # Halving the smallest allowed power must not move the optimum when
         # the argmin is interior; this validates the floor choice.
-        res = two_by_two_cache(1.1, 5.0)
+        value = two_by_two_cache(1.1, 5.0)
         monkeypatch.setattr(baselines, "_POWER_LO", 5e-7)
         halved = two_by_two_bound(ChannelParams(a=1.1, b=5.0))
-        assert halved.value == pytest.approx(res.value, abs=1e-7)
+        assert halved == pytest.approx(value, abs=1e-7)
 
     def test_closed_form_grid_matches_dense_oracle(self):
         # The scan ranks the grid by the matrix formula in closed form; the
@@ -113,4 +107,4 @@ class TestBoundsRecord:
         # Same channel, same deterministic searches as the cached fixtures.
         pair, ev = optimized_cache(1.1, 2.0)
         assert record.rank1 == ev.normalized
-        assert record.two_by_two == two_by_two_cache(1.1, 2.0).value
+        assert record.two_by_two == two_by_two_cache(1.1, 2.0)

@@ -378,13 +378,16 @@ class TestSolveEndpoint:
         assert ep.A0 > ep.A_f
 
     def test_boundary_ratio_collapses_to_terminal(self):
-        # At A_f = a^2 B_f the solution is the terminal point itself and
-        # psi reduces to A_f B_f / a.
-        B_f = 0.7
-        pair = BoundaryPair(A_f=A11.a**2 * B_f, B_f=B_f)
-        ep = solve_endpoint(pair, A11)
+        # Inside the cone the root sits at A_f only when A_f B_f overflows:
+        # phi is inf and the zero function is already positive at A_f.
+        # The closed forms then overflow, so no bound is reported there.
+        channel = ChannelParams(a=1e3, b=1.0)
+        pair = BoundaryPair(A_f=1e150, B_f=1e160)
+        ep = solve_endpoint(pair, channel)
+        assert ep.phi == math.inf
         assert ep.A0 == pair.A_f
-        assert ep.psi == pytest.approx(pair.A_f * B_f / A11.a, rel=1e-12)
+        with pytest.raises(OverflowError):
+            theorem_bound(pair, channel)
 
     def test_ratio_above_boundary_rejected(self):
         with pytest.raises(DomainError):

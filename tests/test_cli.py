@@ -7,22 +7,30 @@ from pathlib import Path
 
 import pytest
 
-from linrelay.bound import BoundaryPair, ChannelParams, theorem_bound
-from linrelay.cli import (
-    EXIT_INVALID_INPUT,
-    EXIT_OK,
-    SweepConfig,
-    _sweep_b_values,
-    main,
-)
+from linrelay.bound import BoundaryPair, ChannelParams, solve_endpoint, theorem_bound
+from linrelay.cli import EXIT_INVALID_INPUT, EXIT_OK, _sweep_b_values, main
 from linrelay.codes import parse_code
-from linrelay.errors import EXIT_COLLAPSE
+from linrelay.errors import EXIT_COLLAPSE, LinrelayError
 
 AF = "0.47745726861858833"
 BF = "0.7594024699528037"
 CHANNEL_ARGS = ["--a", "1.1", "--b", "2"]
 PAIR_ARGS = ["--Af", AF, "--Bf", BF]
 SWEEP_ARGS = ["sweep", "--a", "1.1", "--b-min", "2", "--b-max", "5", "--n-points", "2"]
+
+# (a, b, A_f, B_f, exit code, words of the error line) across the a^2
+# boundary at a = 1.1, and one pair inside it whose A_f B_f overflows.
+A2 = 1.1 * 1.1
+BOUNDARY = [
+    pytest.param("1.1", "2", repr(A2 * (1.0 + 1e-5)), "1", EXIT_INVALID_INPUT,
+                 "exceeds a^2", id="above"),
+    pytest.param("1.1", "2", repr(A2 * (1.0 - 1e-12)), "1", EXIT_INVALID_INPUT,
+                 "within 1e-09", id="within"),
+    pytest.param("1.1", "2", repr(A2), "1", EXIT_INVALID_INPUT,
+                 "within 1e-09", id="at"),
+    pytest.param("1e3", "1", "1e150", "1e160", EXIT_COLLAPSE,
+                 "error: ", id="overflow"),
+]
 
 
 class TestBoundCommand:
@@ -105,15 +113,14 @@ class TestSweepCommand:
         assert rows[0]["rank1"] == pytest.approx(0.887008946, abs=1e-6)
 
     def test_grid_values(self):
-        config = SweepConfig(a=1.1, b_min=1.0, b_max=4.0, n_points=3, grid="log")
-        assert _sweep_b_values(config) == pytest.approx([1.0, 2.0, 4.0], rel=1e-12)
-        config = SweepConfig(a=1.1, b_min=1.0, b_max=2.0, n_points=3, grid="linear")
-        assert _sweep_b_values(config) == pytest.approx([1.0, 1.5, 2.0], rel=1e-15)
+        assert _sweep_b_values(1.0, 4.0, 3, "log") == pytest.approx([1.0, 2.0, 4.0], rel=1e-12)
+        assert _sweep_b_values(1.0, 2.0, 3, "linear") == pytest.approx(
+            [1.0, 1.5, 2.0], rel=1e-15
+        )
 
     def test_tiny_b_clamped_with_warning(self):
-        config = SweepConfig(a=1.1, b_min=1e-7, b_max=1.0, n_points=2)
         with pytest.warns(RuntimeWarning, match="clamped"):
-            values = _sweep_b_values(config)
+            values = _sweep_b_values(1e-7, 1.0, 2, "log")
         assert values[0] == 1e-3
 
     @pytest.mark.parametrize(
@@ -125,11 +132,22 @@ class TestSweepCommand:
             {"b_min": 3.0, "b_max": 2.0},
         ],
     )
-    def test_config_validation(self, kwargs):
-        base = dict(a=1.1, b_min=1.0, b_max=2.0, n_points=4)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            SweepConfig(**base)
+    def test_config_validation(self, kwargs, tmp_path, capsys):
+        # Every invalid sweep exits 2 and writes nothing.  argparse's choices
+        # refuse an unknown grid or format; cmd_sweep refuses a one-point
+        # grid and an inverted b range before any solve.
+        options = {"a": 1.1, "b_min": 1.0, "b_max": 2.0, "n_points": 4, **kwargs}
+        argv = ["sweep", "--out", str(tmp_path / "t.csv")]
+        for name, value in options.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        if {"grid", "format"} & kwargs.keys():
+            with pytest.raises(SystemExit) as refused:
+                main(argv)
+            assert refused.value.code == EXIT_INVALID_INPUT
+        else:
+            assert main(argv) == EXIT_INVALID_INPUT
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
 
 class TestCodeCommand:
@@ -197,6 +215,34 @@ class TestPairRule:
         code = main([command, *CHANNEL_ARGS, "--Af", Af, "--Bf", "1", *extra])
         assert code == EXIT_INVALID_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["bound", "code", "verify"])
+    @pytest.mark.parametrize(("a", "b", "Af", "Bf", "expected", "words"), BOUNDARY)
+    def test_exit_code_across_the_boundary(
+        self, command, a, b, Af, Bf, expected, words, tmp_path, capsys
+    ):
+        extra = ["--k", "16", "--out", str(tmp_path / "x")] if command == "code" else []
+        code = main([command, "--a", a, "--b", b, "--Af", Af, "--Bf", Bf, *extra])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error: ")
+        assert words in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(("a", "b", "Af", "Bf", "expected", "words"), BOUNDARY[:3])
+    def test_solve_endpoint_refuses_as_theorem_bound(self, a, b, Af, Bf, expected, words):
+        # The rule lives in solve_endpoint, so a direct solve (verify's path)
+        # and a bound evaluation refuse a boundary pair with one error.
+        channel = ChannelParams(a=float(a), b=float(b))
+        pair = BoundaryPair(A_f=float(Af), B_f=float(Bf))
+        with pytest.raises(LinrelayError) as solved:
+            solve_endpoint(pair, channel)
+        with pytest.raises(LinrelayError) as bounded:
+            theorem_bound(pair, channel)
+        assert type(solved.value) is type(bounded.value)
+        assert str(solved.value) == str(bounded.value)
+        assert solved.value.exit_code == expected
+        assert words in str(solved.value)
 
 
 class TestExitCodes:

@@ -129,6 +129,7 @@ class TestEvaluateRank1:
         [
             pytest.param(np.array([[0.0, 0.5], [0.0, 0.0]]), id="upper"),
             pytest.param(np.array([[0.5, 0.0], [0.0, 0.0]]), id="diagonal"),
+            pytest.param(np.array([[0.0, 0.0], [0.0, -0.5]]), id="last-diagonal"),
         ],
     )
     def test_non_lower_triangular_rejected(self, D):
@@ -189,7 +190,8 @@ class TestBuildCode:
         else:
             channel = ChannelParams(a=1.1, b=optimized_b)
             ep = optimized_cache(1.1, optimized_b)[1].endpoint
-        traj, lam, Q1 = build_trajectory(ep, channel, n_samples=64)
+        traj = build_trajectory(ep, channel, n_samples=64)
+        lam, Q1 = lambda_and_Q1(ep, channel)
         a, b = channel.a, channel.b
         s_0 = math.sqrt(Q1 / 32)
         # At S = 0, T = R = 0: u_0 = 0 and the denominator is lam.

@@ -34,7 +34,7 @@ def endpoint():
 
 
 @pytest.fixture(scope="module")
-def trajectory(endpoint):
+def traj(endpoint):
     return build_trajectory(endpoint, A11, n_samples=256)
 
 
@@ -45,10 +45,11 @@ class TestLambdaAndQ1:
         assert Q1 == pytest.approx(0.18382326979694708, rel=1e-12)
 
     def test_boundary_endpoint_rejected(self):
+        # A boundary pair never yields an endpoint, so Q1 = 0 cannot reach
+        # lambda_and_Q1 from a solve.
         pair = BoundaryPair(A_f=A11.a**2 * 0.7, B_f=0.7)
-        ep = solve_endpoint(pair, A11)
         with pytest.raises(DegenerateBoundError):
-            lambda_and_Q1(ep, A11)
+            solve_endpoint(pair, A11)
 
 
 class TestInvertAProfile:
@@ -108,8 +109,8 @@ class TestUnbar:
 
 
 class TestBuildTrajectory:
-    def test_initial_values_match_closed_forms(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
+    def test_initial_values_match_closed_forms(self, endpoint, traj):
+        lam, _ = lambda_and_Q1(endpoint, A11)
         c1 = A11.b * endpoint.psi
         a, b = A11.a, A11.b
         V0 = c1**3 / lam**2 - 1.0 / (a * b)
@@ -117,32 +118,30 @@ class TestBuildTrajectory:
         assert traj.V[0] == pytest.approx(V0, rel=1e-10)
         assert traj.Z[0] == pytest.approx(Z0, rel=1e-10)
 
-    def test_start_and_terminal_states(self, trajectory):
-        traj, _, _ = trajectory
+    def test_start_and_terminal_states(self, traj):
         assert abs(traj.T[0]) < 1e-12
         assert abs(traj.R[0]) < 1e-12
         assert abs(traj.Z[-1]) < 1e-10
         assert abs(traj.V[-1]) < 1e-10
 
-    def test_conservation_direct(self, endpoint, trajectory):
+    def test_conservation_direct(self, endpoint, traj):
         # Sbar*Vbar - Tbar*Zbar is constant and equals c1^3; recomputed here
         # without going through check_identities.
-        traj, _, _ = trajectory
         c1 = A11.b * endpoint.psi
         invariant = traj.Sbar * traj.Vbar - traj.Tbar * traj.Zbar
         assert np.max(np.abs(invariant - c1**3)) < 1e-10 * c1**3
 
-    def test_relay_energy_identity_direct(self, endpoint, trajectory):
+    def test_relay_energy_identity_direct(self, endpoint, traj):
         # a T(Q1)/(b lam) - R(Q1)/(b^2 lam) equals the relay energy from the
         # closed-form bound.
-        traj, lam, _ = trajectory
+        lam, _ = lambda_and_Q1(endpoint, A11)
         ev = theorem_bound(PAIR, A11)
         a, b = A11.a, A11.b
         lhs = a * traj.T[-1] / (b * lam) - traj.R[-1] / (b * b * lam)
         assert lhs == pytest.approx(ev.Q2, rel=1e-10)
 
-    def test_log_argument_identity_direct(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
+    def test_log_argument_identity_direct(self, endpoint, traj):
+        _, Q1 = lambda_and_Q1(endpoint, A11)
         ev = theorem_bound(PAIR, A11)
         a, b = A11.a, A11.b
         lhs = (
@@ -156,9 +155,8 @@ class TestBuildTrajectory:
 
 
 class TestCheckIdentities:
-    def test_clean_trajectory_passes(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
-        checks = check_identities(traj, endpoint, A11, lam, Q1)
+    def test_clean_trajectory_passes(self, endpoint, traj):
+        checks = check_identities(traj, endpoint, A11)
         # Every check verify prints, in its order.
         assert [c.name for c in checks] == [
             "endpoint_residuals", "conservation", "ab_invariant", "q2_identity",
@@ -168,12 +166,12 @@ class TestCheckIdentities:
             assert check.passed, check.name
         assert checks[1].worst_residual < 1e-10
 
-    def test_corrupted_lambda_is_flagged(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
+    def test_corrupted_lambda_is_flagged(self, endpoint, traj):
+        lam, _ = lambda_and_Q1(endpoint, A11)
         bad = lam * 1.01
         T, R, Z, V = unbar(traj.Tbar, traj.Rbar, traj.Zbar, traj.Vbar, bad, A11)
         corrupted = dataclasses.replace(traj, T=T, R=R, Z=Z, V=V)
-        checks = {c.name: c for c in check_identities(corrupted, endpoint, A11, bad, Q1)}
+        checks = {c.name: c for c in check_identities(corrupted, endpoint, A11)}
         assert not checks["q2_identity"].passed
         assert not checks["log_identity"].passed
         # Barred-only checks and the endpoint are untouched by the corruption.
@@ -181,10 +179,9 @@ class TestCheckIdentities:
         assert checks["ab_invariant"].passed
         assert checks["endpoint_residuals"].passed
 
-    def test_endpoint_residual_is_flagged(self, endpoint, trajectory):
-        traj, lam, Q1 = trajectory
+    def test_endpoint_residual_is_flagged(self, endpoint, traj):
         bad = dataclasses.replace(endpoint, residual_second=-2e-8)
-        checks = check_identities(traj, bad, A11, lam, Q1)
+        checks = check_identities(traj, bad, A11)
         assert checks[0].name == "endpoint_residuals"
         assert checks[0].worst_residual == 2e-8
         assert not checks[0].passed
