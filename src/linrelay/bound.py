@@ -511,11 +511,16 @@ def solve_endpoint(
     Raises:
         DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
         DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
+        NonFiniteError: If phi overflows, as when A_f*B_f does.
         BracketOverflowError: If no sign change appears below the growth cap.
     """
     check_pair(pair, channel)
     a = channel.a
     phi = compute_phi(pair)
+    if not math.isfinite(phi):
+        raise NonFiniteError(
+            f"phi={phi!r} is not finite at A_f={pair.A_f!r}, B_f={pair.B_f!r}"
+        )
     cache = _CumulativeIntegrals(phi, pair.A_f, quadrature)
     inv_Bf = 1.0 / pair.B_f
     log_Af = math.log(pair.A_f)
@@ -526,21 +531,14 @@ def solve_endpoint(
         exponent = -0.5 * (math.log(A0) - log_Af - i2)
         return inv_Bf + i1 - scale * math.exp(exponent)
 
-    if zero(pair.A_f) >= 0.0:
-        # check_pair keeps the ratio off a^2, where the root would sit at
-        # A_f itself.  What still lands here is an A_f*B_f that overflows:
-        # phi is inf and scale 0, so the root collapses onto A_f, and the
-        # closed forms downstream raise OverflowError.
-        A0 = pair.A_f
-    else:
-        hi = max(2.0 * pair.A_f, 1.0)
-        while zero(hi) <= 0.0:
-            hi *= 2.0
-            if hi > _BRACKET_CAP:
-                raise BracketOverflowError(
-                    f"no sign change of the zero function below {_BRACKET_CAP:g}"
-                )
-        A0 = find_root_bracketed(zero, pair.A_f, hi, tol=root_tol)
+    hi = max(2.0 * pair.A_f, 1.0)
+    while zero(hi) <= 0.0:
+        hi *= 2.0
+        if hi > _BRACKET_CAP:
+            raise BracketOverflowError(
+                f"no sign change of the zero function below {_BRACKET_CAP:g}"
+            )
+    A0 = find_root_bracketed(zero, pair.A_f, hi, tol=root_tol)
     i1, i2 = cache.upto(A0)
     # Second equation defines psi; evaluated in log space to dodge overflow
     # of A0^3 for extreme pairs.
@@ -727,7 +725,8 @@ def optimize_bound(channel: ChannelParams) -> tuple[BoundaryPair, BoundEvaluatio
     Strategy: scan a 24 x 25 log grid in (rho, B_f) with A_f = rho a^2 B_f,
     rho in [1e-3, 1 - 1e-6] and B_f in [1e-3, 1e3], then refine from the
     best three grid points with Nelder-Mead in (logit rho, ln B_f)
-    coordinates, penalizing constraint violations.  If the refined optimum
+    coordinates, penalizing constraint violations.  The refinement solves
+    each distinct probe pair once per pass.  If the refined optimum
     lands on the B_f cap the search is rerun once with the cap widened
     tenfold and a warning is emitted.
 
@@ -783,6 +782,12 @@ def _optimize_bound_once(
         )
     candidates.sort()
 
+    # Objective values by the exact pair solved.  theorem_bound is
+    # deterministic, and a collapsing simplex probes the same pairs again
+    # and again, so each pair is solved once per pass.  Only floats are
+    # kept: evaluations and caught exceptions would hold far more memory.
+    seen: dict[tuple[float, float], float] = {}
+
     def objective(x) -> float:
         logit_rho, log_bf = float(x[0]), float(x[1])
         if abs(logit_rho) > 60.0 or abs(log_bf) > 60.0:
@@ -791,11 +796,15 @@ def _optimize_bound_once(
         bf = math.exp(log_bf)
         if rho >= 1.0 - RATIO_MARGIN:
             return _PENALTY
-        try:
-            ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel)
-        except _FEASIBILITY_ERRORS:
-            return _PENALTY
-        return ev.normalized if math.isfinite(ev.normalized) else _PENALTY
+        key = (rho * a2 * bf, bf)
+        if key not in seen:
+            try:
+                ev = theorem_bound(BoundaryPair(*key), channel)
+            except _FEASIBILITY_ERRORS:
+                seen[key] = _PENALTY
+            else:
+                seen[key] = ev.normalized if math.isfinite(ev.normalized) else _PENALTY
+        return seen[key]
 
     best_x = None
     best_val = math.inf

@@ -29,7 +29,7 @@ class DomainError(LinrelayError, ValueError):
 
 
 class NonFiniteError(LinrelayError, ArithmeticError):
-    """A user-supplied function returned NaN or infinity."""
+    """A function or a derived constant came out NaN or infinite."""
 
 
 class DepthExceededError(LinrelayError, RuntimeError):

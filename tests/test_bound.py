@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from linrelay import bound
 from linrelay.bound import (
     _SCAN_QUADRATURE,
     DEFAULT_QUADRATURE,
@@ -377,17 +378,14 @@ class TestSolveEndpoint:
         ep = solve_endpoint(PINNED_PAIR, A11)
         assert ep.A0 > ep.A_f
 
-    def test_boundary_ratio_collapses_to_terminal(self):
-        # Inside the cone the root sits at A_f only when A_f B_f overflows:
-        # phi is inf and the zero function is already positive at A_f.
-        # The closed forms then overflow, so no bound is reported there.
+    def test_overflowing_pair_refused(self):
+        # Inside the cone, but A_f B_f overflows, so phi is inf: the solve
+        # refuses the pair by name before any integral is taken.
         channel = ChannelParams(a=1e3, b=1.0)
         pair = BoundaryPair(A_f=1e150, B_f=1e160)
-        ep = solve_endpoint(pair, channel)
-        assert ep.phi == math.inf
-        assert ep.A0 == pair.A_f
-        with pytest.raises(OverflowError):
-            theorem_bound(pair, channel)
+        for solve in (solve_endpoint, theorem_bound):
+            with pytest.raises(NonFiniteError, match=r"phi=inf .*A_f=1e\+150, B_f=1e\+160"):
+                solve(pair, channel)
 
     def test_ratio_above_boundary_rejected(self):
         with pytest.raises(DomainError):
@@ -456,6 +454,27 @@ class TestOptimizeBound:
             for B_f in (0.3, 0.8, 2.0):
                 probe = theorem_bound(BoundaryPair(A_f=rho * a2 * B_f, B_f=B_f), A11)
                 assert ev.normalized <= probe.normalized + 1e-12
+
+    def test_refinement_solves_each_pair_once(self, monkeypatch):
+        # Every full-precision solve is a distinct pair, except the closing
+        # re-evaluation of the winner.
+        solved = []
+        real = bound.theorem_bound
+
+        def spy(pair, channel, quadrature=DEFAULT_QUADRATURE, root_tol=1e-13):
+            if quadrature is DEFAULT_QUADRATURE:
+                solved.append((pair.A_f, pair.B_f))
+            return real(pair, channel, quadrature, root_tol)
+
+        monkeypatch.setattr(bound, "theorem_bound", spy)
+        pair, ev = optimize_bound(A11)
+        *refined, final = solved
+        assert len(set(refined)) == len(refined)
+        assert final == (pair.A_f, pair.B_f)
+        assert final in refined
+        assert ev.normalized == pytest.approx(PINNED_NORMALIZED, abs=1e-6)
+        assert pair.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
+        assert pair.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
 
     def test_argmin_strictly_inside_ratio_cone(self, optimized_cache):
         pair, _ = optimized_cache(1.1, 2.0)
