@@ -31,10 +31,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need 1 <= k-min <= k-max")
 
     channel = ChannelParams(a=args.a, b=args.b)
-    pair, evaluation = optimize_bound(channel)
+    evaluation = optimize_bound(channel)
+    ep = evaluation.endpoint
     print(
         f"channel a={args.a:g} b={args.b:g}: optimized pair "
-        f"A_f={pair.A_f:.6g} B_f={pair.B_f:.6g}, "
+        f"A_f={ep.A_f:.6g} B_f={ep.B_f:.6g}, "
         f"bound {evaluation.energy_per_bit:.9f} "
         f"(normalized {evaluation.normalized:.9f})"
     )
@@ -46,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     code = None
     k = args.k_min
     while k <= args.k_max:
-        code = build_code(channel, evaluation.endpoint, k)
+        code = build_code(channel, ep, k)
         oracle = evaluate_rank1(channel, code.s, code.D)
         gap = abs(oracle.energy_per_bit - evaluation.energy_per_bit) / evaluation.energy_per_bit
         ratio = "" if prev_gap is None else f"{prev_gap / gap:6.2f}"

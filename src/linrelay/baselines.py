@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import TWO_LN2, BoundaryPair, BoundEvaluation, ChannelParams, optimize_bound
+from .bound import TWO_LN2, BoundEvaluation, ChannelParams, optimize_bound
 from .codes import evaluate_rank1
 from .numerics import minimize_simplex
 
@@ -38,15 +38,17 @@ _BETA_POINTS = 41
 
 @dataclass(frozen=True)
 class BoundsRecord:
-    """All four normalized bounds for one channel, with optimizer metadata."""
+    """All four normalized bounds for one channel.
+
+    The rank-1 bound is rank1_eval.normalized, and rank1_eval.endpoint
+    carries the optimal pair (A_f, B_f).
+    """
 
     a: float
     b: float
     block_markov: float
     cutset: float
     two_by_two: float
-    rank1: float
-    rank1_pair: BoundaryPair
     rank1_eval: BoundEvaluation
 
 
@@ -151,14 +153,11 @@ def two_by_two_bound(channel: ChannelParams) -> float:
 def bounds_record(channel: ChannelParams) -> BoundsRecord:
     """Compute all four normalized bounds for one channel point."""
     two_by_two = two_by_two_bound(channel)
-    pair, ev = optimize_bound(channel)
     return BoundsRecord(
         a=channel.a,
         b=channel.b,
         block_markov=block_markov_bound(channel),
         cutset=cutset_bound(channel),
         two_by_two=two_by_two,
-        rank1=ev.normalized,
-        rank1_pair=pair,
-        rank1_eval=ev,
+        rank1_eval=optimize_bound(channel),
     )

@@ -10,7 +10,7 @@ E over valid pairs, realized here by a coarse log-grid scan followed by
 Nelder-Mead refinement.
 
 The two endpoint integrals are computed together by one adaptive Simpson
-walk (integrate_adaptive) that evaluates f once per node, with tolerances
+walk (integrate_adaptive) that evaluates f once per node, with one tolerance
 and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
@@ -123,8 +123,9 @@ class EndpointSolution:
         A0: Value of A at S = 0 (the trajectory start).
         psi: Positive constant recovered from the second integral equation.
         B0: f(A0), the B value at S = 0.
-        A_f: Echo of the input pair (terminal A).
-        B_f: Echo of the input pair (terminal B).
+        A_f: Terminal A of the input pair.
+        B_f: Terminal B of the input pair.  With A_f, the one place a
+            result carries its pair.
         i2_value: Second cumulative integral of f^2/(1+w f^2) over [A_f, A0].
         residual_first: Scaled residual of the first integral equation.
         residual_second: Scaled residual of the second integral equation.
@@ -220,22 +221,20 @@ def f_eval(w: float, phi: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and recursion cap of the endpoint walk, per integral.
+    """Tolerance and recursion cap of the endpoint walk, per integral.
 
     Attributes:
-        abs_tol: Absolute tolerance on the integral value.
-        rel_tol: Relative tolerance on the integral value.
+        tol: Tolerance on the integral value, absolute below magnitude 1
+            and relative above it.
         max_depth: Maximum bisection depth before giving up.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    tol: float = 1e-12
     max_depth: int = 60
 
     def __post_init__(self) -> None:
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (tol > 0.0 and math.isfinite(tol)):
-                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
@@ -392,14 +391,14 @@ def integrate_adaptive(
     The integrands are f/(1 + w f^2) and f^2/(1 + w f^2) with f = f_eval(., phi).
     The walk evaluates f once per node and refines each integral with its
     own error test, so each value I satisfies |I - integral| <=
-    max(abs_tol, rel_tol*|I|) for integrands smooth on the interval, and is
+    max(tol, tol*|I|) for integrands smooth on the interval, and is
     exactly what a separate adaptive Simpson run on that integrand returns.
 
     Args:
         phi: The conserved constant.
         lo: Lower limit; must not exceed hi.
         hi: Upper limit.
-        spec: Tolerances and recursion cap, applied to each integral.
+        spec: Tolerance and recursion cap, applied to each integral.
 
     Returns:
         Pair (I1, I2); exactly (0.0, 0.0) when lo == hi.
@@ -432,8 +431,8 @@ def integrate_adaptive(
     return _two(
         phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
         whole1, whole2,
-        max(spec.abs_tol, spec.rel_tol * abs(whole1)),
-        max(spec.abs_tol, spec.rel_tol * abs(whole2)),
+        max(spec.tol, spec.tol * abs(whole1)),
+        max(spec.tol, spec.tol * abs(whole2)),
         0, spec.max_depth,
     )
 
@@ -697,7 +696,7 @@ _FEASIBILITY_ERRORS = (
 # extreme scan pairs (rho -> 1, large B_f) produce jitter-limited integrands
 # that refine to the width floor at great cost.  Capping the depth turns those
 # points into fast infeasibility skips instead of multi-second grinds.
-_SCAN_QUADRATURE = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_depth=30)
+_SCAN_QUADRATURE = QuadratureSpec(tol=1e-9, max_depth=30)
 _SCAN_ROOT_TOL = 1e-9
 
 
@@ -719,7 +718,7 @@ def _bf_grid(lo: float, hi: float, n: int) -> list[float]:
     return [10.0 ** (llo + i * (lhi - llo) / (n - 1)) for i in range(n)]
 
 
-def optimize_bound(channel: ChannelParams) -> tuple[BoundaryPair, BoundEvaluation]:
+def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
     """Infimum of the bound over valid pairs (A_f, B_f) for one channel.
 
     Strategy: scan a 24 x 25 log grid in (rho, B_f) with A_f = rho a^2 B_f,
@@ -734,31 +733,32 @@ def optimize_bound(channel: ChannelParams) -> tuple[BoundaryPair, BoundEvaluatio
         channel: Channel gains.
 
     Returns:
-        Pair (best boundary pair, its full-precision evaluation).
+        The full-precision evaluation at the optimum, exactly what
+        theorem_bound returns for that pair; its endpoint carries the pair.
 
     Raises:
         NoFeasiblePointError: If every grid point is degenerate.
     """
-    pair, ev, on_cap = _optimize_bound_once(channel, bf_lo=1e-3, bf_hi=1e3)
+    ev, on_cap = _optimize_bound_once(channel, bf_lo=1e-3, bf_hi=1e3)
     if on_cap:
         warnings.warn(
-            f"optimum B_f={pair.B_f:g} landed on the search cap; widening tenfold",
+            f"optimum B_f={ev.endpoint.B_f:g} landed on the search cap; widening tenfold",
             RuntimeWarning,
             stacklevel=2,
         )
-        pair, ev, still_on_cap = _optimize_bound_once(channel, bf_lo=1e-4, bf_hi=1e4)
+        ev, still_on_cap = _optimize_bound_once(channel, bf_lo=1e-4, bf_hi=1e4)
         if still_on_cap:
             warnings.warn(
-                f"optimum B_f={pair.B_f:g} still on the widened cap; result suspect",
+                f"optimum B_f={ev.endpoint.B_f:g} still on the widened cap; result suspect",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return pair, ev
+    return ev
 
 
 def _optimize_bound_once(
     channel: ChannelParams, bf_lo: float, bf_hi: float
-) -> tuple[BoundaryPair, BoundEvaluation, bool]:
+) -> tuple[BoundEvaluation, bool]:
     a = channel.a
     a2 = a * a
 
@@ -819,7 +819,5 @@ def _optimize_bound_once(
         raise NoFeasiblePointError("refinement found no feasible point")
     rho = 1.0 / (1.0 + math.exp(-float(best_x[0])))
     bf = math.exp(float(best_x[1]))
-    pair = BoundaryPair(rho * a2 * bf, bf)
-    ev = theorem_bound(pair, channel)
-    on_cap = bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99
-    return pair, ev, on_cap
+    ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel)
+    return ev, bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99

@@ -96,14 +96,12 @@ def _pair_args(args) -> BoundaryPair | None:
     return BoundaryPair(A_f=args.Af, B_f=args.Bf)
 
 
-def _bound_payload(
-    channel: ChannelParams, pair: BoundaryPair, ev: BoundEvaluation
-) -> dict:
+def _bound_payload(channel: ChannelParams, ev: BoundEvaluation) -> dict:
     return {
         "a": channel.a,
         "b": channel.b,
-        "A_f": pair.A_f,
-        "B_f": pair.B_f,
+        "A_f": ev.endpoint.A_f,
+        "B_f": ev.endpoint.B_f,
         "lambda": ev.lam,
         "c1": ev.c1,
         "Q1": ev.Q1,
@@ -118,11 +116,8 @@ def cmd_bound(args) -> int:
     """Evaluate the rank-1 bound at one channel point, plus all baselines."""
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
-    if pair is not None:
-        ev = theorem_bound(pair, channel)
-    else:
-        pair, ev = optimize_bound(channel)
-    payload = _bound_payload(channel, pair, ev)
+    ev = optimize_bound(channel) if pair is None else theorem_bound(pair, channel)
+    payload = _bound_payload(channel, ev)
     payload["baselines"] = {
         "block_markov": block_markov_bound(channel),
         "cutset": cutset_bound(channel),
@@ -156,6 +151,7 @@ def run_sweep(a: float, b_values: list[float]) -> list[dict]:
     rows = []
     for b in b_values:
         record = bounds_record(ChannelParams(a=a, b=b))
+        ev = record.rank1_eval
         rows.append(
             {
                 "a": record.a,
@@ -163,14 +159,14 @@ def run_sweep(a: float, b_values: list[float]) -> list[dict]:
                 "block_markov": record.block_markov,
                 "cutset": record.cutset,
                 "two_by_two": record.two_by_two,
-                "rank1": record.rank1,
-                "A_f": record.rank1_pair.A_f,
-                "B_f": record.rank1_pair.B_f,
-                "A0": record.rank1_eval.endpoint.A0,
-                "psi": record.rank1_eval.endpoint.psi,
-                "lambda": record.rank1_eval.lam,
-                "Q1": record.rank1_eval.Q1,
-                "Q2": record.rank1_eval.Q2,
+                "rank1": ev.normalized,
+                "A_f": ev.endpoint.A_f,
+                "B_f": ev.endpoint.B_f,
+                "A0": ev.endpoint.A0,
+                "psi": ev.endpoint.psi,
+                "lambda": ev.lam,
+                "Q1": ev.Q1,
+                "Q2": ev.Q2,
             }
         )
     return rows
@@ -272,10 +268,7 @@ def cmd_code(args) -> int:
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
     _check_out_dir(args.out)
-    if pair is None:
-        pair, ev = optimize_bound(channel)
-    else:
-        ev = theorem_bound(pair, channel)
+    ev = optimize_bound(channel) if pair is None else theorem_bound(pair, channel)
     code = build_code(channel, ev.endpoint, args.k)
     with open(args.out, "w") as fh:
         export_code(code, channel, fh)
@@ -284,8 +277,8 @@ def cmd_code(args) -> int:
     _print_json(
         {
             "k": args.k,
-            "A_f": pair.A_f,
-            "B_f": pair.B_f,
+            "A_f": ev.endpoint.A_f,
+            "B_f": ev.endpoint.B_f,
             "oracle_energy_per_bit": oracle.energy_per_bit,
             "oracle_normalized": oracle.normalized,
             "theorem_energy_per_bit": ev.energy_per_bit,
@@ -303,8 +296,7 @@ def cmd_verify(args) -> int:
     channel = ChannelParams(a=args.a, b=args.b)
     pair = _pair_args(args)
     if pair is None:
-        _, ev = optimize_bound(channel)
-        endpoint = ev.endpoint
+        endpoint = optimize_bound(channel).endpoint
     else:
         # Solved directly rather than through theorem_bound, whose
         # cancellation floors refuse near-boundary pairs verify still checks.

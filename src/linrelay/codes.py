@@ -17,7 +17,6 @@ and factored in place.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,20 +232,18 @@ def export_code(code: RelayCode, channel: ChannelParams, fh: TextIO) -> None:
         fh.write(row_fmt[: 6 * i - 1] % tuple(code.D[i, :i].tolist()) + "\n")
 
 
-def parse_code(source: str | Path) -> tuple[ChannelParams, RelayCode]:
+def parse_code(path: str | Path) -> tuple[ChannelParams, RelayCode]:
     """Parse the textual exchange format back into a channel and code.
 
-    Accepts either the text itself or a path to a file holding it; a file
-    is read line by line, never whole.  The u, z, r sequences are not part
-    of the format; they are restored as empty arrays since only (s, D,
-    lambda) matter for evaluation.
+    Reads the file at path line by line, never whole.  The u, z, r
+    sequences are not part of the format; they are restored as empty
+    arrays since only (s, D, lambda) matter for evaluation.
 
     Raises:
         ValueError: On malformed content (wrong counts, non-numeric fields,
             k below 1, lambda or Q1 not positive and finite, s or D not finite).
     """
-    stream = source.open() if isinstance(source, Path) else io.StringIO(source)
-    with stream:
+    with open(path) as stream:
         header = stream.readline().split()
         if len(header) != 5:
             raise ValueError(f"header must have 5 fields, got {len(header)}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from linrelay import ChannelParams, optimize_bound, two_by_two_bound
+from linrelay import BoundEvaluation, ChannelParams, optimize_bound, two_by_two_bound
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -32,7 +32,7 @@ def criterion_recorder():
 @pytest.fixture(scope="session")
 def optimized_cache():
     """Memoized optimize_bound keyed by (a, b)."""
-    cache: dict[tuple[float, float], tuple] = {}
+    cache: dict[tuple[float, float], BoundEvaluation] = {}
 
     def get(a: float, b: float):
         key = (a, b)

@@ -42,7 +42,7 @@ def test_criterion_01_rank1_at_or_below_two_by_two(
     tol = 1e-6
     worst = -math.inf
     for b in GRID_B:
-        rank1 = optimized_cache(GRID_A, b)[1].normalized
+        rank1 = optimized_cache(GRID_A, b).normalized
         two = two_by_two_cache(GRID_A, b)
         worst = max(worst, rank1 - two)
     ok = worst <= tol
@@ -67,7 +67,7 @@ def test_criterion_02_cutset_under_every_achievable(
         achievable = (
             block_markov_bound(channel),
             two_by_two_cache(GRID_A, b),
-            optimized_cache(GRID_A, b)[1].normalized,
+            optimized_cache(GRID_A, b).normalized,
         )
         worst = max(worst, max(cut - v for v in achievable))
     ok = worst <= tol
@@ -151,8 +151,7 @@ def test_criterion_05_trajectory_identities_at_optima(
     worst_ratio = 0.0
     for b in (1.0, 2.0, 5.0):
         channel = ChannelParams(a=GRID_A, b=b)
-        _, evaluation = optimized_cache(GRID_A, b)
-        ep = evaluation.endpoint
+        ep = optimized_cache(GRID_A, b).endpoint
         traj = build_trajectory(ep, channel, n_samples=512)
         checks = check_identities(traj, ep, channel)
         all_pass = all_pass and all(c.passed for c in checks)
@@ -175,7 +174,7 @@ def test_criterion_06_finite_code_gap_shrinks(optimized_cache, criterion_recorde
     The gap must fall at first order, halving with each doubling of k.
     """
     channel = ChannelParams(a=GRID_A, b=2.0)
-    _, evaluation = optimized_cache(GRID_A, 2.0)
+    evaluation = optimized_cache(GRID_A, 2.0)
     ks = (128, 256, 512, 1024, 2048)
     gaps = []
     for k in ks:

@@ -103,8 +103,6 @@ class TestBoundsRecord:
         assert record.b == 2.0
         assert record.block_markov == block_markov_bound(ChannelParams(a=1.1, b=2.0))
         assert record.cutset == cutset_bound(ChannelParams(a=1.1, b=2.0))
-        assert record.rank1 == record.rank1_eval.normalized
         # Same channel, same deterministic searches as the cached fixtures.
-        pair, ev = optimized_cache(1.1, 2.0)
-        assert record.rank1 == ev.normalized
+        assert record.rank1_eval == optimized_cache(1.1, 2.0)
         assert record.two_by_two == two_by_two_cache(1.1, 2.0)

@@ -148,7 +148,7 @@ def _ref_integrate(f, lo, hi, spec):
     fm = _ref_checked(f, mid)
     fb = _ref_checked(f, hi)
     whole = _ref_simpson(fa, fm, fb, hi - lo)
-    eps = max(spec.abs_tol, spec.rel_tol * abs(whole))
+    eps = max(spec.tol, spec.tol * abs(whole))
     return _ref_adapt(f, lo, hi, fa, fm, fb, whole, eps, 0, spec.max_depth)
 
 
@@ -252,18 +252,17 @@ class TestStableBranch:
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-12
-        assert spec.rel_tol == 1e-12
+        assert spec.tol == 1e-12
         assert spec.max_depth == 60
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"abs_tol": 0.0},
-            {"rel_tol": -1e-9},
+            {"tol": 0.0},
+            {"tol": -1e-9},
             {"max_depth": 0},
-            {"abs_tol": math.nan},
-            {"rel_tol": math.inf},
+            {"tol": math.nan},
+            {"tol": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -442,13 +441,15 @@ class TestTheoremBound:
 
 class TestOptimizeBound:
     def test_known_argmin(self, optimized_cache):
-        pair, ev = optimized_cache(1.1, 2.0)
+        ev = optimized_cache(1.1, 2.0)
         assert ev.normalized == pytest.approx(PINNED_NORMALIZED, abs=1e-6)
-        assert pair.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
-        assert pair.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
+        assert ev.endpoint.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
+        assert ev.endpoint.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
+        # Both entry points return the same record, endpoint included.
+        assert theorem_bound(BoundaryPair(ev.endpoint.A_f, ev.endpoint.B_f), A11) == ev
 
     def test_optimum_beats_coarse_probes(self, optimized_cache):
-        _, ev = optimized_cache(1.1, 2.0)
+        ev = optimized_cache(1.1, 2.0)
         a2 = A11.a**2
         for rho in (0.2, 0.5, 0.8):
             for B_f in (0.3, 0.8, 2.0):
@@ -467,15 +468,15 @@ class TestOptimizeBound:
             return real(pair, channel, quadrature, root_tol)
 
         monkeypatch.setattr(bound, "theorem_bound", spy)
-        pair, ev = optimize_bound(A11)
+        ev = optimize_bound(A11)
         *refined, final = solved
         assert len(set(refined)) == len(refined)
-        assert final == (pair.A_f, pair.B_f)
+        assert final == (ev.endpoint.A_f, ev.endpoint.B_f)
         assert final in refined
         assert ev.normalized == pytest.approx(PINNED_NORMALIZED, abs=1e-6)
-        assert pair.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
-        assert pair.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
+        assert ev.endpoint.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
+        assert ev.endpoint.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
 
     def test_argmin_strictly_inside_ratio_cone(self, optimized_cache):
-        pair, _ = optimized_cache(1.1, 2.0)
-        assert pair.ratio() < A11.a**2
+        ep = optimized_cache(1.1, 2.0).endpoint
+        assert ep.A_f / ep.B_f < A11.a**2

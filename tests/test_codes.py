@@ -189,7 +189,7 @@ class TestBuildCode:
             channel, ep = A11, endpoint
         else:
             channel = ChannelParams(a=1.1, b=optimized_b)
-            ep = optimized_cache(1.1, optimized_b)[1].endpoint
+            ep = optimized_cache(1.1, optimized_b).endpoint
         traj = build_trajectory(ep, channel, n_samples=64)
         lam, Q1 = lambda_and_Q1(ep, channel)
         a, b = channel.a, channel.b
@@ -223,18 +223,22 @@ class TestBuildCode:
 
 
 class TestExchangeFormat:
-    def test_round_trip_is_exact(self, endpoint):
+    def test_round_trip_is_exact(self, endpoint, tmp_path):
         code = build_code(A11, endpoint, 12)
-        channel, parsed = parse_code(_export(code, A11))
+        path = tmp_path / "code.txt"
+        path.write_text(_export(code, A11))
+        channel, parsed = parse_code(path)
         assert channel == A11
         assert parsed.k == 12
         assert parsed.lam == code.lam
         assert np.array_equal(parsed.s, code.s)
         assert np.array_equal(parsed.D, code.D)
 
-    def test_round_trip_evaluation_matches(self, endpoint):
+    def test_round_trip_evaluation_matches(self, endpoint, tmp_path):
         code = build_code(A11, endpoint, 12)
-        channel, parsed = parse_code(_export(code, A11))
+        path = tmp_path / "code.txt"
+        path.write_text(_export(code, A11))
+        channel, parsed = parse_code(str(path))
         direct = evaluate_rank1(A11, code.s, code.D)
         reparsed = evaluate_rank1(channel, parsed.s, parsed.D)
         assert reparsed.energy_per_bit == direct.energy_per_bit
@@ -262,9 +266,11 @@ class TestExchangeFormat:
             "2 1.1 2 1.0 0.5\n0.5 0.5\ninf\n",
         ],
     )
-    def test_malformed_content_rejected(self, text):
+    def test_malformed_content_rejected(self, text, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text(text)
         with pytest.raises(ValueError):
-            parse_code(text)
+            parse_code(path)
 
 
 class TestMemory:

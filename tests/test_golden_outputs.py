@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from linrelay import cli
+from linrelay import baselines, cli
 
 PINNED = [
     "--a", "1.1", "--b", "2",
@@ -51,6 +51,22 @@ def test_optimized_bound_stdout(optimized_cache, monkeypatch, capsys):
     assert cli.main(["bound", "--a", "1.1", "--b", "2.0"]) == 0
     assert _digest(capsys.readouterr().out.encode()) == (
         "8203b31fcfde01a148aaeaea181365be8240100b398a2291f9d665697c139f76"
+    )
+
+
+def test_sweep_csv(optimized_cache, two_by_two_cache, monkeypatch, tmp_path):
+    # Both rows are b = 2.0, whose results the shared caches already hold.
+    monkeypatch.setattr(
+        baselines, "optimize_bound", lambda ch: optimized_cache(ch.a, ch.b)
+    )
+    monkeypatch.setattr(
+        baselines, "two_by_two_bound", lambda ch: two_by_two_cache(ch.a, ch.b)
+    )
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--a", "1.1", "--b-min", "2", "--b-max", "2", "--n-points", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert _digest(out.read_bytes()) == (
+        "24fd5124012c725a5bd7ac374f4e34e97b6336a35646c52f6f8dbb9f9962c066"
     )
 
 

@@ -37,7 +37,7 @@ def test_finite_k_study_table(optimized_cache, monkeypatch, capsys):
     table = out.split("-" * 42 + "\n", 1)[1]
     rows = [line.split() for line in table.splitlines() if line.strip()]
 
-    target = optimized_cache(1.1, 2.0)[1]
+    target = optimized_cache(1.1, 2.0)
     assert [int(row[0]) for row in rows] == [16, 32, 64]
     for row in rows:
         code = build_code(channel, target.endpoint, int(row[0]))
@@ -53,7 +53,7 @@ def test_finite_k_study_export(optimized_cache, monkeypatch, tmp_path):
     out = tmp_path / "code.txt"
     assert script.main(["--k-min", "16", "--k-max", "32", "--export", str(out)]) == 0
     channel = ChannelParams(a=1.1, b=2.0)
-    code = build_code(channel, optimized_cache(1.1, 2.0)[1].endpoint, 32)
+    code = build_code(channel, optimized_cache(1.1, 2.0).endpoint, 32)
     parsed_channel, parsed = parse_code(out)
     assert parsed_channel == channel
     assert parsed.s.tobytes() == code.s.tobytes()
