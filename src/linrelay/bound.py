@@ -15,6 +15,10 @@ and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
 walk raises the first failure it meets, of either integral.
+integrate_batch walks many intervals at once in numpy with the same bits;
+the scan solves all its grid pairs in lockstep through it, each solve a
+generator of walk requests (_endpoint_steps) that solve_endpoint drives
+with integrate_adaptive.
 """
 from __future__ import annotations
 
@@ -24,6 +28,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     BracketOverflowError,
@@ -35,7 +41,9 @@ from .errors import (
     NonFiniteError,
     RouteMismatchError,
 )
-from .numerics import find_root_bracketed, minimize_simplex
+# find_root_bracketed is not called here; perfbench/tracing.py wraps it
+# under this module's name.
+from .numerics import drive_steps, find_root_bracketed, minimize_simplex, root_steps
 
 __all__ = [
     "QuadratureSpec",
@@ -48,6 +56,7 @@ __all__ = [
     "compute_phi",
     "f_eval",
     "integrate_adaptive",
+    "integrate_batch",
     "solve_endpoint",
     "lambda_and_Q1",
     "theorem_bound",
@@ -437,6 +446,207 @@ def integrate_adaptive(
     )
 
 
+# The batch walk takes at most _BATCH_LEVEL nodes at a time.  A wider set
+# is cut into slices, and each slice's subtrees are walked to the bottom
+# before the next slice starts.  That bounds the memory held, and it reaches
+# a failing node near the lower limit (where the jitter-limited integrands
+# that fail at the depth cap fail) after a few hundred nodes, as the
+# depth-first walk does, where a level-by-level walk would first fill out
+# every level above the cap.  A tree that needs more than _BATCH_TREE nodes
+# is left to integrate_adaptive.
+_BATCH_TREE = 4096
+_BATCH_LEVEL = 512
+
+
+def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    # _f_terms' two integrands at many points into the rows of out, by the
+    # same float operations in the same order (in place where the order
+    # allows: + and * commute bit for bit).
+    t = phi * w
+    t -= 1.0
+    disc = t * t
+    cube = 4.0 * w
+    cube *= w
+    cube *= w
+    disc += cube
+    np.sqrt(disc, out=disc)
+    neg = t < 0.0
+    fw = t + disc
+    np.multiply(2.0 * w, w, out=cube)
+    fw /= cube
+    np.subtract(disc, t, out=disc)
+    np.multiply(2.0, w, out=cube)
+    np.divide(cube, disc, out=fw, where=neg)
+    den = w * fw
+    den *= fw
+    den += 1.0
+    np.divide(fw, den, out=out[0])
+    np.multiply(fw, fw, out=out[1])
+    out[1] /= den
+
+
+def _simpson_nodes(phi: np.ndarray, walk: np.ndarray, x: np.ndarray, active: np.ndarray) -> tuple:
+    # Tree nodes from their intervals x = (lo, hi): rows fa, fm, fb (f at
+    # both ends and the middle, two rows each) and the Simpson estimate,
+    # by the recursive walk's float operations, so that a node rebuilt here
+    # has the bits its parent gave it.
+    lo, hi = x
+    n = walk.size
+    f = np.empty((2, 3 * n))
+    pw = phi[walk]
+    _f_terms_batch(np.concatenate((lo, 0.5 * (lo + hi), hi)), np.concatenate((pw, pw, pw)), f)
+    f8 = np.empty((8, n))
+    f8[:6] = f.reshape(2, 3, n).transpose(1, 0, 2).reshape(6, n)
+    np.multiply((hi - lo) / 6.0, f8[0:2] + 4.0 * f8[2:4] + f8[4:6], out=f8[6:8])
+    return walk, x, f8, active
+
+
+class _Forest:
+    """The trees of at most _BATCH_LEVEL walks, one tree per walk.
+
+    A node set is (walk, x, f8, active) with one column per node: x holds
+    lo and hi, f8 the rows fa, fm, fb and the Simpson estimate whole, each
+    for both integrals (rows 0 and 1 of every pair), and active whether
+    each integral still refines at the node (_two while both do, _one
+    after).  A tree is gone once it is left to integrate_adaptive.
+    """
+
+    def __init__(self, phi: np.ndarray, roots: tuple, spec: QuadratureSpec) -> None:
+        f8 = roots[2]
+        scaled = spec.tol * np.abs(f8[6:8])
+        self.phi = phi
+        self.eps15 = 15.0 * np.where(scaled > spec.tol, scaled, spec.tol)
+        self.max_depth = spec.max_depth
+        self.sizes = np.ones(phi.size, dtype=np.intp)
+        self.gone = ~np.isfinite(f8[:6]).all(axis=0)
+
+    def values(self, depth: int, nodes: tuple) -> np.ndarray:
+        """The (I1, I2) values of nodes at one depth, as _two and _one return them.
+
+        Nodes of trees handed off get zeros.  Node sets are passed inline
+        (list.pop()), so that each call owns its nodes and can free them
+        before it goes deeper.
+        """
+        m = nodes[0].size
+        keep = (~self.gone[nodes[0]]).nonzero()[0]
+        if not keep.size:
+            return np.zeros((2, m))
+        if keep.size < m or m > _BATCH_LEVEL:
+            # Slices wait for their turn as intervals alone.
+            parts = np.array_split(keep, -(-keep.size // _BATCH_LEVEL))
+            walk, x, active = nodes[0], nodes[1], nodes[3]
+            del nodes
+            waiting = [(walk[p], x.take(p, axis=1), active.take(p, axis=1)) for p in parts]
+            del walk, x, active
+            out = np.zeros((2, m))
+            for part in parts:
+                out[:, part] = self.values(depth, _simpson_nodes(self.phi, *waiting.pop(0)))
+            return out
+        val, split, idx, children = self._level(depth, nodes)
+        del nodes
+        if idx.size:
+            sub = self.values(depth + 1, children.pop())
+            # A node that split is left + right of its children, as in the
+            # recursive walk.
+            sums = sub[:, : idx.size] + sub[:, idx.size :]
+            for row in range(2):
+                node = val[row]
+                node[idx] = np.where(split[row], sums[row], node[idx])
+        return val
+
+    def _level(self, depth: int, nodes: tuple):
+        # One level of _two/_one for every node: the node values where they
+        # stop, the integrals that split, the nodes that have children, and
+        # those children (in a one-element list).  Candidate child j is the
+        # left half of node j, child m + j its right half.
+        walk, x, f8, active = nodes
+        m = walk.size
+        lo, hi = x
+        mid = 0.5 * (lo + hi)
+        c_x = np.concatenate((lo, mid, mid, hi)).reshape(2, 2 * m)
+        c_mid = 0.5 * (c_x[0] + c_x[1])
+        c8 = np.empty((8, 2 * m))
+        np.concatenate((f8[0:2], f8[2:4]), axis=1, out=c8[0:2])
+        pw = self.phi[walk]
+        _f_terms_batch(c_mid, np.concatenate((pw, pw)), c8[2:4])
+        np.concatenate((f8[2:4], f8[4:6]), axis=1, out=c8[4:6])
+        np.multiply((c_x[1] - c_x[0]) / 6.0, c8[0:2] + 4.0 * c8[2:4] + c8[4:6], out=c8[6:8])
+        both = c8[6:8, :m] + c8[6:8, m:]
+        err = both - f8[6:8]
+        low = c_mid <= c_x[0]
+        exhausted = low[:m] | low[m:] | (mid >= hi) | (hi - lo <= _WIDTH_FLOOR * hi)
+        live = active & ~exhausted
+        split = live & ~(np.abs(err) <= self.eps15.take(walk, axis=1) * 0.5**depth)
+        finite = np.isfinite(c8[2:4])
+        bad = live & ~(finite[:, :m] & finite[:, m:])
+        if depth >= self.max_depth:
+            bad |= split
+        self.gone[walk[bad[0] | bad[1]]] = True
+        parent = (split[0] | split[1]) & ~self.gone[walk]
+        self.sizes += 2 * np.bincount(walk[parent], minlength=self.sizes.size)
+        self.gone |= self.sizes > _BATCH_TREE
+        parent &= ~self.gone[walk]
+        idx = parent.nonzero()[0]
+        sel = np.concatenate((idx, idx + m))
+        split = split.take(idx, axis=1)
+        w = walk[idx]
+        children = (
+            np.concatenate((w, w)),
+            c_x.take(sel, axis=1),
+            c8.take(sel, axis=1),
+            np.concatenate((split, split), axis=1),
+        )
+        return np.where(exhausted, f8[6:8], both + err / 15.0), split, idx, [children]
+
+
+def integrate_batch(
+    phi,
+    lo,
+    hi,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both endpoint integrals over many intervals, walked level by level.
+
+    Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec):
+    each level of many trees is processed at once, with the same float
+    operations in the same order, the same exhaustion and error tests, the
+    same eps halving and the same switch from both integrals to one, and
+    each node's value is left + right of its children's, as in the
+    recursive walk.
+
+    Args:
+        phi: The conserved constant, one per interval or one for all.
+        lo: 1-D array of lower limits.
+        hi: 1-D array of upper limits, the same length.
+        spec: Tolerance and recursion cap, applied to each integral.
+
+    Returns:
+        (I1, I2, handoff): the two integrals per interval, and the
+        ascending indices of the intervals left to integrate_adaptive,
+        whose I1 and I2 read 0.  These are the intervals integrate_adaptive
+        refuses or fails on, and the trees that outgrow the batch's node
+        budget; integrate_adaptive on each finishes it or raises its exact
+        error.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), lo.shape)
+    integrals = np.zeros((2, lo.size))
+    handoff = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
+    walks = np.flatnonzero(~handoff & (lo < hi))
+    with np.errstate(all="ignore"):
+        for start in range(0, walks.size, _BATCH_LEVEL):
+            chunk = walks[start : start + _BATCH_LEVEL]
+            n, p = chunk.size, phi[chunk]
+            x = np.stack((lo[chunk], hi[chunk]))
+            roots = [_simpson_nodes(p, np.arange(n), x, np.ones((2, n), dtype=bool))]
+            forest = _Forest(p, roots[0], spec)
+            integrals[:, chunk] = forest.values(0, roots.pop())
+            handoff[chunk[forest.gone]] = True
+    integrals[:, handoff] = 0.0
+    return integrals[0], integrals[1], np.flatnonzero(handoff)
+
+
 class _CumulativeIntegrals:
     """Anchored cumulative values of the two endpoint integrals.
 
@@ -447,18 +657,23 @@ class _CumulativeIntegrals:
     multiple of the per-call tolerance.
     """
 
-    def __init__(self, phi: float, A_f: float, quadrature: QuadratureSpec) -> None:
+    __slots__ = ("_phi", "_ws", "_i1", "_i2")
+
+    def __init__(self, phi: float, A_f: float) -> None:
         self._phi = phi
-        self._quadrature = quadrature
         self._ws = [A_f]
         self._i1 = [0.0]
         self._i2 = [0.0]
 
-    def upto(self, w: float) -> tuple[float, float]:
-        """Return (I1(w), I2(w)) for w >= the anchor origin A_f."""
+    def upto(self, w: float):
+        """Steps to (I1(w), I2(w)) for w >= the anchor origin A_f.
+
+        Yields the one walk request (phi, anchor, w) and receives its
+        (I1, I2) over that gap.
+        """
         idx = bisect.bisect_right(self._ws, w) - 1
         base_w = self._ws[idx]
-        d1, d2 = integrate_adaptive(self._phi, base_w, w, self._quadrature)
+        d1, d2 = yield self._phi, base_w, w
         i1 = self._i1[idx] + d1
         i2 = self._i2[idx] + d2
         if w > base_w:
@@ -485,33 +700,14 @@ def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
         )
 
 
-def solve_endpoint(
-    pair: BoundaryPair,
-    channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    root_tol: float = 1e-13,
-) -> EndpointSolution:
-    """Solve the coupled integral equations for the endpoint (A0, psi).
+def _endpoint_steps(pair: BoundaryPair, channel: ChannelParams, root_tol: float):
+    """solve_endpoint as a generator of walk requests.
 
-    A0 is the unique root of the monotone zero function; the bracket starts
-    at [A_f, max(2 A_f, 1)] and the upper end doubles until the sign flips.
-    psi then follows from the second integral equation, and the first
-    equation is evaluated as an independent residual check.
-
-    Args:
-        pair: Terminal pair strictly inside the a^2 boundary.
-        channel: Channel gains.
-        quadrature: Quadrature control for the integral evaluations.
-        root_tol: Relative bracket tolerance for the A0 root.
-
-    Returns:
-        The endpoint solution with both residuals populated.
-
-    Raises:
-        DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
-        DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
-        NonFiniteError: If phi overflows, as when A_f*B_f does.
-        BracketOverflowError: If no sign change appears below the growth cap.
+    Yields each endpoint walk it needs as (phi, lo, hi) and receives that
+    walk's (I1, I2); returns the EndpointSolution.  Whoever answers the
+    requests picks the quadrature, so one request at a time can go to
+    integrate_adaptive (solve_endpoint) or many generators can be answered
+    together by integrate_batch (the optimizer's scan).
     """
     check_pair(pair, channel)
     a = channel.a
@@ -520,25 +716,31 @@ def solve_endpoint(
         raise NonFiniteError(
             f"phi={phi!r} is not finite at A_f={pair.A_f!r}, B_f={pair.B_f!r}"
         )
-    cache = _CumulativeIntegrals(phi, pair.A_f, quadrature)
+    cache = _CumulativeIntegrals(phi, pair.A_f)
     inv_Bf = 1.0 / pair.B_f
     log_Af = math.log(pair.A_f)
     scale = a / math.sqrt(pair.A_f * pair.B_f)
 
-    def zero(A0: float) -> float:
-        i1, i2 = cache.upto(A0)
+    def zero(A0: float, i1: float, i2: float) -> float:
+        # The zero function at A0, from the cumulative integrals up to A0.
         exponent = -0.5 * (math.log(A0) - log_Af - i2)
         return inv_Bf + i1 - scale * math.exp(exponent)
 
     hi = max(2.0 * pair.A_f, 1.0)
-    while zero(hi) <= 0.0:
+    while zero(hi, *(yield from cache.upto(hi))) <= 0.0:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise BracketOverflowError(
                 f"no sign change of the zero function below {_BRACKET_CAP:g}"
             )
-    A0 = find_root_bracketed(zero, pair.A_f, hi, tol=root_tol)
-    i1, i2 = cache.upto(A0)
+    roots = root_steps(pair.A_f, hi, root_tol)
+    try:
+        x = next(roots)
+        while True:
+            x = roots.send(zero(x, *(yield from cache.upto(x))))
+    except StopIteration as stop:
+        A0 = stop.value
+    i1, i2 = yield from cache.upto(A0)
     # Second equation defines psi; evaluated in log space to dodge overflow
     # of A0^3 for extreme pairs.
     log_psi = 0.5 * (3.0 * math.log(A0) + math.log(pair.B_f) - 4.0 * math.log(a) - i2)
@@ -559,6 +761,41 @@ def solve_endpoint(
         i2_value=i2,
         residual_first=res_first,
         residual_second=res_second,
+    )
+
+
+def solve_endpoint(
+    pair: BoundaryPair,
+    channel: ChannelParams,
+    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    root_tol: float = 1e-13,
+) -> EndpointSolution:
+    """Solve the coupled integral equations for the endpoint (A0, psi).
+
+    A0 is the unique root of the monotone zero function; the bracket starts
+    at [A_f, max(2 A_f, 1)] and the upper end doubles until the sign flips.
+    psi then follows from the second integral equation, and the first
+    equation is evaluated as an independent residual check.  Each walk is
+    one integrate_adaptive call.
+
+    Args:
+        pair: Terminal pair strictly inside the a^2 boundary.
+        channel: Channel gains.
+        quadrature: Quadrature control for the integral evaluations.
+        root_tol: Relative bracket tolerance for the A0 root.
+
+    Returns:
+        The endpoint solution with both residuals populated.
+
+    Raises:
+        DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
+        DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
+        NonFiniteError: If phi overflows, as when A_f*B_f does.
+        BracketOverflowError: If no sign change appears below the growth cap.
+    """
+    return drive_steps(
+        _endpoint_steps(pair, channel, root_tol),
+        lambda request: integrate_adaptive(*request, quadrature),
     )
 
 
@@ -645,8 +882,12 @@ def theorem_bound(
         DegenerateBoundError: At or numerically too close to the boundary
             (check_pair, Q1 <= 0, log_arg <= 1, or nonpositive total energy).
     """
+    return _bound_at(solve_endpoint(pair, channel, quadrature, root_tol), channel)
+
+
+def _bound_at(ep: EndpointSolution, channel: ChannelParams) -> BoundEvaluation:
+    # theorem_bound's closed forms and cancellation floors at a solved endpoint.
     a, b = channel.a, channel.b
-    ep = solve_endpoint(pair, channel, quadrature, root_tol)
     cf = _closed_forms(ep, channel)
     if not (math.isfinite(cf.Q2) and math.isfinite(cf.log_arg)):
         raise DegenerateBoundError("non-finite energy terms; pair outside float range")
@@ -698,6 +939,12 @@ _FEASIBILITY_ERRORS = (
 # points into fast infeasibility skips instead of multi-second grinds.
 _SCAN_QUADRATURE = QuadratureSpec(tol=1e-9, max_depth=30)
 _SCAN_ROOT_TOL = 1e-9
+
+# Grid pairs whose endpoint solves run in lockstep at once (six rows of the
+# grid).  Each suspended solve holds about 3 kB of state, anchors included,
+# and the memory a scan takes stays resident after it; a quarter of the grid
+# per wave keeps batches wide enough that the scan is no slower.
+_SCAN_WAVE = 150
 
 
 def _rho_grid() -> list[float]:
@@ -756,31 +1003,90 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
     return ev
 
 
+def _kept(exc: Exception) -> Exception:
+    # A scan pair's failure as the scan keeps it: an infeasible pair's
+    # without its traceback, whose frames would hold far more memory than
+    # the class that drops the pair.
+    return exc.with_traceback(None) if isinstance(exc, _FEASIBILITY_ERRORS) else exc
+
+
+def _scan(
+    channel: ChannelParams, bf_lo: float, bf_hi: float
+) -> list[tuple[float, float, float]]:
+    """The scan's sorted candidates (normalized, rho, B_f) on the 24 x 25 grid.
+
+    Each candidate is theorem_bound(pair, channel, _SCAN_QUADRATURE,
+    _SCAN_ROOT_TOL) at a grid pair, bit for bit, and a pair is dropped
+    where that call raises a feasibility error.  The endpoints are solved
+    in lockstep, _SCAN_WAVE pairs at a time: every round answers each live
+    solve's next walk request with one integrate_batch call, and the walks
+    it hands off with integrate_adaptive.  The closed forms and floors then
+    run pair by pair in grid order, so any other error is raised where the
+    pair-by-pair loop would raise it.
+    """
+    a2 = channel.a * channel.a
+    grid = [(rho, bf) for rho in _rho_grid() for bf in _bf_grid(bf_lo, bf_hi, 25)]
+    # Each pair's EndpointSolution or exception.
+    outcomes: list = [None] * len(grid)
+    for wave in range(0, len(grid), _SCAN_WAVE):
+        live = {}
+        for i in range(wave, min(wave + _SCAN_WAVE, len(grid))):
+            rho, bf = grid[i]
+            try:
+                steps = _endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
+                live[i] = steps, next(steps)
+            except Exception as exc:  # noqa: BLE001 - raised below in grid order
+                outcomes[i] = _kept(exc)
+        while live:
+            requests = [request for _, request in live.values()]
+            phi, lo, hi = (np.array(column) for column in zip(*requests))
+            i1, i2, handoff = integrate_batch(phi, lo, hi, _SCAN_QUADRATURE)
+            answers: list = list(zip(i1.tolist(), i2.tolist()))
+            for j in handoff.tolist():
+                try:
+                    answers[j] = integrate_adaptive(*requests[j], _SCAN_QUADRATURE)
+                except Exception as exc:  # noqa: BLE001 - raised below in grid order
+                    answers[j] = _kept(exc)
+            advanced = {}
+            for (i, (steps, _)), answer in zip(live.items(), answers):
+                if isinstance(answer, Exception):
+                    outcomes[i] = answer
+                    continue
+                try:
+                    advanced[i] = steps, steps.send(answer)
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+                except Exception as exc:  # noqa: BLE001 - raised below in grid order
+                    outcomes[i] = _kept(exc)
+            live = advanced
+
+    candidates = []
+    for (rho, bf), outcome in zip(grid, outcomes):
+        if isinstance(outcome, _FEASIBILITY_ERRORS):
+            continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        try:
+            ev = _bound_at(outcome, channel)
+        except _FEASIBILITY_ERRORS:
+            continue
+        if math.isfinite(ev.normalized):
+            candidates.append((ev.normalized, rho, bf))
+    candidates.sort()
+    return candidates
+
+
 def _optimize_bound_once(
     channel: ChannelParams, bf_lo: float, bf_hi: float
 ) -> tuple[BoundEvaluation, bool]:
     a = channel.a
     a2 = a * a
 
-    candidates: list[tuple[float, float, float]] = []
-    for rho in _rho_grid():
-        for bf in _bf_grid(bf_lo, bf_hi, 25):
-            try:
-                ev = theorem_bound(
-                    BoundaryPair(rho * a2 * bf, bf),
-                    channel,
-                    _SCAN_QUADRATURE,
-                    _SCAN_ROOT_TOL,
-                )
-            except _FEASIBILITY_ERRORS:
-                continue
-            if math.isfinite(ev.normalized):
-                candidates.append((ev.normalized, rho, bf))
+    candidates = _scan(channel, bf_lo, bf_hi)
     if not candidates:
         raise NoFeasiblePointError(
             f"every grid point degenerate for a={a!r}, b={channel.b!r}"
         )
-    candidates.sort()
 
     # Objective values by the exact pair solved.  theorem_bound is
     # deterministic, and a collapsing simplex probes the same pairs again

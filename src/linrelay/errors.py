@@ -70,3 +70,7 @@ class DenominatorCollapseError(LinrelayError, ArithmeticError):
 
 class FactorizationFailureError(LinrelayError, ArithmeticError):
     """A matrix that must be positive definite failed its factorization."""
+
+
+class RootNotConvergedError(LinrelayError, RuntimeError):
+    """A bracketed root search ran out of iterations before its tolerance."""

@@ -19,6 +19,7 @@ from .bound import (
     EndpointSolution,
     f_eval,
     integrate_adaptive,
+    integrate_batch,
     lambda_and_Q1,
     _closed_forms,
 )
@@ -79,6 +80,19 @@ class IdentityCheck:
         return self.worst_residual <= self.tolerance
 
 
+def _walks(phi: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint integrals over each [lo[i], hi[i]], as integrate_adaptive gives them.
+
+    integrate_batch walks them all at once; the walks it hands off are
+    finished here in index order by integrate_adaptive, which raises the
+    failure the first failing walk of a loop over i would raise.
+    """
+    i1, i2, handoff = integrate_batch(phi, lo, hi)
+    for i in handoff.tolist():
+        i1[i], i2[i] = integrate_adaptive(phi, lo[i], hi[i])
+    return i1, i2
+
+
 def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]:
     """Fine monotone grid in w on [A_f, A0] and cumulative second integral."""
     A_f, A0 = endpoint.A_f, endpoint.A0
@@ -87,8 +101,7 @@ def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]
     nodes[0], nodes[-1] = A_f, A0
     pieces = np.empty(_PROFILE_NODES)
     pieces[0] = 0.0
-    for i in range(1, _PROFILE_NODES):
-        pieces[i] = integrate_adaptive(phi, nodes[i - 1], nodes[i])[1]
+    pieces[1:] = _walks(phi, nodes[:-1], nodes[1:])[1]
     return nodes, np.cumsum(pieces)
 
 
@@ -104,7 +117,7 @@ def invert_A_profile(
     ln((1+a^2 Q1)/(1+a^2 S)).  The cumulative integral is precomputed on a
     fine log-spaced grid (each cell refined adaptively), and each sample is
     inverted by bisection: first over grid cells, then inside the bracketing
-    cell with local quadrature.
+    cell with local quadrature, all samples in lockstep.
 
     Args:
         endpoint: Endpoint solution fixing phi, A_f, A0.
@@ -137,22 +150,35 @@ def invert_A_profile(
     A = np.empty(n_samples)
     A[0] = endpoint.A0
     A[-1] = endpoint.A_f
+    # Target cumulative values measured from A_f: ln((1+a^2 Q1)/(1+a^2 S)).
+    target = np.array([expected - math.log1p(a2 * s) for s in S[1:-1]])
+    idx = np.clip(np.searchsorted(cum, target), 1, len(nodes) - 1)
+    start, base = nodes[idx - 1], cum[idx - 1]
+    lo, hi = start.copy(), nodes[idx].copy()
+    # All samples bisect in lockstep, one batch of walks per step.  A
+    # sample whose walk fails stops; the lowest such sample's failure is
+    # the one a sample-by-sample loop would raise.
+    failures: dict[int, Exception] = {}
     width_floor = _INVERT_TOL * endpoint.A0
-    for j in range(1, n_samples - 1):
-        # Target cumulative value measured from A_f: ln((1+a^2 Q1)/(1+a^2 S)).
-        target = expected - math.log1p(a2 * S[j])
-        idx = int(np.searchsorted(cum, target))
-        idx = min(max(idx, 1), len(nodes) - 1)
-        lo, hi = nodes[idx - 1], nodes[idx]
-        base = cum[idx - 1]
-        while hi - lo > width_floor:
-            mid = 0.5 * (lo + hi)
-            seg = integrate_adaptive(phi, nodes[idx - 1], mid)[1]
-            if base + seg < target:
-                lo = mid
-            else:
-                hi = mid
-        A[j] = 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > width_floor)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        seg, handoff = integrate_batch(phi, start[live], mid)[1:]
+        ok = np.ones(live.size, dtype=bool)
+        for k in handoff.tolist():
+            try:
+                seg[k] = integrate_adaptive(phi, start[live[k]], mid[k])[1]
+            except Exception as exc:  # noqa: BLE001 - raised below, lowest sample first
+                failures[int(live[k])] = exc
+                ok[k] = False
+        below = base[live] + seg < target[live]
+        lo[live[ok & below]] = mid[ok & below]
+        hi[live[ok & ~below]] = mid[ok & ~below]
+        live = live[ok]
+        live = live[hi[live] - lo[live] > width_floor]
+    if failures:
+        raise failures[min(failures)]
+    A[1:-1] = 0.5 * (lo + hi)
     return S, A
 
 
@@ -183,10 +209,8 @@ def reconstruct_barred(
     # Integral of f/(1+w f^2) from A[j] to A0, accumulated right to left.
     upper = np.empty(n)
     upper[0] = 0.0
-    for j in range(1, n):
-        seg = integrate_adaptive(phi, A[j], A[j - 1])[0]
-        upper[j] = upper[j - 1] + seg
-    U = upper / c1
+    upper[1:] = _walks(phi, A[1:], A[:-1])[0]
+    U = np.cumsum(upper) / c1
     Tbar = Sbar * U
     Rbar = Tbar * Tbar / Sbar - Sbar * A / (c1 * c1)
     Zbar = c1**4 * B / Sbar

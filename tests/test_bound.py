@@ -1,5 +1,6 @@
 """Tests for the stable branch, the endpoint quadrature and its settings, the
-endpoint solve, and the bound itself.
+batch walk and the lockstep scan (each tied bit for bit to its scalar loop),
+the endpoint solve, and the bound itself.
 
 The heavyweight check re-derives the bound at a fixed pair through an
 entirely independent path: QUADPACK quadrature, scipy's brentq on the raw
@@ -9,6 +10,7 @@ expm1 rewrite).  Agreement to 1e-9 pins every formula at once.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from scipy.optimize import brentq
 
 from linrelay import bound
 from linrelay.bound import (
+    _FEASIBILITY_ERRORS,
     _SCAN_QUADRATURE,
+    _SCAN_ROOT_TOL,
     DEFAULT_QUADRATURE,
     TWO_LN2,
     BoundaryPair,
@@ -28,6 +32,7 @@ from linrelay.bound import (
     compute_phi,
     f_eval,
     integrate_adaptive,
+    integrate_batch,
     optimize_bound,
     solve_endpoint,
     theorem_bound,
@@ -196,6 +201,24 @@ def _random_cases(n, seed):
     return cases
 
 
+def _log_uniform_intervals(n, seed):
+    # (phi, lo, hi) over about 12 decades: phi from a log-uniform pair, lo
+    # near its A_f and hi up to half a decade above lo; then intervals that
+    # integrate_adaptive refuses or fails on at any tolerance (empty,
+    # reversed, at 0, NaN, non-finite integrand).
+    rng = np.random.default_rng(seed)
+    A_f, B_f = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, n))
+    phi = [compute_phi(BoundaryPair(A_f=float(a), B_f=float(b))) for a, b in zip(A_f, B_f)]
+    lo = A_f * 10.0 ** rng.uniform(-0.5, 0.5, n)
+    hi = lo * 10.0 ** rng.uniform(0.0, 0.5, n)
+    extra = [(1.0, 2.0, 2.0), (1.0, 2.0, 1.0), (1.0, 0.0, 1.0), (1.0, math.nan, 1.0),
+             (1e308, 10.0, 20.0), (1e150, 1e-10, 2e-10)]
+    phi = np.array(phi + [e[0] for e in extra])
+    lo = np.concatenate((lo, [e[1] for e in extra]))
+    hi = np.concatenate((hi, [e[2] for e in extra]))
+    return phi, lo, hi
+
+
 class TestParams:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, math.nan)])
     def test_channel_rejects_bad_gains(self, a, b):
@@ -357,6 +380,80 @@ class TestIntegrateAdaptive:
         right = integrate_adaptive(phi, mid, hi)
         for k in range(2):
             assert whole[k] == pytest.approx(left[k] + right[k], rel=1e-11, abs=1e-12)
+
+
+class TestIntegrateBatch:
+    @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, _SCAN_QUADRATURE], ids=["default", "scan"])
+    def test_matches_the_scalar_walk_bit_for_bit(self, spec):
+        phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
+        i1, i2, handoff = integrate_batch(phi, lo, hi, spec)
+        handoff = set(handoff.tolist())
+        failing = budget = 0
+        for i in range(lo.size):
+            scalar = _outcome(lambda: integrate_adaptive(phi[i], lo[i], hi[i], spec))
+            if isinstance(scalar[0], type):
+                # Every walk the scalar walk fails on is left to it.
+                assert i in handoff, (phi[i], lo[i], hi[i])
+                failing += 1
+            elif i in handoff:
+                budget += 1
+            else:
+                assert (float(i1[i]).hex(), float(i2[i]).hex()) == scalar, (phi[i], lo[i], hi[i])
+        # The set reaches failures and, at the default tolerance, trees
+        # larger than the batch's node budget.
+        assert failing >= 5
+        assert budget >= (5 if spec is DEFAULT_QUADRATURE else 0)
+
+    def test_one_phi_for_all_intervals(self):
+        lo = np.geomspace(0.3, 3.0, 9)
+        i1, i2, handoff = integrate_batch(1.25, lo[:-1], lo[1:])
+        assert handoff.size == 0
+        for k in range(8):
+            assert (i1[k], i2[k]) == integrate_adaptive(1.25, lo[k], lo[k + 1])
+
+
+def _pair_by_pair_candidates(channel):
+    # The scan as a loop of theorem_bound calls, one per grid pair.
+    a2 = channel.a * channel.a
+    candidates = []
+    for rho in bound._rho_grid():
+        for bf in bound._bf_grid(1e-3, 1e3, 25):
+            try:
+                ev = theorem_bound(
+                    BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_QUADRATURE, _SCAN_ROOT_TOL
+                )
+            except _FEASIBILITY_ERRORS:
+                continue
+            if math.isfinite(ev.normalized):
+                candidates.append((ev.normalized, rho, bf))
+    return sorted(candidates)
+
+
+class TestScan:
+    # The benchmark's and the README's channels (2.2360679774997902 is the
+    # middle b of the benchmark's three-point sweep from 0.5 to 10), and a
+    # weak relay at a = 0.01.
+    @pytest.mark.parametrize(
+        "a,b",
+        [(1.1, 2.0), (1.1, 0.5), (1.1, 2.2360679774997902), (1.1, 10.0), (0.5, 0.5),
+         (0.01, 1.0)],
+    )
+    def test_lockstep_candidates_equal_pair_by_pair(self, a, b):
+        channel = ChannelParams(a=a, b=b)
+        assert bound._scan(channel, 1e-3, 1e3) == _pair_by_pair_candidates(channel)
+
+    def test_memory_bound(self):
+        # A wave of suspended endpoint solves and the batch walk's slices.
+        channel = ChannelParams(a=0.5, b=0.5)
+        bound._scan(channel, 1e-3, 1e3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bound._scan(channel, 1e-3, 1e3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
 
 class TestSolveEndpoint:

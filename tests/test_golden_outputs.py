@@ -54,6 +54,17 @@ def test_optimized_bound_stdout(optimized_cache, monkeypatch, capsys):
     )
 
 
+def test_optimized_verify_stdout_at_benchmark_samples(optimized_cache, monkeypatch, capsys):
+    # The benchmark's verify command: the trajectory rebuilt at 4096
+    # samples from the cached optimum.
+    monkeypatch.setattr(cli, "optimize_bound", lambda ch: optimized_cache(ch.a, ch.b))
+    argv = ["verify", "--a", "1.1", "--b", "2.0", "--n-samples", "4096"]
+    assert cli.main(argv) == 0
+    assert _digest(capsys.readouterr().out.encode()) == (
+        "a8dad07b0b7b79a20244dbfe1413b5fe02ea5400b7d42982f100b7eb2d76c08b"
+    )
+
+
 def test_sweep_csv(optimized_cache, two_by_two_cache, monkeypatch, tmp_path):
     # Both rows are b = 2.0, whose results the shared caches already hold.
     monkeypatch.setattr(

@@ -1,4 +1,8 @@
-"""Unit tests for the root and simplex kernels."""
+"""Unit tests for the root and simplex kernels.
+
+scipy's brentq is the oracle of the Brent port: the port must probe the
+same points in the same order and return the same root, bit for bit.
+"""
 from __future__ import annotations
 
 import math
@@ -7,9 +11,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from linrelay.errors import NoBracketError, NonFiniteError
+from linrelay.bound import _FEASIBILITY_ERRORS
+from linrelay.errors import (
+    EXIT_COLLAPSE,
+    NoBracketError,
+    NonFiniteError,
+    RootNotConvergedError,
+)
 from linrelay.numerics import find_root_bracketed, minimize_simplex
+
+# Families of bracketed functions, each with its root parameter c in (0, 1):
+# smooth, flat, steep, nearly discontinuous and underflowing (where the
+# product of the end values is 0 but their signs differ).
+_FAMILIES = {
+    "cubic": lambda c: lambda x: x**3 - c**3,
+    "cosine": lambda c: lambda x: math.cos(x) - math.cos(c),
+    "exp": lambda c: lambda x: math.expm1(x) - math.expm1(c),
+    "atan": lambda c: lambda x: math.atan(50.0 * (x - c)) + 1e-3 * (x - c) ** 3,
+    "tanh": lambda c: lambda x: math.tanh(1e3 * (x - c)),
+    "tiny": lambda c: lambda x: 1e-200 * (x - c) * (1.0 + (x - c) ** 2),
+}
+_RTOLS = {"1e-13": 1e-13, "1e-9": 1e-9, "4ulp": 4.0 * np.finfo(float).eps}
 
 
 class TestFindRootBracketed:
@@ -36,6 +60,51 @@ class TestFindRootBracketed:
         g = lambda x: (x - root) * (1.0 + (x - root) ** 2)
         found = find_root_bracketed(g, 0.0, 1.0)
         assert found == pytest.approx(root, abs=1e-12)
+
+
+class TestBrentPort:
+    @pytest.mark.parametrize("rtol", list(_RTOLS.values()), ids=list(_RTOLS))
+    @pytest.mark.parametrize("family", list(_FAMILIES.values()), ids=list(_FAMILIES))
+    def test_same_probes_and_root_as_scipy(self, family, rtol):
+        rng = np.random.default_rng(7)
+        for c, hi in zip(rng.uniform(0.05, 0.95, 12), rng.uniform(1.0, 3.0, 12)):
+            g = family(float(c))
+            probes = {"port": [], "scipy": []}
+
+            def recorded(side):
+                def call(x):
+                    probes[side].append(x)
+                    return g(x)
+
+                return call
+
+            ours = find_root_bracketed(recorded("port"), 0.0, float(hi), tol=rtol)
+            theirs = brentq(recorded("scipy"), 0.0, float(hi), xtol=1e-300, rtol=rtol)
+            assert float(ours).hex() == float(theirs).hex()
+            assert [float(x).hex() for x in probes["port"]] == [
+                float(x).hex() for x in probes["scipy"]
+            ]
+
+    def test_iteration_cap_is_a_typed_collapse(self):
+        # A sign jump at 0 with xtol=1e-300: bisection would need about a
+        # thousand halvings, more than the 100 iterations allowed.
+        with pytest.raises(RootNotConvergedError):
+            find_root_bracketed(lambda x: 1.0 if x > 0 else -1.0, -1.0, 1.0)
+        assert RootNotConvergedError.exit_code == EXIT_COLLAPSE
+        # A pair whose root search runs out is a fault, not an infeasible
+        # scan point.
+        assert not issubclass(RootNotConvergedError, _FEASIBILITY_ERRORS)
+
+    @pytest.mark.parametrize("nan_call", [0, 1, 2], ids=["lo", "hi", "interior"])
+    def test_nan_value_is_non_finite(self, nan_call):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.nan if len(calls) == nan_call + 1 else x - 0.3
+
+        with pytest.raises(NonFiniteError):
+            find_root_bracketed(g, -1.0, 1.0)
 
 
 class TestMinimizeSimplex:

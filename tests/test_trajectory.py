@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from linrelay.bound import (
     solve_endpoint,
     theorem_bound,
 )
+from linrelay import trajectory
+from linrelay.bound import integrate_adaptive
 from linrelay.errors import DegenerateBoundError, ProfileMismatchError
 from linrelay.trajectory import (
     build_trajectory,
@@ -88,6 +91,40 @@ class TestInvertAProfile:
             invert_A_profile(endpoint, A11, -1.0, 16)
         with pytest.raises(ValueError):
             invert_A_profile(endpoint, A11, 0.1, 1)
+
+
+class TestBatchedWalks:
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1]], ids=["3e-10 first", "1e-10 first"])
+    def test_first_failure_in_index_order(self, order):
+        # At phi = 1e150 f^2 overflows at both failing intervals; the one
+        # near 1e-160 integrates.  The batch must raise what a loop of
+        # integrate_adaptive calls over the same order raises first.
+        phi = 1e150
+        lo = np.array([1e-160, 3e-10, 1e-10])[order]
+        hi = np.array([2e-160, 5e-10, 2e-10])[order]
+
+        def outcome(call):
+            try:
+                call()
+            except Exception as exc:  # noqa: BLE001 - the failure is the outcome
+                return type(exc), str(exc)
+            return None
+
+        loop = outcome(lambda: [integrate_adaptive(phi, l, h) for l, h in zip(lo, hi)])
+        assert loop is not None
+        assert outcome(lambda: trajectory._walks(phi, lo, hi)) == loop
+
+    def test_rebuild_memory_bound(self, endpoint):
+        # The benchmark's 4096 samples: the grid itself is about 0.4 MB.
+        build_trajectory(endpoint, A11, n_samples=4096)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_trajectory(endpoint, A11, n_samples=4096)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestUnbar:
