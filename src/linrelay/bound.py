@@ -15,8 +15,10 @@ and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
 walk raises the first failure it meets, of either integral.
-integrate_batch walks many intervals at once in numpy with the same bits;
-the scan solves all its grid pairs in lockstep through it, each solve a
+integrate_batch walks many intervals at once in numpy with the same bits
+and answers every one of them: the walks it cannot do itself it finishes
+with integrate_adaptive, which gives each failure its exact error.  The
+scan solves all its grid pairs in lockstep through it, each solve a
 generator of walk requests (_endpoint_steps) that solve_endpoint drives
 with integrate_adaptive.
 """
@@ -452,9 +454,8 @@ def integrate_adaptive(
 # a failing node near the lower limit (where the jitter-limited integrands
 # that fail at the depth cap fail) after a few hundred nodes, as the
 # depth-first walk does, where a level-by-level walk would first fill out
-# every level above the cap.  A tree that needs more than _BATCH_TREE nodes
-# is left to integrate_adaptive.
-_BATCH_TREE = 4096
+# every level above the cap.  Every tree is walked to its end or its first
+# failure, however many nodes it takes.
 _BATCH_LEVEL = 512
 
 
@@ -508,7 +509,8 @@ class _Forest:
     lo and hi, f8 the rows fa, fm, fb and the Simpson estimate whole, each
     for both integrals (rows 0 and 1 of every pair), and active whether
     each integral still refines at the node (_two while both do, _one
-    after).  A tree is gone once it is left to integrate_adaptive.
+    after).  A tree is gone once one of its nodes fails; integrate_batch
+    then finishes it with integrate_adaptive.
     """
 
     def __init__(self, phi: np.ndarray, roots: tuple, spec: QuadratureSpec) -> None:
@@ -517,13 +519,12 @@ class _Forest:
         self.phi = phi
         self.eps15 = 15.0 * np.where(scaled > spec.tol, scaled, spec.tol)
         self.max_depth = spec.max_depth
-        self.sizes = np.ones(phi.size, dtype=np.intp)
         self.gone = ~np.isfinite(f8[:6]).all(axis=0)
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
         """The (I1, I2) values of nodes at one depth, as _two and _one return them.
 
-        Nodes of trees handed off get zeros.  Node sets are passed inline
+        Nodes of gone trees get zeros.  Node sets are passed inline
         (list.pop()), so that each call owns its nodes and can free them
         before it goes deeper.
         """
@@ -583,9 +584,6 @@ class _Forest:
             bad |= split
         self.gone[walk[bad[0] | bad[1]]] = True
         parent = (split[0] | split[1]) & ~self.gone[walk]
-        self.sizes += 2 * np.bincount(walk[parent], minlength=self.sizes.size)
-        self.gone |= self.sizes > _BATCH_TREE
-        parent &= ~self.gone[walk]
         idx = parent.nonzero()[0]
         sel = np.concatenate((idx, idx + m))
         split = split.take(idx, axis=1)
@@ -604,7 +602,7 @@ def integrate_batch(
     lo,
     hi,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Both endpoint integrals over many intervals, walked level by level.
 
     Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec):
@@ -612,7 +610,9 @@ def integrate_batch(
     operations in the same order, the same exhaustion and error tests, the
     same eps halving and the same switch from both integrals to one, and
     each node's value is left + right of its children's, as in the
-    recursive walk.
+    recursive walk.  The intervals integrate_adaptive refuses and the
+    trees that fail are finished by integrate_adaptive itself, in
+    ascending index order, so each failure is its exact error.
 
     Args:
         phi: The conserved constant, one per interval or one for all.
@@ -621,12 +621,10 @@ def integrate_batch(
         spec: Tolerance and recursion cap, applied to each integral.
 
     Returns:
-        (I1, I2, handoff): the two integrals per interval, and the
-        ascending indices of the intervals left to integrate_adaptive,
-        whose I1 and I2 read 0.  These are the intervals integrate_adaptive
-        refuses or fails on, and the trees that outgrow the batch's node
-        budget; integrate_adaptive on each finishes it or raises its exact
-        error.
+        (I1, I2, failures): the two integrals per interval, and a dict from
+        the index of each interval integrate_adaptive fails on to the
+        exception it raises there, its traceback dropped.  Failed entries
+        of I1 and I2 read NaN.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -643,8 +641,15 @@ def integrate_batch(
             forest = _Forest(p, roots[0], spec)
             integrals[:, chunk] = forest.values(0, roots.pop())
             handoff[chunk[forest.gone]] = True
-    integrals[:, handoff] = 0.0
-    return integrals[0], integrals[1], np.flatnonzero(handoff)
+    failures: dict[int, Exception] = {}
+    for i in np.flatnonzero(handoff).tolist():
+        # Python floats, so that a refusal's message reads as a scalar call's.
+        try:
+            integrals[:, i] = integrate_adaptive(float(phi[i]), float(lo[i]), float(hi[i]), spec)
+        except Exception as exc:  # noqa: BLE001 - returned as the walk's outcome
+            failures[i] = exc.with_traceback(None)
+            integrals[:, i] = math.nan
+    return integrals[0], integrals[1], failures
 
 
 class _CumulativeIntegrals:
@@ -764,25 +769,19 @@ def _endpoint_steps(pair: BoundaryPair, channel: ChannelParams, root_tol: float)
     )
 
 
-def solve_endpoint(
-    pair: BoundaryPair,
-    channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    root_tol: float = 1e-13,
-) -> EndpointSolution:
+def solve_endpoint(pair: BoundaryPair, channel: ChannelParams) -> EndpointSolution:
     """Solve the coupled integral equations for the endpoint (A0, psi).
 
     A0 is the unique root of the monotone zero function; the bracket starts
     at [A_f, max(2 A_f, 1)] and the upper end doubles until the sign flips.
     psi then follows from the second integral equation, and the first
     equation is evaluated as an independent residual check.  Each walk is
-    one integrate_adaptive call.
+    one integrate_adaptive call at DEFAULT_QUADRATURE, and the root is
+    bracketed to a relative 1e-13.
 
     Args:
         pair: Terminal pair strictly inside the a^2 boundary.
         channel: Channel gains.
-        quadrature: Quadrature control for the integral evaluations.
-        root_tol: Relative bracket tolerance for the A0 root.
 
     Returns:
         The endpoint solution with both residuals populated.
@@ -794,8 +793,8 @@ def solve_endpoint(
         BracketOverflowError: If no sign change appears below the growth cap.
     """
     return drive_steps(
-        _endpoint_steps(pair, channel, root_tol),
-        lambda request: integrate_adaptive(*request, quadrature),
+        _endpoint_steps(pair, channel, 1e-13),
+        lambda request: integrate_adaptive(*request),
     )
 
 
@@ -857,12 +856,7 @@ def lambda_and_Q1(
     return lam, Q1
 
 
-def theorem_bound(
-    pair: BoundaryPair,
-    channel: ChannelParams,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    root_tol: float = 1e-13,
-) -> BoundEvaluation:
+def theorem_bound(pair: BoundaryPair, channel: ChannelParams) -> BoundEvaluation:
     """Energy-per-bit bound E(A_f, B_f) at one strictly interior pair.
 
     Solves the endpoint once and reads every energy term off it in closed
@@ -871,8 +865,6 @@ def theorem_bound(
     Args:
         pair: Terminal pair with A_f/B_f strictly inside the a^2 boundary.
         channel: Channel gains.
-        quadrature: Quadrature control.
-        root_tol: Root tolerance passed to the endpoint solve.
 
     Returns:
         The bound evaluation with all intermediate constants.
@@ -882,7 +874,7 @@ def theorem_bound(
         DegenerateBoundError: At or numerically too close to the boundary
             (check_pair, Q1 <= 0, log_arg <= 1, or nonpositive total energy).
     """
-    return _bound_at(solve_endpoint(pair, channel, quadrature, root_tol), channel)
+    return _bound_at(solve_endpoint(pair, channel), channel)
 
 
 def _bound_at(ep: EndpointSolution, channel: ChannelParams) -> BoundEvaluation:
@@ -1015,13 +1007,14 @@ def _scan(
 ) -> list[tuple[float, float, float]]:
     """The scan's sorted candidates (normalized, rho, B_f) on the 24 x 25 grid.
 
-    Each candidate is theorem_bound(pair, channel, _SCAN_QUADRATURE,
-    _SCAN_ROOT_TOL) at a grid pair, bit for bit, and a pair is dropped
-    where that call raises a feasibility error.  The endpoints are solved
-    in lockstep, _SCAN_WAVE pairs at a time: every round answers each live
-    solve's next walk request with one integrate_batch call, and the walks
-    it hands off with integrate_adaptive.  The closed forms and floors then
-    run pair by pair in grid order, so any other error is raised where the
+    Each candidate is theorem_bound's closed forms and floors (_bound_at)
+    at the endpoint _endpoint_steps solves for a grid pair with
+    _SCAN_ROOT_TOL and walks at _SCAN_QUADRATURE, bit for bit, and a pair
+    is dropped where that raises a feasibility error.  The endpoints are
+    solved in lockstep, _SCAN_WAVE pairs at a time: every round answers
+    each live solve's next walk request with one integrate_batch call,
+    whose failures end their solves.  The closed forms and floors then run
+    pair by pair in grid order, so any other error is raised where the
     pair-by-pair loop would raise it.
     """
     a2 = channel.a * channel.a
@@ -1040,13 +1033,10 @@ def _scan(
         while live:
             requests = [request for _, request in live.values()]
             phi, lo, hi = (np.array(column) for column in zip(*requests))
-            i1, i2, handoff = integrate_batch(phi, lo, hi, _SCAN_QUADRATURE)
+            i1, i2, failures = integrate_batch(phi, lo, hi, _SCAN_QUADRATURE)
             answers: list = list(zip(i1.tolist(), i2.tolist()))
-            for j in handoff.tolist():
-                try:
-                    answers[j] = integrate_adaptive(*requests[j], _SCAN_QUADRATURE)
-                except Exception as exc:  # noqa: BLE001 - raised below in grid order
-                    answers[j] = _kept(exc)
+            for j, exc in failures.items():
+                answers[j] = exc
             advanced = {}
             for (i, (steps, _)), answer in zip(live.items(), answers):
                 if isinstance(answer, Exception):

@@ -18,6 +18,8 @@ from .bound import (
     ChannelParams,
     EndpointSolution,
     f_eval,
+    # integrate_adaptive is not called here; perfbench/tracing.py wraps it
+    # under this module's name.
     integrate_adaptive,
     integrate_batch,
     lambda_and_Q1,
@@ -80,28 +82,19 @@ class IdentityCheck:
         return self.worst_residual <= self.tolerance
 
 
-def _walks(phi: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoint integrals over each [lo[i], hi[i]], as integrate_adaptive gives them.
-
-    integrate_batch walks them all at once; the walks it hands off are
-    finished here in index order by integrate_adaptive, which raises the
-    failure the first failing walk of a loop over i would raise.
-    """
-    i1, i2, handoff = integrate_batch(phi, lo, hi)
-    for i in handoff.tolist():
-        i1[i], i2[i] = integrate_adaptive(phi, lo[i], hi[i])
-    return i1, i2
-
-
 def _profile_tables(endpoint: EndpointSolution) -> tuple[np.ndarray, np.ndarray]:
     """Fine monotone grid in w on [A_f, A0] and cumulative second integral."""
     A_f, A0 = endpoint.A_f, endpoint.A0
     phi = endpoint.phi
     nodes = np.geomspace(A_f, A0, _PROFILE_NODES)
     nodes[0], nodes[-1] = A_f, A0
+    _, i2, failures = integrate_batch(phi, nodes[:-1], nodes[1:])
+    # The lowest failing cell's error is the one a loop over cells raises.
+    if failures:
+        raise failures[min(failures)]
     pieces = np.empty(_PROFILE_NODES)
     pieces[0] = 0.0
-    pieces[1:] = _walks(phi, nodes[:-1], nodes[1:])[1]
+    pieces[1:] = i2
     return nodes, np.cumsum(pieces)
 
 
@@ -163,14 +156,10 @@ def invert_A_profile(
     live = np.flatnonzero(hi - lo > width_floor)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        seg, handoff = integrate_batch(phi, start[live], mid)[1:]
+        seg, failed = integrate_batch(phi, start[live], mid)[1:]
         ok = np.ones(live.size, dtype=bool)
-        for k in handoff.tolist():
-            try:
-                seg[k] = integrate_adaptive(phi, start[live[k]], mid[k])[1]
-            except Exception as exc:  # noqa: BLE001 - raised below, lowest sample first
-                failures[int(live[k])] = exc
-                ok[k] = False
+        ok[list(failed)] = False
+        failures.update((int(live[k]), exc) for k, exc in failed.items())
         below = base[live] + seg < target[live]
         lo[live[ok & below]] = mid[ok & below]
         hi[live[ok & ~below]] = mid[ok & ~below]
@@ -207,9 +196,12 @@ def reconstruct_barred(
     B = np.array([f_eval(w, phi) for w in A])
 
     # Integral of f/(1+w f^2) from A[j] to A0, accumulated right to left.
+    i1, _, failures = integrate_batch(phi, A[1:], A[:-1])
+    if failures:
+        raise failures[min(failures)]
     upper = np.empty(n)
     upper[0] = 0.0
-    upper[1:] = _walks(phi, A[1:], A[:-1])[0]
+    upper[1:] = i1
     U = np.cumsum(upper) / c1
     Tbar = Sbar * U
     Rbar = Tbar * Tbar / Sbar - Sbar * A / (c1 * c1)

@@ -24,6 +24,8 @@ from linrelay.bound import (
     _FEASIBILITY_ERRORS,
     _SCAN_QUADRATURE,
     _SCAN_ROOT_TOL,
+    _bound_at,
+    _endpoint_steps,
     DEFAULT_QUADRATURE,
     TWO_LN2,
     BoundaryPair,
@@ -43,6 +45,7 @@ from linrelay.errors import (
     DomainError,
     NonFiniteError,
 )
+from linrelay.numerics import drive_steps
 
 A11 = ChannelParams(a=1.1, b=2.0)
 
@@ -384,43 +387,70 @@ class TestIntegrateAdaptive:
 
 class TestIntegrateBatch:
     @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, _SCAN_QUADRATURE], ids=["default", "scan"])
-    def test_matches_the_scalar_walk_bit_for_bit(self, spec):
+    def test_matches_the_scalar_walk_bit_for_bit(self, spec, monkeypatch):
         phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
-        i1, i2, handoff = integrate_batch(phi, lo, hi, spec)
-        handoff = set(handoff.tolist())
-        failing = budget = 0
-        for i in range(lo.size):
-            scalar = _outcome(lambda: integrate_adaptive(phi[i], lo[i], hi[i], spec))
-            if isinstance(scalar[0], type):
-                # Every walk the scalar walk fails on is left to it.
-                assert i in handoff, (phi[i], lo[i], hi[i])
-                failing += 1
-            elif i in handoff:
-                budget += 1
+        i1, i2, failures = integrate_batch(phi, lo, hi, spec)
+        # f evaluations of each scalar walk: a tree of n nodes takes at
+        # most 2n + 1 of them.
+        evals = [0]
+        real = bound._f_terms
+
+        def counted(w, p):
+            evals[0] += 1
+            return real(w, p)
+
+        monkeypatch.setattr(bound, "_f_terms", counted)
+        large = 0
+        for i, interval in enumerate(zip(phi.tolist(), lo.tolist(), hi.tolist())):
+            evals[0] = 0
+            scalar = _outcome(lambda: integrate_adaptive(*interval, spec))
+            if i in failures:
+                exc = failures[i]
+                assert (type(exc), str(exc)) == scalar, interval
+                assert exc.__traceback__ is None
+                assert math.isnan(i1[i]) and math.isnan(i2[i])
             else:
-                assert (float(i1[i]).hex(), float(i2[i]).hex()) == scalar, (phi[i], lo[i], hi[i])
-        # The set reaches failures and, at the default tolerance, trees
-        # larger than the batch's node budget.
-        assert failing >= 5
-        assert budget >= (5 if spec is DEFAULT_QUADRATURE else 0)
+                assert (float(i1[i]).hex(), float(i2[i]).hex()) == scalar, interval
+                large += evals[0] > 2 * 4096 + 1
+        # The set reaches failures and, at the default tolerance, trees of
+        # more than 4,096 nodes, which the batch walks to the end.
+        assert len(failures) >= 5
+        assert large >= (5 if spec is DEFAULT_QUADRATURE else 0)
+
+    def test_memory_bound(self):
+        # The walk's slices bound its memory, trees of more than 4,096
+        # nodes and the failing walks included.
+        phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
+        integrate_batch(phi, lo, hi)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            integrate_batch(phi, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     def test_one_phi_for_all_intervals(self):
         lo = np.geomspace(0.3, 3.0, 9)
-        i1, i2, handoff = integrate_batch(1.25, lo[:-1], lo[1:])
-        assert handoff.size == 0
+        i1, i2, failures = integrate_batch(1.25, lo[:-1], lo[1:])
+        assert failures == {}
         for k in range(8):
             assert (i1[k], i2[k]) == integrate_adaptive(1.25, lo[k], lo[k + 1])
 
 
 def _pair_by_pair_candidates(channel):
-    # The scan as a loop of theorem_bound calls, one per grid pair.
+    # The scan as a loop of scalar bound evaluations at the scan's
+    # tolerances, one per grid pair.
     a2 = channel.a * channel.a
     candidates = []
     for rho in bound._rho_grid():
         for bf in bound._bf_grid(1e-3, 1e3, 25):
+            steps = _endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
             try:
-                ev = theorem_bound(
-                    BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_QUADRATURE, _SCAN_ROOT_TOL
+                ev = _bound_at(
+                    drive_steps(steps, lambda r: integrate_adaptive(*r, _SCAN_QUADRATURE)),
+                    channel,
                 )
             except _FEASIBILITY_ERRORS:
                 continue
@@ -559,10 +589,9 @@ class TestOptimizeBound:
         solved = []
         real = bound.theorem_bound
 
-        def spy(pair, channel, quadrature=DEFAULT_QUADRATURE, root_tol=1e-13):
-            if quadrature is DEFAULT_QUADRATURE:
-                solved.append((pair.A_f, pair.B_f))
-            return real(pair, channel, quadrature, root_tol)
+        def spy(pair, channel):
+            solved.append((pair.A_f, pair.B_f))
+            return real(pair, channel)
 
         monkeypatch.setattr(bound, "theorem_bound", spy)
         ev = optimize_bound(A11)

@@ -28,9 +28,11 @@ def test_traced_name_resolves_to_callable(module, attr):
 
 
 def test_trajectory_uses_the_traced_walk():
-    # The tracer wraps the endpoint walk under both names.  A second
-    # quadrature in the trajectory would leave its `trajectory.quad` spans
-    # empty without any other failure.
+    # The tracer wraps the endpoint walk under both names.  The trajectory
+    # takes its walks from integrate_batch, whose hand-offs to the scalar
+    # walk go through bound's name and trace as `numerics.quad`; the
+    # trajectory's name stays bound to the same walk, so `trajectory.quad`
+    # still resolves.
     bound = importlib.import_module("linrelay.bound")
     trajectory = importlib.import_module("linrelay.trajectory")
     assert trajectory.integrate_adaptive is bound.integrate_adaptive

@@ -12,18 +12,19 @@ from scipy.integrate import quad
 from linrelay.bound import (
     BoundaryPair,
     ChannelParams,
+    EndpointSolution,
     f_eval,
     lambda_and_Q1,
     solve_endpoint,
     theorem_bound,
 )
-from linrelay import trajectory
-from linrelay.bound import integrate_adaptive
+from linrelay.bound import integrate_adaptive, integrate_batch
 from linrelay.errors import DegenerateBoundError, ProfileMismatchError
 from linrelay.trajectory import (
     build_trajectory,
     check_identities,
     invert_A_profile,
+    reconstruct_barred,
     unbar,
 )
 
@@ -93,26 +94,55 @@ class TestInvertAProfile:
             invert_A_profile(endpoint, A11, 0.1, 1)
 
 
+def _first_failure(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome
+        return type(exc), str(exc)
+    return None
+
+
+def _loop(phi, lo, hi):
+    # The first failure of a loop of scalar walks over the intervals.
+    return _first_failure(
+        lambda: [integrate_adaptive(phi, l, h) for l, h in zip(lo.tolist(), hi.tolist())]
+    )
+
+
 class TestBatchedWalks:
+    # At phi = 1e150 f^2 overflows, and the second integrand is NaN, from
+    # about w = 1e-150 to 1e-4; near 1e-160 and above 1 both integrate.
     @pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1]], ids=["3e-10 first", "1e-10 first"])
     def test_first_failure_in_index_order(self, order):
-        # At phi = 1e150 f^2 overflows at both failing intervals; the one
-        # near 1e-160 integrates.  The batch must raise what a loop of
+        # The batch's lowest failing index holds what a loop of
         # integrate_adaptive calls over the same order raises first.
         phi = 1e150
         lo = np.array([1e-160, 3e-10, 1e-10])[order]
         hi = np.array([2e-160, 5e-10, 2e-10])[order]
-
-        def outcome(call):
-            try:
-                call()
-            except Exception as exc:  # noqa: BLE001 - the failure is the outcome
-                return type(exc), str(exc)
-            return None
-
-        loop = outcome(lambda: [integrate_adaptive(phi, l, h) for l, h in zip(lo, hi)])
+        loop = _loop(phi, lo, hi)
         assert loop is not None
-        assert outcome(lambda: trajectory._walks(phi, lo, hi)) == loop
+        failures = integrate_batch(phi, lo, hi)[2]
+        assert sorted(failures) == [1, 2]
+        first = failures[min(failures)]
+        assert (type(first), str(first)) == loop
+
+    @pytest.mark.parametrize(
+        "A", [[5e-10, 3e-10, 1e-10, 1e-160], [2.0, 1.0, 3e-10, 1e-10]],
+        ids=["first cell fails", "first cell integrates"],
+    )
+    # B = f(A) at the samples overflows in numpy scalars on the way.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rebuild_raises_the_first_failing_cell(self, A):
+        # reconstruct_barred walks cell j from A[j + 1] up to A[j], so its
+        # cells run down in w; both arrays have two or more failing cells.
+        endpoint = EndpointSolution(
+            phi=1e150, A0=A[0], psi=1.0, B0=f_eval(A[0], 1e150), A_f=A[-1], B_f=1.0,
+            i2_value=0.0, residual_first=0.0, residual_second=0.0,
+        )
+        A = np.array(A)
+        loop = _loop(1e150, A[1:], A[:-1])
+        assert loop is not None
+        assert _first_failure(lambda: reconstruct_barred(1.0 + A, A, endpoint, A11)) == loop
 
     def test_rebuild_memory_bound(self, endpoint):
         # The benchmark's 4096 samples: the grid itself is about 0.4 MB.
