@@ -8,7 +8,7 @@ and the block-Markov / cut-set / 2x2 baselines.
 from .baselines import (
     BoundsRecord,
     block_markov_bound,
-    bounds_record,
+    bounds_records,
     cutset_bound,
     two_by_two_bound,
 )
@@ -24,6 +24,7 @@ from .bound import (
     integrate_adaptive,
     lambda_and_Q1,
     optimize_bound,
+    optimize_bounds,
     solve_endpoint,
     theorem_bound,
 )
@@ -61,7 +62,7 @@ __all__ = [
     "RelayCode",
     "TrajectoryGrid",
     "block_markov_bound",
-    "bounds_record",
+    "bounds_records",
     "build_code",
     "build_trajectory",
     "check_identities",
@@ -76,6 +77,7 @@ __all__ = [
     "lambda_and_Q1",
     "minimize_simplex",
     "optimize_bound",
+    "optimize_bounds",
     "parse_code",
     "reconstruct_barred",
     "solve_endpoint",

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bound import TWO_LN2, BoundEvaluation, ChannelParams, optimize_bound
+# optimize_bound is not called here; perfbench/tracing.py wraps it under
+# this module's name.
+from .bound import TWO_LN2, BoundEvaluation, ChannelParams, optimize_bound, optimize_bounds
 from .codes import evaluate_rank1
 from .numerics import minimize_simplex
 
@@ -23,7 +26,7 @@ __all__ = [
     "block_markov_bound",
     "cutset_bound",
     "two_by_two_bound",
-    "bounds_record",
+    "bounds_records",
 ]
 
 _PENALTY = 1e9
@@ -150,14 +153,22 @@ def two_by_two_bound(channel: ChannelParams) -> float:
     return value if value < best else best
 
 
-def bounds_record(channel: ChannelParams) -> BoundsRecord:
-    """Compute all four normalized bounds for one channel point."""
-    two_by_two = two_by_two_bound(channel)
-    return BoundsRecord(
-        a=channel.a,
-        b=channel.b,
-        block_markov=block_markov_bound(channel),
-        cutset=cutset_bound(channel),
-        two_by_two=two_by_two,
-        rank1_eval=optimize_bound(channel),
-    )
+def bounds_records(channels: Sequence[ChannelParams]) -> Iterator[BoundsRecord]:
+    """All four normalized bounds for each channel point, in order.
+
+    The rank-1 searches of all the channels run in lockstep
+    (optimize_bounds).  Each channel's 2x2 baseline is computed in its turn,
+    before its rank-1 result is taken, so warnings and errors come out in
+    the order of a channel-by-channel loop.
+    """
+    rank1 = optimize_bounds(channels)
+    for channel in channels:
+        two_by_two = two_by_two_bound(channel)
+        yield BoundsRecord(
+            a=channel.a,
+            b=channel.b,
+            block_markov=block_markov_bound(channel),
+            cutset=cutset_bound(channel),
+            two_by_two=two_by_two,
+            rank1_eval=next(rank1),
+        )

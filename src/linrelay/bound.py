@@ -20,7 +20,11 @@ and answers every one of them: the walks it cannot do itself it finishes
 with integrate_adaptive, which gives each failure its exact error.  The
 scan solves all its grid pairs in lockstep through it, each solve a
 generator of walk requests (_endpoint_steps) that solve_endpoint drives
-with integrate_adaptive.
+with integrate_adaptive.  The refinement runs its Nelder-Mead starts
+(numerics.simplex_steps) in lockstep too, of one channel or of many
+(optimize_bounds): each probe pair's solve is such a generator, and each
+round's pending walks go to integrate_batch when there are enough of them
+and to integrate_adaptive when there are few.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +47,15 @@ from .errors import (
     NonFiniteError,
     RouteMismatchError,
 )
-# find_root_bracketed is not called here; perfbench/tracing.py wraps it
-# under this module's name.
-from .numerics import drive_steps, find_root_bracketed, minimize_simplex, root_steps
+# find_root_bracketed and minimize_simplex are not called here;
+# perfbench/tracing.py wraps them under this module's name.
+from .numerics import (
+    drive_steps,
+    find_root_bracketed,
+    minimize_simplex,
+    root_steps,
+    simplex_steps,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -63,6 +73,7 @@ __all__ = [
     "lambda_and_Q1",
     "theorem_bound",
     "optimize_bound",
+    "optimize_bounds",
 ]
 
 TWO_LN2 = 2.0 * math.log(2.0)
@@ -938,6 +949,11 @@ _SCAN_ROOT_TOL = 1e-9
 # per wave keeps batches wide enough that the scan is no slower.
 _SCAN_WAVE = 150
 
+# Pairs in flight at or above which a refinement round walks their pending
+# requests through integrate_batch; narrower rounds take the scalar walk,
+# which is faster there.  Measured in CHANGES.md.
+_LOCKSTEP_WIDTH = 6
+
 
 def _rho_grid() -> list[float]:
     # 24 points on [1e-3, 1 - 1e-6]: 12 log-spaced in rho up to 1/2, then 12
@@ -962,11 +978,12 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
 
     Strategy: scan a 24 x 25 log grid in (rho, B_f) with A_f = rho a^2 B_f,
     rho in [1e-3, 1 - 1e-6] and B_f in [1e-3, 1e3], then refine from the
-    best three grid points with Nelder-Mead in (logit rho, ln B_f)
-    coordinates, penalizing constraint violations.  The refinement solves
-    each distinct probe pair once per pass.  If the refined optimum
-    lands on the B_f cap the search is rerun once with the cap widened
-    tenfold and a warning is emitted.
+    best three grid points with Nelder-Mead (numerics.simplex_steps) in
+    (logit rho, ln B_f) coordinates, penalizing constraint violations.  The
+    three starts run in lockstep, and the refinement solves each distinct
+    probe pair once per pass.  If the refined optimum lands on the B_f cap
+    the search is rerun once with the cap widened tenfold and a warning is
+    emitted.
 
     Args:
         channel: Channel gains.
@@ -978,21 +995,61 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
     Raises:
         NoFeasiblePointError: If every grid point is degenerate.
     """
-    ev, on_cap = _optimize_bound_once(channel, bf_lo=1e-3, bf_hi=1e3)
-    if on_cap:
-        warnings.warn(
-            f"optimum B_f={ev.endpoint.B_f:g} landed on the search cap; widening tenfold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        ev, still_on_cap = _optimize_bound_once(channel, bf_lo=1e-4, bf_hi=1e4)
-        if still_on_cap:
-            warnings.warn(
-                f"optimum B_f={ev.endpoint.B_f:g} still on the widened cap; result suspect",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return ev
+    (optimum,) = _optimize([channel])
+    return optimum.result()
+
+
+def optimize_bounds(channels: Sequence[ChannelParams]) -> Iterator[BoundEvaluation]:
+    """optimize_bound for each channel in order, every channel's refinement in lockstep.
+
+    The searches of all channels run together at the first next(): the
+    scans one channel after another, then every start of every channel in
+    lockstep, and the channels whose optimum lands on the B_f cap take the
+    widened pass together.  Each evaluation is bit for bit optimize_bound's,
+    and each channel's warnings and error come out in its turn, as they
+    would from a loop of optimize_bound calls.
+    """
+    for optimum in _optimize(list(channels)):
+        yield optimum.result()
+
+
+class _Optimum:
+    """One channel's search: the cap warnings it emits, then its evaluation or error."""
+
+    def __init__(self) -> None:
+        self.notes: list[str] = []
+        self.outcome: BoundEvaluation | Exception | None = None
+
+    def result(self) -> BoundEvaluation:
+        # The warnings point at the caller of the public function that asks.
+        for note in self.notes:
+            warnings.warn(note, RuntimeWarning, stacklevel=3)
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def _optimize(channels: list[ChannelParams]) -> list[_Optimum]:
+    # Every channel's first pass, then the widened pass of those on the cap.
+    optima = [_Optimum() for _ in channels]
+    pending = list(range(len(channels)))
+    for bf_lo, bf_hi, note in (
+        (1e-3, 1e3, "landed on the search cap; widening tenfold"),
+        (1e-4, 1e4, "still on the widened cap; result suspect"),
+    ):
+        outcomes = _optimize_pass([channels[i] for i in pending], bf_lo, bf_hi)
+        widen = []
+        for i, outcome in zip(pending, outcomes):
+            if isinstance(outcome, Exception):
+                optima[i].outcome = outcome
+                continue
+            ev, on_cap = outcome
+            optima[i].outcome = ev
+            if on_cap:
+                optima[i].notes.append(f"optimum B_f={ev.endpoint.B_f:g} {note}")
+                widen.append(i)
+        pending = widen
+    return optima
 
 
 def _kept(exc: Exception) -> Exception:
@@ -1066,53 +1123,198 @@ def _scan(
     return candidates
 
 
-def _optimize_bound_once(
-    channel: ChannelParams, bf_lo: float, bf_hi: float
-) -> tuple[BoundEvaluation, bool]:
-    a = channel.a
-    a2 = a * a
+def _probe(x: np.ndarray, a2: float):
+    # The refinement objective's cheap part at x = (logit rho, ln B_f):
+    # _PENALTY outside the search box, else the exact pair (A_f, B_f) to solve.
+    logit_rho, log_bf = float(x[0]), float(x[1])
+    if abs(logit_rho) > 60.0 or abs(log_bf) > 60.0:
+        return _PENALTY
+    rho = 1.0 / (1.0 + math.exp(-logit_rho))
+    bf = math.exp(log_bf)
+    if rho >= 1.0 - RATIO_MARGIN:
+        return _PENALTY
+    return rho * a2 * bf, bf
 
-    candidates = _scan(channel, bf_lo, bf_hi)
-    if not candidates:
-        raise NoFeasiblePointError(
-            f"every grid point degenerate for a={a!r}, b={channel.b!r}"
-        )
 
-    # Objective values by the exact pair solved.  theorem_bound is
-    # deterministic, and a collapsing simplex probes the same pairs again
-    # and again, so each pair is solved once per pass.  Only floats are
-    # kept: evaluations and caught exceptions would hold far more memory.
-    seen: dict[tuple[float, float], float] = {}
+def _objective_steps(key: tuple[float, float], channel: ChannelParams):
+    """The refinement objective at the pair key as a generator of walk requests.
 
-    def objective(x) -> float:
-        logit_rho, log_bf = float(x[0]), float(x[1])
-        if abs(logit_rho) > 60.0 or abs(log_bf) > 60.0:
-            return _PENALTY
-        rho = 1.0 / (1.0 + math.exp(-logit_rho))
-        bf = math.exp(log_bf)
-        if rho >= 1.0 - RATIO_MARGIN:
-            return _PENALTY
-        key = (rho * a2 * bf, bf)
-        if key not in seen:
+    Returns theorem_bound's normalized value there, or _PENALTY where
+    theorem_bound refuses the pair with a feasibility error or the value is
+    not finite.  A failed walk is thrown in at its request, where it
+    propagates as it would out of solve_endpoint.
+    """
+    try:
+        ep = yield from _endpoint_steps(BoundaryPair(*key), channel, 1e-13)
+        ev = _bound_at(ep, channel)
+    except _FEASIBILITY_ERRORS:
+        return _PENALTY
+    return ev.normalized if math.isfinite(ev.normalized) else _PENALTY
+
+
+class _Solve:
+    """One pair's objective in flight, its next walk request and the starts waiting on it."""
+
+    __slots__ = ("steps", "request", "seen", "key", "waiting")
+
+    def __init__(self, steps, seen: dict, key: tuple[float, float]) -> None:
+        self.steps = steps
+        self.seen = seen
+        self.key = key
+        self.waiting: list = []
+
+
+def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> list[list]:
+    """Nelder-Mead from every start of every (channel, starts) problem in lockstep.
+
+    Returns, per problem and start, the (point, value) minimize_simplex
+    returns with the refinement objective, or the exception it raises.
+    Objective values are kept per problem by the exact pair solved, so each
+    distinct pair is solved once, also when two starts ask for it in the
+    same round.  Every round answers the pending walk of each pair in
+    flight: with one integrate_batch call where at least _LOCKSTEP_WIDTH
+    are pending, else with integrate_adaptive one by one.  Both give the
+    same bits, so each start probes what it probes alone.
+    """
+    ends: list[list] = [[None] * len(starts) for _, starts in problems]
+    memos: list[dict] = [{} for _ in problems]
+    born: list[_Solve] = []
+
+    def resume(p: int, s: int, steps, value) -> None:
+        # Runs start s of problem p from value on until it waits for a pair
+        # in flight or ends.
+        channel = problems[p][0]
+        a2 = channel.a * channel.a
+        seen = memos[p]
+        while True:
             try:
-                ev = theorem_bound(BoundaryPair(*key), channel)
-            except _FEASIBILITY_ERRORS:
-                seen[key] = _PENALTY
-            else:
-                seen[key] = ev.normalized if math.isfinite(ev.normalized) else _PENALTY
-        return seen[key]
+                x = steps.send(value)
+            except StopIteration as stop:
+                ends[p][s] = stop.value
+                return
+            except Exception as exc:  # noqa: BLE001 - the start's outcome
+                ends[p][s] = exc
+                return
+            key = _probe(x, a2)
+            if key.__class__ is not tuple:
+                value = key
+                continue
+            known = seen.get(key)
+            if known is None:
+                solve = _Solve(_objective_steps(key, channel), seen, key)
+                try:
+                    solve.request = next(solve.steps)
+                except StopIteration as stop:
+                    known = seen[key] = stop.value
+                except Exception as exc:  # noqa: BLE001 - the pair's outcome
+                    known = seen[key] = exc
+                else:
+                    seen[key] = solve
+                    solve.waiting.append((p, s, steps))
+                    born.append(solve)
+                    return
+            if known.__class__ is _Solve:
+                known.waiting.append((p, s, steps))
+                return
+            if isinstance(known, Exception):
+                ends[p][s] = known
+                return
+            value = known
 
+    for p, (_, starts) in enumerate(problems):
+        for s, start in enumerate(starts):
+            resume(p, s, simplex_steps(start), None)
+    solves, born = born, []
+    while solves:
+        requests = [solve.request for solve in solves]
+        if len(requests) >= _LOCKSTEP_WIDTH:
+            phi, lo, hi = (np.array(column) for column in zip(*requests))
+            i1, i2, failures = integrate_batch(phi, lo, hi, DEFAULT_QUADRATURE)
+            answers: list = list(zip(i1.tolist(), i2.tolist()))
+            for j, exc in failures.items():
+                answers[j] = exc
+        else:
+            answers = []
+            for request in requests:
+                try:
+                    answers.append(integrate_adaptive(*request))
+                except Exception as exc:  # noqa: BLE001 - thrown in below
+                    answers.append(exc)
+        for solve, answer in zip(solves, answers):
+            try:
+                if isinstance(answer, Exception):
+                    solve.request = solve.steps.throw(answer)
+                else:
+                    solve.request = solve.steps.send(answer)
+            except StopIteration as stop:
+                value = stop.value
+            except Exception as exc:  # noqa: BLE001 - the pair's outcome
+                value = exc
+            else:
+                born.append(solve)
+                continue
+            solve.seen[solve.key] = value
+            for p, s, steps in solve.waiting:
+                if isinstance(value, Exception):
+                    ends[p][s] = value
+                else:
+                    resume(p, s, steps, value)
+        solves, born = born, []
+    return ends
+
+
+def _optimize_pass(channels: list[ChannelParams], bf_lo: float, bf_hi: float) -> list:
+    """One search pass per channel: (ev, on_cap), or the error the pass raises.
+
+    The scans run one channel after another, then the refinements of all
+    channels together (_refine).  Per channel, the first error in the order
+    of a pass run alone wins: the scan's, then the lowest start's, then the
+    closing evaluation's.
+    """
+    scans: list = []
+    for channel in channels:
+        try:
+            candidates = _scan(channel, bf_lo, bf_hi)
+            if not candidates:
+                raise NoFeasiblePointError(
+                    f"every grid point degenerate for a={channel.a!r}, b={channel.b!r}"
+                )
+        except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
+            scans.append(exc)
+            continue
+        scans.append([[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]])
+    ends = _refine(
+        [(channel, [] if isinstance(starts, Exception) else starts)
+         for channel, starts in zip(channels, scans)]
+    )
+    outcomes: list = []
+    for channel, starts, ended in zip(channels, scans, ends):
+        if isinstance(starts, Exception):
+            outcomes.append(starts)
+            continue
+        try:
+            outcomes.append(_closing(channel, ended, bf_lo, bf_hi))
+        except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
+            outcomes.append(exc)
+    return outcomes
+
+
+def _closing(
+    channel: ChannelParams, ends: list, bf_lo: float, bf_hi: float
+) -> tuple[BoundEvaluation, bool]:
+    # The best start's optimum at full precision, and whether it is on the cap.
     best_x = None
     best_val = math.inf
-    for _, rho, bf in candidates[:3]:
-        start = [math.log(rho / (1.0 - rho)), math.log(bf)]
-        x, val = minimize_simplex(objective, start)
+    for end in ends:
+        if isinstance(end, Exception):
+            raise end
+        x, val = end
         if val < best_val:
             best_val = val
             best_x = x
-
     if best_x is None or best_val >= _PENALTY:
         raise NoFeasiblePointError("refinement found no feasible point")
+    a2 = channel.a * channel.a
     rho = 1.0 / (1.0 + math.exp(-float(best_x[0])))
     bf = math.exp(float(best_x[1]))
     ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel)

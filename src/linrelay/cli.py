@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .baselines import (
     block_markov_bound,
-    bounds_record,
+    bounds_records,
     cutset_bound,
     two_by_two_bound,
 )
@@ -147,10 +147,10 @@ def _sweep_b_values(b_min: float, b_max: float, n: int, grid: str) -> list[float
 
 
 def run_sweep(a: float, b_values: list[float]) -> list[dict]:
-    """Compute one bounds row per b value; returns the row dicts in order."""
+    """One bounds row per b value, in order; the rank-1 searches run in lockstep."""
     rows = []
-    for b in b_values:
-        record = bounds_record(ChannelParams(a=a, b=b))
+    channels = [ChannelParams(a=a, b=b) for b in b_values]
+    for record in bounds_records(channels):
         ev = record.rank1_eval
         rows.append(
             {

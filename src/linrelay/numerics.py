@@ -1,10 +1,11 @@
 """Generic numerical kernels used by the rest of the package.
 
 Two tools live here, bracketed root-finding and a deterministic Nelder-Mead
-wrapper.  The root finder is Brent's method (Brent 1973) ported step for
-step from scipy's C brentq, written as a generator of probe points so that
-many roots can be sought in lockstep; the simplex wraps scipy's
-Nelder-Mead.
+simplex.  The root finder is Brent's method (Brent 1973) ported step for
+step from scipy's C brentq, and the simplex is Nelder & Mead's method
+(Comput. J. 7, 1965) ported step for step from scipy's Python
+_minimize_neldermead (scipy 1.17).  Both are written as generators of probe
+points, so that many roots or many minimizations can run in lockstep.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from typing import Callable, Generator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoBracketError, NonFiniteError, RootNotConvergedError
 
@@ -20,6 +20,7 @@ __all__ = [
     "find_root_bracketed",
     "root_steps",
     "drive_steps",
+    "simplex_steps",
     "minimize_simplex",
 ]
 
@@ -150,12 +151,99 @@ def find_root_bracketed(
     return drive_steps(root_steps(lo, hi, tol), g)
 
 
+def simplex_steps(start: Sequence[float]) -> Generator[np.ndarray, float, tuple[np.ndarray, float]]:
+    """Nelder-Mead as a generator: yields each probe, receives f(probe), returns (point, value).
+
+    The probes, their order and the returned (point, value) are those of
+    scipy's minimize(f, start, method="Nelder-Mead") with the initial simplex
+    start + 0.25 e_i, maxiter=2000, fatol=1e-10 and xatol=1e-7, since every
+    numpy operation is scipy's, in its order.  Each probe is a fresh copy, as
+    scipy hands f; minimize_simplex documents the contract.
+    """
+    x0 = np.asarray(start, dtype=float)
+    if x0.ndim != 1 or x0.size < 1:
+        raise ValueError("start must be a nonempty 1-D point")
+    # Reflection, expansion, contraction and shrink coefficients.
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    N = x0.size
+    sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(N)])
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+
+    def probed(x: np.ndarray, fx) -> float:
+        fx = float(fx)
+        if not math.isfinite(fx):
+            raise NonFiniteError(f"objective returned {fx!r} at {x.tolist()!r}")
+        return fx
+
+    for k in range(N + 1):
+        x = sim[k].copy()
+        fsim[k] = probed(x, (yield x))
+    # Sorted twice, as scipy sorts once after the first probes and once more.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < _SIMPLEX_MAX_ITER:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _SIMPLEX_X_TOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= _SIMPLEX_F_TOL
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = probed(xr, (yield xr.copy()))
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = probed(xe, (yield xe.copy()))
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                # Outside contraction.
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = probed(xc, (yield xc.copy()))
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+            else:
+                # Inside contraction.
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = probed(xcc, (yield xcc.copy()))
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    x = sim[j].copy()
+                    fsim[j] = probed(x, (yield x))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim))
+
+
 def minimize_simplex(
     f: Callable[[np.ndarray], float],
     start: Sequence[float],
 ) -> tuple[np.ndarray, float]:
     """Minimize f by deterministic Nelder-Mead from a fixed initial simplex.
 
+    The initial simplex is start and start + 0.25 e_i for each axis i; the
+    search stops once every vertex lies within 1e-7 of the best one in each
+    coordinate and within 1e-10 of its value, or after 2,000 iterations.
     Constraints are the caller's problem: wrap f with a finite penalty before
     calling.  A non-finite f value anywhere is treated as a bug.
 
@@ -164,32 +252,11 @@ def minimize_simplex(
         start: Starting point, one coordinate per dimension.
 
     Returns:
-        Pair (point, value) with value <= f(start).
+        Pair (point, value) with value <= f(start): simplex_steps driven
+        with f, bit for bit scipy's Nelder-Mead with these settings.
 
     Raises:
+        ValueError: If start is not a nonempty 1-D point.
         NonFiniteError: If f returns NaN or infinity at any probed point.
     """
-    x0 = np.asarray(start, dtype=float)
-    if x0.ndim != 1 or x0.size < 1:
-        raise ValueError("start must be a nonempty 1-D point")
-
-    def checked(x: np.ndarray) -> float:
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise NonFiniteError(f"objective returned {fx!r} at {x.tolist()!r}")
-        return fx
-
-    simplex = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(x0.size)])
-    res = minimize(
-        checked,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "maxiter": _SIMPLEX_MAX_ITER,
-            "fatol": _SIMPLEX_F_TOL,
-            "xatol": _SIMPLEX_X_TOL,
-        },
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun)
-
+    return drive_steps(simplex_steps(start), f)

@@ -13,7 +13,7 @@ from linrelay.baselines import (
     _grid,
     _scheme,
     block_markov_bound,
-    bounds_record,
+    bounds_records,
     cutset_bound,
     two_by_two_bound,
 )
@@ -98,7 +98,7 @@ class TestTwoByTwo:
 
 class TestBoundsRecord:
     def test_fields_are_consistent(self, optimized_cache, two_by_two_cache):
-        record = bounds_record(ChannelParams(a=1.1, b=2.0))
+        (record,) = bounds_records([ChannelParams(a=1.1, b=2.0)])
         assert record.a == 1.1
         assert record.b == 2.0
         assert record.block_markov == block_markov_bound(ChannelParams(a=1.1, b=2.0))

@@ -1,6 +1,6 @@
 """Tests for the stable branch, the endpoint quadrature and its settings, the
-batch walk and the lockstep scan (each tied bit for bit to its scalar loop),
-the endpoint solve, and the bound itself.
+batch walk, the lockstep scan and the lockstep refinement (each tied bit for
+bit to its scalar loop), the endpoint solve, and the bound itself.
 
 The heavyweight check re-derives the bound at a fixed pair through an
 entirely independent path: QUADPACK quadrature, scipy's brentq on the raw
@@ -10,7 +10,9 @@ expm1 rewrite).  Agreement to 1e-9 pins every formula at once.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,16 +38,19 @@ from linrelay.bound import (
     integrate_adaptive,
     integrate_batch,
     optimize_bound,
+    optimize_bounds,
     solve_endpoint,
     theorem_bound,
 )
+from linrelay.cli import run_sweep
 from linrelay.errors import (
     DegenerateBoundError,
     DepthExceededError,
     DomainError,
+    NoFeasiblePointError,
     NonFiniteError,
 )
-from linrelay.numerics import drive_steps
+from linrelay.numerics import drive_steps, minimize_simplex
 
 A11 = ChannelParams(a=1.1, b=2.0)
 
@@ -584,16 +589,18 @@ class TestOptimizeBound:
                 assert ev.normalized <= probe.normalized + 1e-12
 
     def test_refinement_solves_each_pair_once(self, monkeypatch):
-        # Every full-precision solve is a distinct pair, except the closing
-        # re-evaluation of the winner.
+        # Every full-precision endpoint solve is a distinct pair, except the
+        # closing re-evaluation of the winner.  The scan's solves use their
+        # own root tolerance.
         solved = []
-        real = bound.theorem_bound
+        real = bound._endpoint_steps
 
-        def spy(pair, channel):
-            solved.append((pair.A_f, pair.B_f))
-            return real(pair, channel)
+        def spy(pair, channel, root_tol):
+            if root_tol != _SCAN_ROOT_TOL:
+                solved.append((pair.A_f, pair.B_f))
+            return real(pair, channel, root_tol)
 
-        monkeypatch.setattr(bound, "theorem_bound", spy)
+        monkeypatch.setattr(bound, "_endpoint_steps", spy)
         ev = optimize_bound(A11)
         *refined, final = solved
         assert len(set(refined)) == len(refined)
@@ -606,3 +613,154 @@ class TestOptimizeBound:
     def test_argmin_strictly_inside_ratio_cone(self, optimized_cache):
         ep = optimized_cache(1.1, 2.0).endpoint
         assert ep.A_f / ep.B_f < A11.a**2
+
+
+# The benchmark's three sweep channels: b = 0.5, 2.2360679774997902 and 10
+# at a = 1.1.
+SWEEP_CHANNELS = [ChannelParams(a=1.1, b=b) for b in (0.5, 2.2360679774997902, 10.0)]
+
+
+def _starts(channel):
+    # The refinement's starts: the scan's best three points.
+    candidates = bound._scan(channel, 1e-3, 1e3)
+    return [[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]]
+
+
+def _hexed(ends):
+    return [[([v.hex() for v in x.tolist()], value.hex()) for x, value in starts] for starts in ends]
+
+
+class TestLockstepRefinement:
+    @pytest.fixture(scope="class")
+    def sweep_problems(self):
+        return [(channel, _starts(channel)) for channel in SWEEP_CHANNELS]
+
+    def test_batch_and_scalar_rounds_agree_bit_for_bit(self, sweep_problems, monkeypatch):
+        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        batch = bound._refine(sweep_problems)
+        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", sys.maxsize)
+        scalar = bound._refine(sweep_problems)
+        assert _hexed(batch) == _hexed(scalar)
+
+    def test_start_is_minimize_simplex_over_theorem_bound(self, monkeypatch):
+        # The refinement objective written out with theorem_bound, as one
+        # start runs alone.
+        start = _starts(A11)[0]
+        a2 = A11.a * A11.a
+
+        def objective(x):
+            key = bound._probe(x, a2)
+            if key.__class__ is not tuple:
+                return key
+            try:
+                ev = theorem_bound(BoundaryPair(*key), A11)
+            except _FEASIBILITY_ERRORS:
+                return bound._PENALTY
+            return ev.normalized if math.isfinite(ev.normalized) else bound._PENALTY
+
+        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        ((ours,),) = bound._refine([(A11, [start])])
+        assert _hexed([[ours]]) == _hexed([[minimize_simplex(objective, start)]])
+
+    def test_sweep_rows_equal_per_channel_optimize_bound(self, optimized_cache):
+        rows = run_sweep(1.1, [channel.b for channel in SWEEP_CHANNELS])
+        for row, channel in zip(rows, SWEEP_CHANNELS):
+            ev = optimized_cache(channel.a, channel.b)
+            alone = {
+                "rank1": ev.normalized, "A_f": ev.endpoint.A_f, "B_f": ev.endpoint.B_f,
+                "A0": ev.endpoint.A0, "psi": ev.endpoint.psi, "lambda": ev.lam,
+                "Q1": ev.Q1, "Q2": ev.Q2,
+            }
+            assert {k: row[k].hex() for k in alone} == {k: v.hex() for k, v in alone.items()}
+
+    def test_pair_in_flight_for_two_starts_is_solved_once(self, monkeypatch):
+        # Two equal starts ask for every pair in the same round; each pair is
+        # solved once, and both starts end where one start alone ends.
+        solved = []
+        real = bound._endpoint_steps
+
+        def spy(pair, channel, root_tol):
+            solved.append((pair.A_f, pair.B_f))
+            return real(pair, channel, root_tol)
+
+        start = _starts(A11)[0]
+        monkeypatch.setattr(bound, "_endpoint_steps", spy)
+        alone = bound._refine([(A11, [start])])
+        once = list(solved)
+        solved.clear()
+        twice = bound._refine([(A11, [start, start])])
+        assert solved == once
+        assert len(set(once)) == len(once)
+        assert _hexed(twice) == _hexed([alone[0] * 2])
+
+    def test_lowest_start_error_is_raised(self, monkeypatch):
+        # Start 1 fails at its first pair at once, start 0 at its first pair
+        # two walks later; the sequential order raises start 0's error.
+        candidates = bound._scan(A11, 1e-3, 1e3)
+        a2 = A11.a * A11.a
+        first = [bound._probe(np.array(start), a2) for start in _starts(A11)]
+        raised = []
+
+        def failing(pair, channel, root_tol):
+            start = first.index((pair.A_f, pair.B_f))
+            if start == 1:
+                raised.append(start)
+                raise LookupError("start 1")
+            yield 1.0, 1.0, 2.0
+            yield 1.0, 1.0, 2.0
+            raised.append(start)
+            raise LookupError(f"start {start}")
+
+        monkeypatch.setattr(bound, "_scan", lambda channel, lo, hi: candidates)
+        monkeypatch.setattr(bound, "_endpoint_steps", failing)
+        with pytest.raises(LookupError, match="start 0"):
+            optimize_bound(A11)
+        assert raised == [1, 0, 2]
+
+    def test_channel_errors_come_in_their_turn(self, optimized_cache, monkeypatch):
+        # A channel whose scan finds nothing raises when its turn comes, after
+        # the channels before it have given their results.
+        weak = ChannelParams(a=1.1, b=3.0)
+        real = bound._scan
+        monkeypatch.setattr(
+            bound, "_scan", lambda channel, lo, hi: [] if channel == weak else real(channel, lo, hi)
+        )
+        evs = optimize_bounds([A11, weak, A11])
+        assert next(evs) == optimized_cache(1.1, 2.0)
+        with pytest.raises(NoFeasiblePointError, match="every grid point degenerate"):
+            next(evs)
+
+    def test_cap_warnings_in_channel_order_after_one_widened_pass(self, monkeypatch):
+        # Both channels are made to land on the cap of the first pass; they
+        # take the widened pass together, and each warning names its own
+        # optimum and points at the line that takes the result.
+        passes = []
+        real_pass, real_closing = bound._optimize_pass, bound._closing
+
+        def spy_pass(channels, bf_lo, bf_hi):
+            passes.append(([channel.b for channel in channels], bf_hi))
+            return real_pass(channels, bf_lo, bf_hi)
+
+        def on_cap(channel, ends, bf_lo, bf_hi):
+            ev, _ = real_closing(channel, ends, bf_lo, bf_hi)
+            return ev, bf_hi == 1e3
+
+        monkeypatch.setattr(bound, "_optimize_pass", spy_pass)
+        monkeypatch.setattr(bound, "_closing", on_cap)
+        channels = [ChannelParams(a=1.1, b=3.0), A11]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evs = list(optimize_bounds(channels))
+        assert passes == [([3.0, 2.0], 1e3), ([3.0, 2.0], 1e4)]
+        assert [str(w.message) for w in caught] == [
+            f"optimum B_f={ev.endpoint.B_f:g} landed on the search cap; widening tenfold"
+            for ev in evs
+        ]
+        assert {w.filename for w in caught} == {__file__}
+        # optimize_bound's warning points at its caller.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            ev = optimize_bound(A11)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        assert ev == evs[1]

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import linrelay
 from linrelay.bound import BoundaryPair, ChannelParams, solve_endpoint, theorem_bound
 from linrelay.cli import EXIT_INVALID_INPUT, EXIT_OK, _sweep_b_values, main
 from linrelay.codes import parse_code
@@ -352,7 +356,7 @@ class TestExitCodes:
         for name in (
             "linrelay.cli.theorem_bound",
             "linrelay.cli.optimize_bound",
-            "linrelay.baselines.optimize_bound",
+            "linrelay.baselines.optimize_bounds",
         ):
             monkeypatch.setattr(name, no_solve)
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
@@ -362,3 +366,24 @@ class TestExitCodes:
             f"error: [Errno 2] No such file or directory: '{missing}'\n"
         )
         assert not any(tmp_path.iterdir())
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter that imports this checkout's linrelay.
+    src = str(Path(linrelay.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_m_linrelay_maps_errors_to_exit_codes(self):
+        proc = _run_python("-m", "linrelay", "bound", "--a", "1.1", "--b", "-3")
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == "error: gain b must be positive and finite, got -3.0\n"

@@ -68,7 +68,7 @@ def test_optimized_verify_stdout_at_benchmark_samples(optimized_cache, monkeypat
 def test_sweep_csv(optimized_cache, two_by_two_cache, monkeypatch, tmp_path):
     # Both rows are b = 2.0, whose results the shared caches already hold.
     monkeypatch.setattr(
-        baselines, "optimize_bound", lambda ch: optimized_cache(ch.a, ch.b)
+        baselines, "optimize_bounds", lambda chs: (optimized_cache(ch.a, ch.b) for ch in chs)
     )
     monkeypatch.setattr(
         baselines, "two_by_two_bound", lambda ch: two_by_two_cache(ch.a, ch.b)

@@ -1,7 +1,9 @@
 """Unit tests for the root and simplex kernels.
 
-scipy's brentq is the oracle of the Brent port: the port must probe the
-same points in the same order and return the same root, bit for bit.
+scipy's brentq is the oracle of the Brent port, and scipy's Nelder-Mead
+(minimize with method="Nelder-Mead") the oracle of the simplex port: each
+port must probe the same points in the same order and return the same
+result, bit for bit.
 """
 from __future__ import annotations
 
@@ -11,16 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
-from linrelay.bound import _FEASIBILITY_ERRORS
+from linrelay.bound import _FEASIBILITY_ERRORS, _PENALTY
 from linrelay.errors import (
     EXIT_COLLAPSE,
     NoBracketError,
     NonFiniteError,
     RootNotConvergedError,
 )
-from linrelay.numerics import find_root_bracketed, minimize_simplex
+from linrelay.numerics import drive_steps, find_root_bracketed, minimize_simplex, simplex_steps
 
 # Families of bracketed functions, each with its root parameter c in (0, 1):
 # smooth, flat, steep, nearly discontinuous and underflowing (where the
@@ -125,6 +127,111 @@ class TestMinimizeSimplex:
         with pytest.raises(NonFiniteError):
             minimize_simplex(lambda x: math.inf, [0.0])
 
+    def test_nan_objective(self):
+        # NaN after a few finite probes, as at the start.
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.nan if len(probes) > 4 else float(x @ x)
+
+        with pytest.raises(NonFiniteError, match="nan"):
+            minimize_simplex(f, [0.3, 0.2])
+        with pytest.raises(NonFiniteError, match="nan"):
+            minimize_simplex(lambda x: math.nan, [0.3, 0.2])
+
     def test_bad_start(self):
         with pytest.raises(ValueError):
             minimize_simplex(lambda x: 0.0, [])
+
+
+def _scipy_simplex(f, start):
+    # scipy's Nelder-Mead with the package's settings: probes and result.
+    x0 = np.asarray(start, dtype=float)
+    probes = []
+
+    def recorded(x):
+        probes.append(x.copy())
+        return f(x)
+
+    res = minimize(
+        recorded,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": np.vstack([x0] + [x0 + 0.25 * e for e in np.eye(x0.size)]),
+            "maxiter": 2000,
+            "fatol": 1e-10,
+            "xatol": 1e-7,
+        },
+    )
+    return probes, res
+
+
+def _hexed(points):
+    return [[v.hex() for v in np.asarray(p, dtype=float).tolist()] for p in points]
+
+
+def _boxed(x):
+    # A bowl inside a box, _PENALTY outside it: the refinement's plateau.
+    if x[0] > 0.3 or x[1] > 0.2:
+        return _PENALTY
+    return (x[0] - 0.1) ** 2 + (x[1] - 0.05) ** 2
+
+
+def _pinhole(x):
+    # 0 at the start alone, 1 elsewhere: every reflection and contraction
+    # ties the worst vertex, so the simplex shrinks again and again.
+    return 0.0 if x[0] == 0.0 and x[1] == 0.0 else 1.0
+
+
+# (objective, start) pairs in 2-D and 3-D.
+_SIMPLEX_FAMILIES = {
+    "bowl-2d": (lambda x: (x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2, [0.0, 0.0]),
+    "rosenbrock-2d": (lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2, [-1.2, 1.0]),
+    "rosenbrock-3d": (
+        lambda x: sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(2)),
+        [-1.0, 0.5, 0.3],
+    ),
+    "bowl-3d": (lambda x: float(np.sum((x - np.array([0.3, -0.7, 1.9])) ** 2)), [0.0, 0.0, 0.0]),
+    "penalty-plateau": (_boxed, [0.2, 0.0]),
+    "shrink": (_pinhole, [0.0, 0.0]),
+    # Flattens toward x0 -> -inf: the simplex runs on to the iteration cap.
+    "iteration-cap": (lambda x: math.atan(x[0]) + x[1] ** 2, [0.0, 0.3]),
+}
+
+
+class TestSimplexSteps:
+    @pytest.mark.parametrize("family", sorted(_SIMPLEX_FAMILIES))
+    def test_same_probes_and_result_as_scipy(self, family):
+        f, start = _SIMPLEX_FAMILIES[family]
+        theirs, res = _scipy_simplex(f, start)
+        ours = []
+
+        def recorded(x):
+            ours.append(x.copy())
+            return f(x)
+
+        x, value = drive_steps(simplex_steps(start), recorded)
+        assert _hexed(ours) == _hexed(theirs)
+        assert _hexed([x]) == _hexed([res.x])
+        assert value.hex() == float(res.fun).hex()
+        assert minimize_simplex(f, start)[1].hex() == value.hex()
+
+    def test_families_reach_the_edge_cases(self):
+        # The scipy runs above include ties on the penalty plateau, a
+        # shrink, and a run to the 2,000-iteration cap.
+        probes, res = _scipy_simplex(*_SIMPLEX_FAMILIES["penalty-plateau"])
+        assert [_boxed(p) for p in probes[:3]].count(_PENALTY) == 2
+        _, res = _scipy_simplex(*_SIMPLEX_FAMILIES["shrink"])
+        # Iterations without a shrink probe once or twice.
+        assert res.nfev > 3 + 2 * (res.nit - 1)
+        _, res = _scipy_simplex(*_SIMPLEX_FAMILIES["iteration-cap"])
+        assert (res.status, res.nit) == (2, 2000)
+
+    def test_probes_are_fresh_arrays(self):
+        steps = simplex_steps([0.0, 0.0])
+        first = next(steps)
+        first[:] = 99.0
+        second = steps.send(1.0)
+        assert second.tolist() == [0.25, 0.0]
