@@ -994,6 +994,8 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
 
     Raises:
         NoFeasiblePointError: If every grid point is degenerate.
+        NonFiniteError: If A_f = rho a^2 B_f overflows on the grid.
+        DomainError: If A_f = rho a^2 B_f underflows to 0 on the grid.
     """
     (optimum,) = _optimize([channel])
     return optimum.result()
@@ -1075,7 +1077,19 @@ def _scan(
     pair-by-pair loop would raise it.
     """
     a2 = channel.a * channel.a
-    grid = [(rho, bf) for rho in _rho_grid() for bf in _bf_grid(bf_lo, bf_hi, 25)]
+    rhos, bfs = _rho_grid(), _bf_grid(bf_lo, bf_hi, 25)
+    # Rounding is monotone, so the grid's corners decide whether every
+    # A_f = rho * a2 * bf is a positive finite float.
+    if max(rhos) * a2 * max(bfs) == math.inf:
+        raise NonFiniteError(
+            f"a^2*B_f overflows at gain a={channel.a!r} on the scan's B_f up to {bf_hi:g}"
+        )
+    if min(rhos) * a2 * min(bfs) == 0.0:
+        raise DomainError(
+            f"gain a={channel.a!r} too small: a^2*B_f underflows to 0 on the scan's "
+            f"B_f down to {bf_lo:g}"
+        )
+    grid = [(rho, bf) for rho in rhos for bf in bfs]
     # Each pair's EndpointSolution or exception.
     outcomes: list = [None] * len(grid)
     for wave in range(0, len(grid), _SCAN_WAVE):

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import TextIO
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bound import TWO_LN2, ChannelParams, EndpointSolution, lambda_and_Q1
 from .errors import DenominatorCollapseError, FactorizationFailureError
@@ -179,6 +178,13 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
         FactorizationFailureError: If M fails the positive-definite
             factorization (corrupted D).
     """
+    # The package's one scipy use, imported here so that processes which
+    # never run the oracle (verify, the bound as a library) load numpy
+    # alone; importing scipy.linalg takes about 0.13 s.  It comes before the
+    # k x k temporaries: imported after them at k = 1024, it raised the peak
+    # RSS of a later k = 4096 call by 7 MB.  scipy raises numpy's LinAlgError.
+    from scipy.linalg import cho_factor, cho_solve
+
     s = np.asarray(s, dtype=float)
     D = np.asarray(D, dtype=float)
     k = s.shape[0]
@@ -202,7 +208,7 @@ def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> Code
     v = s + a * b * Ds
     try:
         factor = cho_factor(M.T, lower=True, overwrite_a=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise FactorizationFailureError(f"I + b^2 D D^T not positive definite: {exc}")
     x = cho_solve(factor, v)
     quad = float(v @ x)

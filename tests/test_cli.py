@@ -328,6 +328,39 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        ("command", "extra"),
+        [
+            pytest.param("bound", [], id="bound"),
+            pytest.param("verify", [], id="verify"),
+            pytest.param("code", ["--k", "8", "--out", "{tmp}/x"], id="code"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        ("a", "expected", "words"),
+        [
+            pytest.param("1e200", EXIT_COLLAPSE, "a^2*B_f overflows at gain a=1e+200",
+                         id="overflow-gain"),
+            pytest.param("1e153", EXIT_COLLAPSE, "a^2*B_f overflows at gain a=1e+153",
+                         id="overflow-a2-times-bf"),
+            pytest.param("1e-200", EXIT_INVALID_INPUT, "gain a=1e-200 too small",
+                         id="underflow-gain"),
+        ],
+    )
+    def test_gain_off_the_scan_grid(self, command, extra, a, expected, words, tmp_path, capsys):
+        # Without a pair, a gain whose A_f = rho a^2 B_f cannot be a positive
+        # finite float on the optimizer's grid is refused before any solve,
+        # naming a^2 B_f, not an A_f the user never gave.
+        argv = [command, "--a", a, "--b", "1", *extra]
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert words in err
+        assert "A_f" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(

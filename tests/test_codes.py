@@ -23,6 +23,7 @@ from linrelay.codes import (
     export_code,
     parse_code,
 )
+from linrelay.errors import FactorizationFailureError
 from linrelay.trajectory import build_trajectory
 
 A11 = ChannelParams(a=1.1, b=2.0)
@@ -139,6 +140,14 @@ class TestEvaluateRank1:
     def test_zero_source_rejected(self):
         with pytest.raises(ValueError):
             evaluate_rank1(A11, np.zeros(2), np.zeros((2, 2)))
+
+    def test_singular_matrix_is_factorization_failure(self):
+        # Rows 1 and 2 of b^2 D D^T are both 4e18 throughout, whose ulp is
+        # 512, so adding I changes nothing there and M is singular in floats.
+        D = np.zeros((3, 3))
+        D[1, 0] = D[2, 0] = 1e9
+        with pytest.raises(FactorizationFailureError, match="not positive definite"):
+            evaluate_rank1(A11, np.ones(3), D)
 
 
 class TestBuildCode:
