@@ -59,6 +59,9 @@ def block_markov_bound(channel: ChannelParams) -> float:
     """Normalized block-Markov upper bound min(1, (a^2+b^2)/(a^2 (1+b^2)))."""
     a2 = channel.a * channel.a
     b2 = channel.b * channel.b
+    # Where a^2 underflows to 0 the bound takes its limit, min(1, inf).
+    if a2 == 0.0:
+        return 1.0
     return min(1.0, (a2 + b2) / (a2 * (1.0 + b2)))
 
 
@@ -69,16 +72,17 @@ def cutset_bound(channel: ChannelParams) -> float:
     return (1.0 + a2 + b2) / ((1.0 + a2) * (1.0 + b2))
 
 
-def _entries(a: float, beta: float, P1, P2):
-    """Relay gain d and source entries s1, s2 of the 2x2 scheme, elementwise in P1, P2."""
-    d = np.sqrt(2.0 * P2 / (2.0 * a**2 * beta * P1 + 1.0))
+def _entries(a2: float, beta: float, P1, P2):
+    """Relay gain d and source entries s1, s2 of the 2x2 scheme, elementwise
+    in P1, P2; a2 is ChannelParams.a_squared."""
+    d = np.sqrt(2.0 * P2 / (2.0 * a2 * beta * P1 + 1.0))
     root = np.sqrt(2.0 * P1)
     return d, root * math.sqrt(beta), root * math.sqrt(1.0 - beta)
 
 
 def _scheme(channel: ChannelParams, beta: float, P1: float, P2: float):
     """Source vector s (2,) and relay matrix D (2, 2) of the 2x2 scheme."""
-    d, s1, s2 = _entries(channel.a, beta, P1, P2)
+    d, s1, s2 = _entries(channel.a_squared(), beta, P1, P2)
     return np.array([s1, s2]), np.array([[0.0, 0.0], [d, 0.0]])
 
 
@@ -100,12 +104,13 @@ def _grid(channel: ChannelParams):
         values[i, j1, j2] is the scheme at (betas[i], powers[j1], powers[j2]).
     """
     a, b = channel.a, channel.b
+    a2 = channel.a_squared()
     betas = np.linspace(0.0, 1.0, _BETA_POINTS)
     powers = np.geomspace(_POWER_LO, _POWER_HI, _POWER_POINTS)
     P1, P2 = powers[:, None], powers[None, :]
     values = np.empty((_BETA_POINTS, _POWER_POINTS, _POWER_POINTS))
     for row, beta in zip(values, betas.tolist()):
-        d, s1, s2 = _entries(a, beta, P1, P2)
+        d, s1, s2 = _entries(a2, beta, P1, P2)
         numerator = s1 * s1 + s2 * s2 + a * a * (d * s1) ** 2 + d * d
         quad = s1 * s1 + (s2 + a * b * d * s1) ** 2 / (1.0 + b * b * d * d)
         row[...] = numerator / (0.5 * np.log1p(quad) / math.log(2.0)) / TWO_LN2

@@ -118,6 +118,13 @@ class ChannelParams:
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ValueError(f"gain b must be positive and finite, got {self.b!r}")
 
+    def a_squared(self) -> float:
+        """a**2; NonFiniteError naming the gain where it overflows."""
+        try:
+            return self.a**2
+        except OverflowError:
+            raise NonFiniteError(f"a^2 overflows at gain a={self.a!r}") from None
+
 
 @dataclass(frozen=True)
 class BoundaryPair:
@@ -704,12 +711,14 @@ def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
     """The a^2 rule: DomainError beyond a^2, DegenerateBoundError within RATIO_MARGIN.
 
     No endpoint exists beyond a^2, and at a^2 the bound is 0/0.  a**2 raises
-    OverflowError where a * a is inf; the margin keeps a * a, which can differ
-    from a**2 by an ulp and decides which optimizer probes are feasible.
+    NonFiniteError where it overflows; the margin keeps a * a, which can
+    differ from a**2 by an ulp and decides which optimizer probes are
+    feasible.
     """
     ratio = pair.ratio()
-    if ratio > channel.a**2:
-        raise DomainError(f"A_f/B_f={ratio:g} exceeds a^2={channel.a**2:g}")
+    a2 = channel.a_squared()
+    if ratio > a2:
+        raise DomainError(f"A_f/B_f={ratio:g} exceeds a^2={a2:g}")
     if ratio > channel.a * channel.a * (1.0 - RATIO_MARGIN):
         raise DegenerateBoundError(
             f"A_f/B_f={ratio!r} within {RATIO_MARGIN:g} of the a^2 boundary"

@@ -12,8 +12,15 @@ matrix oracle: the 2x2 baseline ranks its grid by the same formula in
 closed form, tied to this oracle by a test, and reports values from it.
 
 The code path holds at most D and one more k x k matrix: the builder fills
-D in place, export_code streams it row by row, and the oracle's M is formed
-and factored in place.
+D in place, export_code streams it in chunks of k entries, and the oracle's
+M is formed and factored in place.
+
+export_code writes every entry as the exact text of Python's "%.17g", but
+formats a chunk at a time in numpy (_g17.G17Lines): the 17 digits come
+from a double-double product with a power of ten, exact to 1e-13 units,
+and the few entries where that cannot decide the last digit (within 1e-6
+of a half), where log10 misjudges the exponent, and zeros, subnormals,
+infinities and nan are formatted by "%.17g" itself.
 """
 from __future__ import annotations
 
@@ -225,17 +232,31 @@ def export_code(code: RelayCode, channel: ChannelParams, fh: TextIO) -> None:
     Layout: a header line `k a b lambda Q1`, one line with the k entries of
     s, then the strict lower triangle of D row by row starting at row 2
     (row i carries i-1 entries).  All floats use 17 significant digits, so
-    parsing reproduces them bit for bit.  Rows are formatted and written
-    one at a time, so no string of the whole file is ever held.
+    parsing reproduces them bit for bit.
+
+    Every field is exactly the text of "%.17g" % x.  The four header fields
+    are formatted by Python; the entries of s and D go through G17Lines,
+    which writes the same bytes with numpy in chunks of k entries, so the
+    file is written a chunk at a time and no string of the whole file is
+    ever held.  G17Lines takes the 17 digits of |x| 10^(16-p), p the
+    decimal exponent, from a double-double product exact to 1e-13 units,
+    and formats with "%.17g" itself the entries where that cannot decide:
+    within 1e-6 of a half (exact ties among them), a log10 one off or a
+    carry to 10^17, and |x| outside [1e-290, 1e290] (zeros, subnormals,
+    infinities, nan).
     """
+    # Loaded at the first export, so importing the package does not
+    # compile the formatter.
+    from ._g17 import G17Lines
+
     fmt = "%.17g"
     q1 = code.k * code.delta
     fh.write(f"{code.k} {fmt % channel.a} {fmt % channel.b} {fmt % code.lam} {fmt % q1}\n")
-    # One format for k entries; its first 6n - 1 characters format n.
-    row_fmt = " ".join([fmt] * code.k)
-    fh.write(row_fmt % tuple(code.s.tolist()) + "\n")
+    lines = G17Lines(fh, code.k)
+    lines.write(code.s)
     for i in range(1, code.k):
-        fh.write(row_fmt[: 6 * i - 1] % tuple(code.D[i, :i].tolist()) + "\n")
+        lines.write(code.D[i, :i])
+    lines.flush()
 
 
 def parse_code(path: str | Path) -> tuple[ChannelParams, RelayCode]:

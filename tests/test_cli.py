@@ -251,71 +251,99 @@ class TestPairRule:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        ("argv", "expected"),
+        ("argv", "expected", "words"),
         [
             pytest.param(
                 ["bound", *CHANNEL_ARGS, "--Af", "1e-300", "--Bf", "1e300"],
                 EXIT_COLLAPSE,
+                None,
                 id="bound-non-finite",
             ),
             pytest.param(
                 ["bound", "--a", "1e-6", "--b", "1e6", "--Af", "1e-13", "--Bf", "1"],
                 EXIT_COLLAPSE,
+                None,
                 id="bound-depth",
             ),
             pytest.param(
                 ["verify", *CHANNEL_ARGS, "--Af", "1e-8", "--Bf", "1e8"],
                 EXIT_COLLAPSE,
+                None,
                 id="verify-depth",
             ),
             pytest.param(
                 ["code", *CHANNEL_ARGS, "--Af", "1e-8", "--Bf", "1e8", "--k", "64",
                  "--out", "{tmp}/x"],
                 EXIT_COLLAPSE,
+                None,
                 id="code-depth",
             ),
             pytest.param(
                 ["bound", "--a", "1e200", "--b", "1", "--Af", "1", "--Bf", "1"],
                 EXIT_COLLAPSE,
+                "a^2 overflows at gain a=1e+200",
                 id="bound-overflow-gain",
+            ),
+            pytest.param(
+                ["sweep", "--a", "1e200", "--b-min", "1", "--b-max", "2", "--n-points", "2",
+                 "--out", "{tmp}/x.csv"],
+                EXIT_COLLAPSE,
+                "a^2 overflows at gain a=1e+200",
+                id="sweep-overflow-gain",
+            ),
+            pytest.param(
+                ["sweep", "--a", "1e-200", "--b-min", "1", "--b-max", "2", "--n-points", "2",
+                 "--out", "{tmp}/x.csv"],
+                EXIT_INVALID_INPUT,
+                "gain a=1e-200 too small",
+                id="sweep-underflow-gain",
             ),
             pytest.param(
                 ["bound", *CHANNEL_ARGS, "--Af", "1e200", "--Bf", "1e200"],
                 EXIT_COLLAPSE,
+                None,
                 id="bound-overflow-pair",
             ),
             pytest.param(
                 ["bound", *CHANNEL_ARGS, "--Af", "1e-200", "--Bf", "1e-200"],
                 EXIT_COLLAPSE,
+                None,
                 id="bound-zero-division-pair",
             ),
             pytest.param(
                 ["bound", "--a", "1.1", "--b", "1e-200", "--Af", "0.4774", "--Bf", "0.7594"],
                 EXIT_COLLAPSE,
+                None,
                 id="bound-zero-division-gain",
             ),
             pytest.param(
                 ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "16",
                  "--out", "{tmp}/missing/x"],
                 EXIT_INVALID_INPUT,
+                None,
                 id="code-unwritable-out",
             ),
             pytest.param(
                 ["code", *CHANNEL_ARGS, "--k", "0", "--out", "{tmp}/x"],
                 EXIT_INVALID_INPUT,
+                None,
                 id="code-zero-k",
             ),
             pytest.param(
                 ["verify", *CHANNEL_ARGS, "--n-samples", "1"],
                 EXIT_INVALID_INPUT,
+                None,
                 id="verify-one-sample",
             ),
         ],
     )
-    def test_failure_maps_to_exit_code(self, argv, expected, tmp_path, capsys, monkeypatch):
+    def test_failure_maps_to_exit_code(
+        self, argv, expected, words, tmp_path, capsys, monkeypatch
+    ):
         # Numerical failures, typed or bare arithmetic, exit 3 and unusable
         # input exits 2, each with one error line and no traceback.  Bad
-        # sizes are refused before the optimizer runs.
+        # sizes are refused before the optimizer runs.  At extreme gains the
+        # line names the gain, and a sweep writes nothing.
         def no_optimize(channel):
             raise AssertionError("optimize_bound called")
 
@@ -326,6 +354,9 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if words is not None:
+            assert words in err
+            assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         ("command", "extra"),

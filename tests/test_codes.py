@@ -4,9 +4,12 @@ from __future__ import annotations
 import io
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from linrelay.bound import (
@@ -16,8 +19,10 @@ from linrelay.bound import (
     solve_endpoint,
     theorem_bound,
 )
+from linrelay._g17 import G17Lines
 from linrelay.codes import (
     DEFAULT_K_CAP,
+    RelayCode,
     build_code,
     evaluate_rank1,
     export_code,
@@ -39,6 +44,41 @@ def _export(code, channel) -> str:
     buf = io.StringIO()
     export_code(code, channel, buf)
     return buf.getvalue()
+
+
+def _export_reference(code, channel) -> str:
+    # export_code as it was written with Python's "%" operator, one row at a
+    # time; the numpy text must reproduce it byte for byte.
+    fmt = "%.17g"
+    q1 = code.k * code.delta
+    out = [f"{code.k} {fmt % channel.a} {fmt % channel.b} {fmt % code.lam} {fmt % q1}\n"]
+    row_fmt = " ".join([fmt] * code.k)
+    out.append(row_fmt % tuple(code.s.tolist()) + "\n")
+    for i in range(1, code.k):
+        out.append(row_fmt[: 6 * i - 1] % tuple(code.D[i, :i].tolist()) + "\n")
+    return "".join(out)
+
+
+def _g17_lines(lines, size) -> str:
+    """The text G17Lines writes for the given lines, in chunks of size."""
+    buf = io.StringIO()
+    writer = G17Lines(buf, size)
+    for line in lines:
+        writer.write(np.asarray(line, dtype=float))
+    writer.flush()
+    return buf.getvalue()
+
+
+def _g17_reference(lines) -> str:
+    return "".join(" ".join("%.17g" % x for x in line) + "\n" for line in lines)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # Names the first differing fields; pytest's diff of megabytes of text
+    # would take minutes.
+    if got != want:
+        fields = [(g, w) for g, w in zip(got.split(), want.split()) if g != w]
+        pytest.fail(f"{len(got)} vs {len(want)} characters, first differences {fields[:5]}")
 
 
 def _energy_longhand(channel, s, D) -> float:
@@ -282,9 +322,92 @@ class TestExchangeFormat:
             parse_code(path)
 
 
+class TestG17Text:
+    """The numpy "%.17g" of the exchange format against Python's own."""
+
+    @given(
+        lines=st.lists(st.lists(st.floats(), min_size=1, max_size=40), min_size=1, max_size=4),
+        size=st.integers(1, 50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, lines, size):
+        # Subnormals, signed zeros, infinities and nan included, with
+        # chunks shorter and longer than the lines.
+        _assert_same_text(_g17_lines(lines, size), _g17_reference(lines))
+
+    def test_powers_of_ten_and_neighbours(self):
+        # log10 is exact or one off here, and p moves by one across each.
+        values = []
+        for e in range(-323, 309):
+            x = float(f"1e{e}")
+            values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+        values += [-x for x in values]
+        _assert_same_text(_g17_lines([values], 997), _g17_reference([values]))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param(2.0**-25, id="tie"),
+            pytest.param(-(2.0**-25), id="negative-tie"),
+            pytest.param(3 * 2.0**-26, id="nineteen-digits"),
+            pytest.param(3 * 2.0**-25, id="tie-rounding-up"),
+            pytest.param(1e-14, id="carry-negative-exponent"),
+            pytest.param(1e98, id="carry-positive-exponent"),
+            pytest.param(9.9999999999999999e-05, id="fixed-power-of-ten"),
+            pytest.param(99999999999999999.0, id="exponent-power-of-ten"),
+            pytest.param(0.5, id="one-digit"),
+            pytest.param(1e16, id="seventeen-digits"),
+            pytest.param(123.0, id="integer"),
+            pytest.param(1e-290, id="smallest-fast"),
+            pytest.param(1e290, id="largest-fast"),
+        ],
+    )
+    def test_ties_and_carries(self, x):
+        # Exact 18-digit ties round half to even.  The doubles nearest 1e-14
+        # and 1e98 lie below them, and their 17 digits round up to 1.
+        _assert_same_text(_g17_lines([[x, -x]], 2), _g17_reference([[x, -x]]))
+
+    def test_exact_ties(self):
+        # Every odd m 2^-e (e in 20..39, m < 64) with exactly 18 significant
+        # digits: the 18th is a 5, so both parities of the 17th occur.
+        ties = [
+            m * 2.0**-e
+            for e in range(20, 40)
+            for m in range(1, 64, 2)
+            if len(Decimal(m * 2.0**-e).as_tuple().digits) == 18
+        ]
+        assert len(ties) > 40
+        lines = [ties, [-x for x in ties]]
+        _assert_same_text(_g17_lines(lines, 64), _g17_reference(lines))
+
+    def test_log_uniform(self):
+        rng = np.random.default_rng(18)
+        x = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 200_000))
+        x *= rng.choice([-1.0, 1.0], x.size)
+        lines = np.split(x, [1, 2, 1000, 5000, 123_456])
+        _assert_same_text(_g17_lines(lines, 4096), _g17_reference(lines))
+
+    def test_export_matches_percent_format(self):
+        # Fixed notation below one and from ten up, exponent notation with
+        # two and three exponent digits, integers, both signs and a zero;
+        # the chunks of k entries split rows of D across them.
+        k = 9
+        rng = np.random.default_rng(9)
+        pool = np.array([
+            1.5e-7, -2.5e-5, 4.2635761288437517e-05, 1e-123, -7e200, 0.000123,
+            -0.0066991612427665893, 0.5, 12345.678, -98765432109876543.0, 3.0, 0.0,
+        ])
+        D = np.tril(rng.choice(pool, (k, k)) * rng.uniform(0.5, 2.0, (k, k)), k=-1)
+        s = rng.choice(pool, k)
+        empty = np.empty(0)
+        code = RelayCode(k=k, delta=0.01, s=s, u=empty, z=empty, r=empty, D=D, lam=1.25)
+        _assert_same_text(_export(code, A11), _export_reference(code, A11))
+
+
 class TestMemory:
     # At k = 512 a k x k float matrix is one unit.  The builder holds only D,
-    # the oracle only M beside the caller's D, and the export one row.
+    # the oracle only M beside the caller's D, and the export one chunk of k
+    # entries.
     K = 512
     UNIT = 8 * K * K
 

@@ -81,3 +81,10 @@ def test_code_loads_scipy_linalg_for_the_oracle(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3800ad63bdb3567d3bef165d6724dba684d17cd86a5d206e9316a411105f60ec"
     )
+
+
+def test_cli_import_leaves_the_formatter_out():
+    # The exchange file's numpy "%.17g" is compiled, and its tables built,
+    # at the first export; every other process skips them.
+    lines = _fresh_interpreter("import linrelay.cli\nprint('linrelay._g17' in sys.modules)")
+    assert lines[0] == "False"
