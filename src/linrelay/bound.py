@@ -17,14 +17,17 @@ recursion cap and an explicit error when a tolerance is unreachable.  The
 walk raises the first failure it meets, of either integral.
 integrate_batch walks many intervals at once in numpy with the same bits
 and answers every one of them: the walks it cannot do itself it finishes
-with integrate_adaptive, which gives each failure its exact error.  The
-scan solves all its grid pairs in lockstep through it, each solve a
-generator of walk requests (_endpoint_steps) that solve_endpoint drives
-with integrate_adaptive.  The refinement runs its Nelder-Mead starts
-(numerics.simplex_steps) in lockstep too, of one channel or of many
-(optimize_bounds): each probe pair's solve is such a generator, and each
-round's pending walks go to integrate_batch when there are enough of them
-and to integrate_adaptive when there are few.
+with integrate_adaptive, which gives each failure its exact error.
+
+Each endpoint solve is a generator of walk requests (_endpoint_steps) that
+solve_endpoint drives with integrate_adaptive.  The optimizer runs many
+solves in lockstep through one driver (_lockstep): each round's pending
+walks go to integrate_batch when there are enough of them and to
+integrate_adaptive when there are few.  The scan drives its grid pairs
+through it, and so does the refinement, which runs its Nelder-Mead starts
+(numerics.simplex_steps) of one channel or of many (optimize_bounds) and
+keeps each probe pair's evaluation in a memo; the optimum's evaluation is
+read from that memo, not solved again.
 """
 from __future__ import annotations
 
@@ -435,7 +438,8 @@ def integrate_adaptive(
     Raises:
         ValueError: If lo > hi.
         DomainError: If lo <= 0 and lo < hi.
-        NonFiniteError: If an integrand is NaN or infinite where it is sampled.
+        NonFiniteError: If an integrand is NaN or infinite where it is
+            sampled, as where 2 w^2 underflows to 0 in f.
         DepthExceededError: If a tolerance cannot be met within max_depth.
         The walk fails exactly when a separate run on either integrand
         would, and raises the first failure it meets.
@@ -448,22 +452,29 @@ def integrate_adaptive(
         f_eval(lo, phi)  # raises f's DomainError
     # Python floats: numpy scalars give the same bits, more slowly.
     phi, lo, hi = float(phi), float(lo), float(hi)
-    mid = 0.5 * (lo + hi)
-    _, fa1, fa2 = _f_terms(lo, phi)
-    _, fm1, fm2 = _f_terms(mid, phi)
-    _, fb1, fb2 = _f_terms(hi, phi)
-    for x, g in ((lo, fa1), (mid, fm1), (hi, fb1), (lo, fa2), (mid, fm2), (hi, fb2)):
-        if not math.isfinite(g):
-            raise _non_finite(g, x)
-    whole1 = ((hi - lo) / 6.0) * (fa1 + 4.0 * fm1 + fb1)
-    whole2 = ((hi - lo) / 6.0) * (fa2 + 4.0 * fm2 + fb2)
-    return _two(
-        phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
-        whole1, whole2,
-        max(spec.tol, spec.tol * abs(whole1)),
-        max(spec.tol, spec.tol * abs(whole2)),
-        0, spec.max_depth,
-    )
+    # The try adds no frame under the walk, whose time depends on its depth.
+    try:
+        mid = 0.5 * (lo + hi)
+        _, fa1, fa2 = _f_terms(lo, phi)
+        _, fm1, fm2 = _f_terms(mid, phi)
+        _, fb1, fb2 = _f_terms(hi, phi)
+        for x, g in ((lo, fa1), (mid, fm1), (hi, fb1), (lo, fa2), (mid, fm2), (hi, fb2)):
+            if not math.isfinite(g):
+                raise _non_finite(g, x)
+        whole1 = ((hi - lo) / 6.0) * (fa1 + 4.0 * fm1 + fb1)
+        whole2 = ((hi - lo) / 6.0) * (fa2 + 4.0 * fm2 + fb2)
+        return _two(
+            phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
+            whole1, whole2,
+            max(spec.tol, spec.tol * abs(whole1)),
+            max(spec.tol, spec.tol * abs(whole2)),
+            0, spec.max_depth,
+        )
+    except ZeroDivisionError:
+        # 2 w^2 underflows to 0 where f's large-w branch meets a tiny w.
+        raise NonFiniteError(
+            f"integrand is infinite on [{lo!r}, {hi!r}] at phi={phi!r}: 2*w*w underflows to 0"
+        ) from None
 
 
 # The batch walk takes at most _BATCH_LEVEL nodes at a time.  A wider set
@@ -741,10 +752,15 @@ def _endpoint_steps(pair: BoundaryPair, channel: ChannelParams, root_tol: float)
         raise NonFiniteError(
             f"phi={phi!r} is not finite at A_f={pair.A_f!r}, B_f={pair.B_f!r}"
         )
+    product = pair.A_f * pair.B_f
+    if product == 0.0:
+        raise NonFiniteError(
+            f"A_f*B_f underflows to 0 at A_f={pair.A_f!r}, B_f={pair.B_f!r}"
+        )
     cache = _CumulativeIntegrals(phi, pair.A_f)
     inv_Bf = 1.0 / pair.B_f
     log_Af = math.log(pair.A_f)
-    scale = a / math.sqrt(pair.A_f * pair.B_f)
+    scale = a / math.sqrt(product)
 
     def zero(A0: float, i1: float, i2: float) -> float:
         # The zero function at A0, from the cumulative integrals up to A0.
@@ -809,7 +825,8 @@ def solve_endpoint(pair: BoundaryPair, channel: ChannelParams) -> EndpointSoluti
     Raises:
         DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
         DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
-        NonFiniteError: If phi overflows, as when A_f*B_f does.
+        NonFiniteError: If phi overflows, as when A_f*B_f does, or A_f*B_f
+            underflows to 0.
         BracketOverflowError: If no sign change appears below the growth cap.
     """
     return drive_steps(
@@ -958,9 +975,9 @@ _SCAN_ROOT_TOL = 1e-9
 # per wave keeps batches wide enough that the scan is no slower.
 _SCAN_WAVE = 150
 
-# Pairs in flight at or above which a refinement round walks their pending
-# requests through integrate_batch; narrower rounds take the scalar walk,
-# which is faster there.  Measured in CHANGES.md.
+# Pending walks at or above which a lockstep round (_lockstep) walks them
+# through integrate_batch; narrower rounds take the scalar walk, which is
+# faster there.  Measured in CHANGES.md.
 _LOCKSTEP_WIDTH = 6
 
 
@@ -989,8 +1006,10 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
     rho in [1e-3, 1 - 1e-6] and B_f in [1e-3, 1e3], then refine from the
     best three grid points with Nelder-Mead (numerics.simplex_steps) in
     (logit rho, ln B_f) coordinates, penalizing constraint violations.  The
-    three starts run in lockstep, and the refinement solves each distinct
-    probe pair once per pass.  If the refined optimum lands on the B_f cap
+    scan's solves and the three starts each run in lockstep through one
+    driver (_lockstep); the refinement solves each distinct probe pair once
+    per pass and keeps its evaluation, and the optimum's evaluation is the
+    one kept for its pair.  If the refined optimum lands on the B_f cap
     the search is rerun once with the cap widened tenfold and a warning is
     emitted.
 
@@ -1070,6 +1089,54 @@ def _kept(exc: Exception) -> Exception:
     return exc.with_traceback(None) if isinstance(exc, _FEASIBILITY_ERRORS) else exc
 
 
+def _lockstep(solves: list, spec: QuadratureSpec, settle) -> None:
+    """Run generators of walk requests in lockstep rounds until all have ended.
+
+    solves holds (steps, tag) pairs, steps a fresh generator of walk
+    requests (phi, lo, hi).  Every round answers each pending request at
+    spec: with one integrate_batch call where at least _LOCKSTEP_WIDTH are
+    pending, else with integrate_adaptive one by one, which is faster
+    there; both give the same bits.  A failed walk is thrown into its
+    generator.  When a generator ends, settle(tag, outcome) gets its
+    return value or the exception it raised, and returns the (steps, tag)
+    pairs of the solves it starts.
+    """
+    answered = [(steps, tag, None) for steps, tag in solves]
+    while answered:
+        live = []
+        # settle's new solves are appended to the list being walked, so
+        # they take their first step in this round.
+        for steps, tag, answer in answered:
+            try:
+                if isinstance(answer, Exception):
+                    request = steps.throw(answer)
+                else:
+                    request = steps.send(answer)
+            except StopIteration as stop:
+                outcome = stop.value
+            except Exception as exc:  # noqa: BLE001 - the generator's outcome
+                outcome = exc
+            else:
+                live.append((steps, tag, request))
+                continue
+            answered += [(new, t, None) for new, t in settle(tag, outcome)]
+        requests = [request for _, _, request in live]
+        if len(requests) >= _LOCKSTEP_WIDTH:
+            phi, lo, hi = (np.array(column) for column in zip(*requests))
+            i1, i2, failures = integrate_batch(phi, lo, hi, spec)
+            answers: list = list(zip(i1.tolist(), i2.tolist()))
+            for j, exc in failures.items():
+                answers[j] = exc
+        else:
+            answers = []
+            for request in requests:
+                try:
+                    answers.append(integrate_adaptive(*request, spec))
+                except Exception as exc:  # noqa: BLE001 - thrown in next round
+                    answers.append(exc)
+        answered = [(steps, tag, answer) for (steps, tag, _), answer in zip(live, answers)]
+
+
 def _scan(
     channel: ChannelParams, bf_lo: float, bf_hi: float
 ) -> list[tuple[float, float, float]]:
@@ -1079,11 +1146,9 @@ def _scan(
     at the endpoint _endpoint_steps solves for a grid pair with
     _SCAN_ROOT_TOL and walks at _SCAN_QUADRATURE, bit for bit, and a pair
     is dropped where that raises a feasibility error.  The endpoints are
-    solved in lockstep, _SCAN_WAVE pairs at a time: every round answers
-    each live solve's next walk request with one integrate_batch call,
-    whose failures end their solves.  The closed forms and floors then run
-    pair by pair in grid order, so any other error is raised where the
-    pair-by-pair loop would raise it.
+    solved _SCAN_WAVE pairs at a time by the lockstep driver (_lockstep).
+    The closed forms and floors then run pair by pair in grid order, so
+    any other error is raised where the pair-by-pair loop would raise it.
     """
     a2 = channel.a * channel.a
     rhos, bfs = _rho_grid(), _bf_grid(bf_lo, bf_hi, 25)
@@ -1101,34 +1166,20 @@ def _scan(
     grid = [(rho, bf) for rho in rhos for bf in bfs]
     # Each pair's EndpointSolution or exception.
     outcomes: list = [None] * len(grid)
+
+    def settle(i: int, outcome) -> tuple:
+        outcomes[i] = _kept(outcome) if isinstance(outcome, Exception) else outcome
+        return ()
+
     for wave in range(0, len(grid), _SCAN_WAVE):
-        live = {}
-        for i in range(wave, min(wave + _SCAN_WAVE, len(grid))):
-            rho, bf = grid[i]
-            try:
-                steps = _endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
-                live[i] = steps, next(steps)
-            except Exception as exc:  # noqa: BLE001 - raised below in grid order
-                outcomes[i] = _kept(exc)
-        while live:
-            requests = [request for _, request in live.values()]
-            phi, lo, hi = (np.array(column) for column in zip(*requests))
-            i1, i2, failures = integrate_batch(phi, lo, hi, _SCAN_QUADRATURE)
-            answers: list = list(zip(i1.tolist(), i2.tolist()))
-            for j, exc in failures.items():
-                answers[j] = exc
-            advanced = {}
-            for (i, (steps, _)), answer in zip(live.items(), answers):
-                if isinstance(answer, Exception):
-                    outcomes[i] = answer
-                    continue
-                try:
-                    advanced[i] = steps, steps.send(answer)
-                except StopIteration as stop:
-                    outcomes[i] = stop.value
-                except Exception as exc:  # noqa: BLE001 - raised below in grid order
-                    outcomes[i] = _kept(exc)
-            live = advanced
+        _lockstep(
+            [
+                (_endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL), i)
+                for i, (rho, bf) in enumerate(grid[wave : wave + _SCAN_WAVE], wave)
+            ],
+            _SCAN_QUADRATURE,
+            settle,
+        )
 
     candidates = []
     for (rho, bf), outcome in zip(grid, outcomes):
@@ -1162,7 +1213,7 @@ def _probe(x: np.ndarray, a2: float):
 def _objective_steps(key: tuple[float, float], channel: ChannelParams):
     """The refinement objective at the pair key as a generator of walk requests.
 
-    Returns theorem_bound's normalized value there, or _PENALTY where
+    Returns theorem_bound's evaluation there, or _PENALTY where
     theorem_bound refuses the pair with a feasibility error or the value is
     not finite.  A failed walk is thrown in at its request, where it
     propagates as it would out of solve_endpoint.
@@ -1172,118 +1223,72 @@ def _objective_steps(key: tuple[float, float], channel: ChannelParams):
         ev = _bound_at(ep, channel)
     except _FEASIBILITY_ERRORS:
         return _PENALTY
-    return ev.normalized if math.isfinite(ev.normalized) else _PENALTY
+    return ev if math.isfinite(ev.normalized) else _PENALTY
 
 
-class _Solve:
-    """One pair's objective in flight, its next walk request and the starts waiting on it."""
-
-    __slots__ = ("steps", "request", "seen", "key", "waiting")
-
-    def __init__(self, steps, seen: dict, key: tuple[float, float]) -> None:
-        self.steps = steps
-        self.seen = seen
-        self.key = key
-        self.waiting: list = []
-
-
-def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> list[list]:
+def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[list, list]:
     """Nelder-Mead from every start of every (channel, starts) problem in lockstep.
 
-    Returns, per problem and start, the (point, value) minimize_simplex
-    returns with the refinement objective, or the exception it raises.
-    Objective values are kept per problem by the exact pair solved, so each
-    distinct pair is solved once, also when two starts ask for it in the
-    same round.  Every round answers the pending walk of each pair in
-    flight: with one integrate_batch call where at least _LOCKSTEP_WIDTH
-    are pending, else with integrate_adaptive one by one.  Both give the
-    same bits, so each start probes what it probes alone.
+    Returns (ends, memos).  ends holds, per problem and start, the (point,
+    value) minimize_simplex returns with the refinement objective, or the
+    exception it raises.  memos holds, per problem, each pair solved, keyed
+    by the exact pair (_probe), with the objective's outcome there: the
+    BoundEvaluation, _PENALTY or the exception.  So each distinct pair is
+    solved once, also when two starts ask for it in the same round, and
+    the optimum's evaluation is read from the memo.  The pairs in flight
+    are solved by the lockstep driver (_lockstep) at DEFAULT_QUADRATURE,
+    whose batch and scalar rounds give the same bits, so each start
+    probes what it probes alone.
     """
     ends: list[list] = [[None] * len(starts) for _, starts in problems]
+    # Per problem, pair -> outcome, or the list of starts waiting on it.
     memos: list[dict] = [{} for _ in problems]
-    born: list[_Solve] = []
 
-    def resume(p: int, s: int, steps, value) -> None:
-        # Runs start s of problem p from value on until it waits for a pair
-        # in flight or ends.
+    def resume(p: int, s: int, steps, known) -> list:
+        # Runs start s of problem p on from known, the objective's outcome
+        # at its last probe (None before the first), until it waits for a
+        # pair or ends; returns the solve it starts, if any.
         channel = problems[p][0]
         a2 = channel.a * channel.a
-        seen = memos[p]
+        memo = memos[p]
         while True:
-            try:
-                x = steps.send(value)
-            except StopIteration as stop:
-                ends[p][s] = stop.value
-                return
-            except Exception as exc:  # noqa: BLE001 - the start's outcome
-                ends[p][s] = exc
-                return
-            key = _probe(x, a2)
-            if key.__class__ is not tuple:
-                value = key
-                continue
-            known = seen.get(key)
-            if known is None:
-                solve = _Solve(_objective_steps(key, channel), seen, key)
-                try:
-                    solve.request = next(solve.steps)
-                except StopIteration as stop:
-                    known = seen[key] = stop.value
-                except Exception as exc:  # noqa: BLE001 - the pair's outcome
-                    known = seen[key] = exc
-                else:
-                    seen[key] = solve
-                    solve.waiting.append((p, s, steps))
-                    born.append(solve)
-                    return
-            if known.__class__ is _Solve:
-                known.waiting.append((p, s, steps))
-                return
             if isinstance(known, Exception):
                 ends[p][s] = known
-                return
-            value = known
+                return []
+            try:
+                x = steps.send(known.normalized if known.__class__ is BoundEvaluation else known)
+            except StopIteration as stop:
+                ends[p][s] = stop.value
+                return []
+            except Exception as exc:  # noqa: BLE001 - the start's outcome
+                ends[p][s] = exc
+                return []
+            key = _probe(x, a2)
+            if key.__class__ is not tuple:
+                known = key
+                continue
+            known = memo.get(key)
+            if known is None:
+                memo[key] = [(s, steps)]
+                return [(_objective_steps(key, channel), (p, key))]
+            if known.__class__ is list:
+                known.append((s, steps))
+                return []
 
+    def settle(tag: tuple, outcome) -> list:
+        p, key = tag
+        waiting, memos[p][key] = memos[p][key], outcome
+        started = []
+        for s, steps in waiting:
+            started += resume(p, s, steps, outcome)
+        return started
+
+    started = []
     for p, (_, starts) in enumerate(problems):
         for s, start in enumerate(starts):
-            resume(p, s, simplex_steps(start), None)
-    solves, born = born, []
-    while solves:
-        requests = [solve.request for solve in solves]
-        if len(requests) >= _LOCKSTEP_WIDTH:
-            phi, lo, hi = (np.array(column) for column in zip(*requests))
-            i1, i2, failures = integrate_batch(phi, lo, hi, DEFAULT_QUADRATURE)
-            answers: list = list(zip(i1.tolist(), i2.tolist()))
-            for j, exc in failures.items():
-                answers[j] = exc
-        else:
-            answers = []
-            for request in requests:
-                try:
-                    answers.append(integrate_adaptive(*request))
-                except Exception as exc:  # noqa: BLE001 - thrown in below
-                    answers.append(exc)
-        for solve, answer in zip(solves, answers):
-            try:
-                if isinstance(answer, Exception):
-                    solve.request = solve.steps.throw(answer)
-                else:
-                    solve.request = solve.steps.send(answer)
-            except StopIteration as stop:
-                value = stop.value
-            except Exception as exc:  # noqa: BLE001 - the pair's outcome
-                value = exc
-            else:
-                born.append(solve)
-                continue
-            solve.seen[solve.key] = value
-            for p, s, steps in solve.waiting:
-                if isinstance(value, Exception):
-                    ends[p][s] = value
-                else:
-                    resume(p, s, steps, value)
-        solves, born = born, []
-    return ends
+            started += resume(p, s, simplex_steps(start), None)
+    _lockstep(started, DEFAULT_QUADRATURE, settle)
+    return ends, memos
 
 
 def _optimize_pass(channels: list[ChannelParams], bf_lo: float, bf_hi: float) -> list:
@@ -1291,8 +1296,7 @@ def _optimize_pass(channels: list[ChannelParams], bf_lo: float, bf_hi: float) ->
 
     The scans run one channel after another, then the refinements of all
     channels together (_refine).  Per channel, the first error in the order
-    of a pass run alone wins: the scan's, then the lowest start's, then the
-    closing evaluation's.
+    of a pass run alone wins: the scan's, then the lowest start's.
     """
     scans: list = []
     for channel in channels:
@@ -1306,26 +1310,28 @@ def _optimize_pass(channels: list[ChannelParams], bf_lo: float, bf_hi: float) ->
             scans.append(exc)
             continue
         scans.append([[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]])
-    ends = _refine(
+    ends, memos = _refine(
         [(channel, [] if isinstance(starts, Exception) else starts)
          for channel, starts in zip(channels, scans)]
     )
     outcomes: list = []
-    for channel, starts, ended in zip(channels, scans, ends):
+    for channel, starts, ended, memo in zip(channels, scans, ends, memos):
         if isinstance(starts, Exception):
             outcomes.append(starts)
             continue
         try:
-            outcomes.append(_closing(channel, ended, bf_lo, bf_hi))
+            outcomes.append(_closing(channel, ended, memo, bf_lo, bf_hi))
         except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
             outcomes.append(exc)
     return outcomes
 
 
 def _closing(
-    channel: ChannelParams, ends: list, bf_lo: float, bf_hi: float
+    channel: ChannelParams, ends: list, memo: dict, bf_lo: float, bf_hi: float
 ) -> tuple[BoundEvaluation, bool]:
-    # The best start's optimum at full precision, and whether it is on the cap.
+    # The best start's optimum, read from the memo with no new solve, and
+    # whether it is on the cap.  Its value is the memo entry's normalized
+    # value, so the entry is that pair's evaluation.
     best_x = None
     best_val = math.inf
     for end in ends:
@@ -1337,8 +1343,6 @@ def _closing(
             best_x = x
     if best_x is None or best_val >= _PENALTY:
         raise NoFeasiblePointError("refinement found no feasible point")
-    a2 = channel.a * channel.a
-    rho = 1.0 / (1.0 + math.exp(-float(best_x[0])))
-    bf = math.exp(float(best_x[1]))
-    ev = theorem_bound(BoundaryPair(rho * a2 * bf, bf), channel)
+    ev = memo[_probe(best_x, channel.a * channel.a)]
+    bf = ev.endpoint.B_f
     return ev, bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99

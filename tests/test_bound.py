@@ -9,6 +9,7 @@ expm1 rewrite).  Agreement to 1e-9 pins every formula at once.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -37,6 +38,7 @@ from linrelay.bound import (
     f_eval,
     integrate_adaptive,
     integrate_batch,
+    lambda_and_Q1,
     optimize_bound,
     optimize_bounds,
     solve_endpoint,
@@ -44,11 +46,14 @@ from linrelay.bound import (
 )
 from linrelay.cli import run_sweep
 from linrelay.errors import (
+    EXIT_COLLAPSE,
+    BracketOverflowError,
     DegenerateBoundError,
     DepthExceededError,
     DomainError,
     NoFeasiblePointError,
     NonFiniteError,
+    RouteMismatchError,
 )
 from linrelay.numerics import drive_steps, minimize_simplex
 
@@ -477,6 +482,19 @@ class TestScan:
         channel = ChannelParams(a=a, b=b)
         assert bound._scan(channel, 1e-3, 1e3) == _pair_by_pair_candidates(channel)
 
+    @pytest.mark.parametrize("a,b", [(1.1, 2.0), (0.5, 0.5)])
+    def test_batch_and_scalar_rounds_agree_bit_for_bit(self, a, b, monkeypatch):
+        # Every round batched, then every round walked one request at a time.
+        channel = ChannelParams(a=a, b=b)
+        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        batch = bound._scan(channel, 1e-3, 1e3)
+        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", sys.maxsize)
+        scalar = bound._scan(channel, 1e-3, 1e3)
+        assert batch
+        assert [value.hex() for c in batch for value in c] == [
+            value.hex() for c in scalar for value in c
+        ]
+
     def test_memory_bound(self):
         # A wave of suspended endpoint solves and the batch walk's slices.
         channel = ChannelParams(a=0.5, b=0.5)
@@ -521,6 +539,23 @@ class TestSolveEndpoint:
     def test_ratio_above_boundary_rejected(self):
         with pytest.raises(DomainError):
             solve_endpoint(BoundaryPair(A_f=2.0, B_f=1.0), A11)
+
+    def test_bracket_past_its_cap_is_typed(self, monkeypatch):
+        # The root of this pair lies near A0 = 1026, past a cap of 100.
+        monkeypatch.setattr(bound, "_BRACKET_CAP", 100.0)
+        with pytest.raises(BracketOverflowError, match="no sign change") as info:
+            solve_endpoint(BoundaryPair(A_f=0.01, B_f=1.0), A11)
+        assert info.value.exit_code == EXIT_COLLAPSE
+
+
+class TestLambdaAndQ1:
+    def test_disagreeing_routes_are_typed(self):
+        # J perturbed by one part in 1e6 moves the expm1 route only.
+        ep = solve_endpoint(PINNED_PAIR, A11)
+        bent = dataclasses.replace(ep, i2_value=ep.i2_value * (1.0 + 1e-6))
+        with pytest.raises(RouteMismatchError, match="Q1 routes disagree") as info:
+            lambda_and_Q1(bent, A11)
+        assert info.value.exit_code == EXIT_COLLAPSE
 
 
 class TestTheoremBound:
@@ -589,9 +624,9 @@ class TestOptimizeBound:
                 assert ev.normalized <= probe.normalized + 1e-12
 
     def test_refinement_solves_each_pair_once(self, monkeypatch):
-        # Every full-precision endpoint solve is a distinct pair, except the
-        # closing re-evaluation of the winner.  The scan's solves use their
-        # own root tolerance.
+        # Every full-precision endpoint solve is a distinct pair, and the
+        # optimum is read from them, not solved again.  The scan's solves
+        # use their own root tolerance.
         solved = []
         real = bound._endpoint_steps
 
@@ -602,10 +637,10 @@ class TestOptimizeBound:
 
         monkeypatch.setattr(bound, "_endpoint_steps", spy)
         ev = optimize_bound(A11)
-        *refined, final = solved
-        assert len(set(refined)) == len(refined)
-        assert final == (ev.endpoint.A_f, ev.endpoint.B_f)
-        assert final in refined
+        monkeypatch.undo()
+        assert len(set(solved)) == len(solved)
+        assert (ev.endpoint.A_f, ev.endpoint.B_f) in solved
+        assert ev == theorem_bound(BoundaryPair(ev.endpoint.A_f, ev.endpoint.B_f), A11)
         assert ev.normalized == pytest.approx(PINNED_NORMALIZED, abs=1e-6)
         assert ev.endpoint.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)
         assert ev.endpoint.B_f == pytest.approx(PINNED_PAIR.B_f, abs=1e-3)
@@ -637,9 +672,9 @@ class TestLockstepRefinement:
 
     def test_batch_and_scalar_rounds_agree_bit_for_bit(self, sweep_problems, monkeypatch):
         monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
-        batch = bound._refine(sweep_problems)
+        batch, _ = bound._refine(sweep_problems)
         monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", sys.maxsize)
-        scalar = bound._refine(sweep_problems)
+        scalar, _ = bound._refine(sweep_problems)
         assert _hexed(batch) == _hexed(scalar)
 
     def test_start_is_minimize_simplex_over_theorem_bound(self, monkeypatch):
@@ -659,7 +694,7 @@ class TestLockstepRefinement:
             return ev.normalized if math.isfinite(ev.normalized) else bound._PENALTY
 
         monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
-        ((ours,),) = bound._refine([(A11, [start])])
+        ((ours,),), _ = bound._refine([(A11, [start])])
         assert _hexed([[ours]]) == _hexed([[minimize_simplex(objective, start)]])
 
     def test_sweep_rows_equal_per_channel_optimize_bound(self, optimized_cache):
@@ -685,10 +720,10 @@ class TestLockstepRefinement:
 
         start = _starts(A11)[0]
         monkeypatch.setattr(bound, "_endpoint_steps", spy)
-        alone = bound._refine([(A11, [start])])
+        alone, _ = bound._refine([(A11, [start])])
         once = list(solved)
         solved.clear()
-        twice = bound._refine([(A11, [start, start])])
+        twice, _ = bound._refine([(A11, [start, start])])
         assert solved == once
         assert len(set(once)) == len(once)
         assert _hexed(twice) == _hexed([alone[0] * 2])
@@ -741,8 +776,8 @@ class TestLockstepRefinement:
             passes.append(([channel.b for channel in channels], bf_hi))
             return real_pass(channels, bf_lo, bf_hi)
 
-        def on_cap(channel, ends, bf_lo, bf_hi):
-            ev, _ = real_closing(channel, ends, bf_lo, bf_hi)
+        def on_cap(channel, ends, memo, bf_lo, bf_hi):
+            ev, _ = real_closing(channel, ends, memo, bf_lo, bf_hi)
             return ev, bf_hi == 1e3
 
         monkeypatch.setattr(bound, "_optimize_pass", spy_pass)

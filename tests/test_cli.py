@@ -307,8 +307,14 @@ class TestExitCodes:
             pytest.param(
                 ["bound", *CHANNEL_ARGS, "--Af", "1e-200", "--Bf", "1e-200"],
                 EXIT_COLLAPSE,
-                None,
+                "A_f*B_f underflows to 0 at A_f=1e-200, B_f=1e-200",
                 id="bound-zero-division-pair",
+            ),
+            pytest.param(
+                ["verify", *CHANNEL_ARGS, "--Af", "1e-200", "--Bf", "1e-200"],
+                EXIT_COLLAPSE,
+                "A_f*B_f underflows to 0 at A_f=1e-200, B_f=1e-200",
+                id="verify-zero-product-pair",
             ),
             pytest.param(
                 ["bound", "--a", "1.1", "--b", "1e-200", "--Af", "0.4774", "--Bf", "0.7594"],
@@ -375,12 +381,20 @@ class TestExitCodes:
                          id="overflow-a2-times-bf"),
             pytest.param("1e-200", EXIT_INVALID_INPUT, "gain a=1e-200 too small",
                          id="underflow-gain"),
+            *(
+                pytest.param(tiny, EXIT_INVALID_INPUT,
+                             f"every grid point degenerate for a={tiny}, b=1.0",
+                             id=f"tiny-gain-{tiny}")
+                for tiny in ("1e-100", "1e-150", "1e-155")
+            ),
         ],
     )
     def test_gain_off_the_scan_grid(self, command, extra, a, expected, words, tmp_path, capsys):
         # Without a pair, a gain whose A_f = rho a^2 B_f cannot be a positive
         # finite float on the optimizer's grid is refused before any solve,
-        # naming a^2 B_f, not an A_f the user never gave.
+        # naming a^2 B_f, not an A_f the user never gave.  At a gain just
+        # above that, f's 2 w^2 underflows to 0 on every grid pair; the walk
+        # refuses each pair as non-finite, and the error names the gain.
         argv = [command, "--a", a, "--b", "1", *extra]
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         err = capsys.readouterr().err

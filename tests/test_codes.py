@@ -28,7 +28,7 @@ from linrelay.codes import (
     export_code,
     parse_code,
 )
-from linrelay.errors import FactorizationFailureError
+from linrelay.errors import EXIT_COLLAPSE, DenominatorCollapseError, FactorizationFailureError
 from linrelay.trajectory import build_trajectory
 
 A11 = ChannelParams(a=1.1, b=2.0)
@@ -207,6 +207,15 @@ class TestBuildCode:
         code = build_code(A11, endpoint, 48)
         assert np.allclose(code.D @ code.s, code.u, rtol=0.0, atol=1e-12)
         assert np.allclose(code.D @ code.r, code.z - code.s, rtol=0.0, atol=1e-12)
+
+    def test_collapsed_denominator_is_typed(self, endpoint):
+        # lambda = a^2 b^2 psi^2 / A0 scales with b^2 while both Q1 routes
+        # do not: at b = 1e-6 the same endpoint gives lambda = 3.6e-13, and
+        # the first step's denominator, lambda itself, is below tolerance.
+        weak = ChannelParams(a=1.1, b=1e-6)
+        with pytest.raises(DenominatorCollapseError, match="at step 1 of 16") as info:
+            build_code(weak, endpoint, 16)
+        assert info.value.exit_code == EXIT_COLLAPSE
 
     def test_first_step_has_no_feedback(self, endpoint):
         # T starts at zero, so u_0 = 0 and row 1 of D is empty anyway.
