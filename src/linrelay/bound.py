@@ -20,11 +20,14 @@ and answers every one of them: the walks it cannot do itself it finishes
 with integrate_adaptive, which gives each failure its exact error.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
-solve_endpoint drives with integrate_adaptive.  The optimizer runs many
-solves in lockstep through one driver (_lockstep): each round's pending
-walks go to integrate_batch when there are enough of them and to
-integrate_adaptive when there are few.  The scan drives its grid pairs
-through it, and so does the refinement, which runs its Nelder-Mead starts
+solve_endpoint drives with integrate_adaptive.  The optimizer evaluates
+every pair it touches by one objective, itself a generator of walk
+requests (_objective_steps), which drops a pair on a feasibility error or
+a non-finite value; and it runs many of them in lockstep through one
+driver (_lockstep): each round's pending walks go to integrate_batch when
+there are enough of them and to integrate_adaptive when there are few.
+The scan drives its grid pairs through it at its looser tolerances, and
+so does the refinement, which runs its Nelder-Mead starts
 (numerics.simplex_steps) of one channel or of many (optimize_bounds) and
 keeps each probe pair's evaluation in a memo; the optimum's evaluation is
 read from that memo, not solved again.
@@ -110,7 +113,12 @@ _PENALTY = 1e9
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Amplitude gains of the relay channel: a source-to-relay, b relay-to-destination."""
+    """Amplitude gains of the relay channel: a source-to-relay, b relay-to-destination.
+
+    b^2 enters every bound, code and baseline as b * b, so a gain b whose
+    square overflows is refused here with NonFiniteError.  a^2 is checked
+    where it is used (a_squared, and the scan's a^2*B_f grid check).
+    """
 
     a: float
     b: float
@@ -120,6 +128,8 @@ class ChannelParams:
             raise ValueError(f"gain a must be positive and finite, got {self.a!r}")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ValueError(f"gain b must be positive and finite, got {self.b!r}")
+        if self.b * self.b == math.inf:
+            raise NonFiniteError(f"b^2 overflows at gain b={self.b!r}")
 
     def a_squared(self) -> float:
         """a**2; NonFiniteError naming the gain where it overflows."""
@@ -245,10 +255,16 @@ def f_eval(w: float, phi: float) -> float:
 
     Raises:
         DomainError: If w <= 0.
+        NonFiniteError: If 2 w^2 underflows to 0 on the large-w branch.
     """
     if w <= 0.0:
         raise DomainError(f"f is defined for w > 0, got {w!r}")
-    return _f_terms(w, phi)[0]
+    try:
+        return _f_terms(w, phi)[0]
+    except ZeroDivisionError:
+        raise NonFiniteError(
+            f"f is infinite at w={w!r}, phi={phi!r}: 2*w*w underflows to 0"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -1060,33 +1076,44 @@ class _Optimum:
 
 
 def _optimize(channels: list[ChannelParams]) -> list[_Optimum]:
-    # Every channel's first pass, then the widened pass of those on the cap.
+    # Every channel's first pass, then the widened pass of those whose
+    # optimum lands on the cap.  A pass scans its channels one after
+    # another, then refines every channel the scan left candidates for
+    # together (_refine).  Per channel, the first error in the order of a
+    # pass run alone wins: the scan's, then the lowest start's (_closing).
     optima = [_Optimum() for _ in channels]
     pending = list(range(len(channels)))
     for bf_lo, bf_hi, note in (
         (1e-3, 1e3, "landed on the search cap; widening tenfold"),
         (1e-4, 1e4, "still on the widened cap; result suspect"),
     ):
-        outcomes = _optimize_pass([channels[i] for i in pending], bf_lo, bf_hi)
-        widen = []
-        for i, outcome in zip(pending, outcomes):
-            if isinstance(outcome, Exception):
-                optima[i].outcome = outcome
+        scanned = []
+        for i in pending:
+            channel = channels[i]
+            try:
+                candidates = _scan(channel, bf_lo, bf_hi)
+                if not candidates:
+                    raise NoFeasiblePointError(
+                        f"every grid point degenerate for a={channel.a!r}, b={channel.b!r}"
+                    )
+            except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
+                optima[i].outcome = exc
                 continue
-            ev, on_cap = outcome
-            optima[i].outcome = ev
-            if on_cap:
-                optima[i].notes.append(f"optimum B_f={ev.endpoint.B_f:g} {note}")
-                widen.append(i)
-        pending = widen
+            starts = [[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]]
+            scanned.append((i, starts))
+        ends, memos = _refine([(channels[i], starts) for i, starts in scanned])
+        pending = []
+        for (i, _), ended, memo in zip(scanned, ends, memos):
+            try:
+                optima[i].outcome = ev = _closing(channels[i], ended, memo)
+            except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
+                optima[i].outcome = exc
+                continue
+            bf = ev.endpoint.B_f
+            if bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99:
+                optima[i].notes.append(f"optimum B_f={bf:g} {note}")
+                pending.append(i)
     return optima
-
-
-def _kept(exc: Exception) -> Exception:
-    # A scan pair's failure as the scan keeps it: an infeasible pair's
-    # without its traceback, whose frames would hold far more memory than
-    # the class that drops the pair.
-    return exc.with_traceback(None) if isinstance(exc, _FEASIBILITY_ERRORS) else exc
 
 
 def _lockstep(solves: list, spec: QuadratureSpec, settle) -> None:
@@ -1142,13 +1169,11 @@ def _scan(
 ) -> list[tuple[float, float, float]]:
     """The scan's sorted candidates (normalized, rho, B_f) on the 24 x 25 grid.
 
-    Each candidate is theorem_bound's closed forms and floors (_bound_at)
-    at the endpoint _endpoint_steps solves for a grid pair with
-    _SCAN_ROOT_TOL and walks at _SCAN_QUADRATURE, bit for bit, and a pair
-    is dropped where that raises a feasibility error.  The endpoints are
-    solved _SCAN_WAVE pairs at a time by the lockstep driver (_lockstep).
-    The closed forms and floors then run pair by pair in grid order, so
-    any other error is raised where the pair-by-pair loop would raise it.
+    Each grid pair is evaluated by the search objective (_objective_steps)
+    with _SCAN_ROOT_TOL and walks at _SCAN_QUADRATURE, _SCAN_WAVE pairs at
+    a time through the lockstep driver (_lockstep), and dropped where the
+    objective gives _PENALTY.  Any other error is raised after the waves,
+    the first in grid order, as a pair-by-pair loop would raise it.
     """
     a2 = channel.a * channel.a
     rhos, bfs = _rho_grid(), _bf_grid(bf_lo, bf_hi, 25)
@@ -1164,37 +1189,29 @@ def _scan(
             f"B_f down to {bf_lo:g}"
         )
     grid = [(rho, bf) for rho in rhos for bf in bfs]
-    # Each pair's EndpointSolution or exception.
-    outcomes: list = [None] * len(grid)
+    # Each pair's normalized value or error; None where the pair is dropped.
+    values: list = [None] * len(grid)
 
     def settle(i: int, outcome) -> tuple:
-        outcomes[i] = _kept(outcome) if isinstance(outcome, Exception) else outcome
+        if outcome.__class__ is BoundEvaluation:
+            values[i] = outcome.normalized
+        elif isinstance(outcome, Exception):
+            values[i] = outcome
         return ()
 
     for wave in range(0, len(grid), _SCAN_WAVE):
         _lockstep(
             [
-                (_endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL), i)
+                (_objective_steps((rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL), i)
                 for i, (rho, bf) in enumerate(grid[wave : wave + _SCAN_WAVE], wave)
             ],
             _SCAN_QUADRATURE,
             settle,
         )
-
-    candidates = []
-    for (rho, bf), outcome in zip(grid, outcomes):
-        if isinstance(outcome, _FEASIBILITY_ERRORS):
-            continue
-        if isinstance(outcome, Exception):
-            raise outcome
-        try:
-            ev = _bound_at(outcome, channel)
-        except _FEASIBILITY_ERRORS:
-            continue
-        if math.isfinite(ev.normalized):
-            candidates.append((ev.normalized, rho, bf))
-    candidates.sort()
-    return candidates
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return sorted((value, rho, bf) for (rho, bf), value in zip(grid, values) if value is not None)
 
 
 def _probe(x: np.ndarray, a2: float):
@@ -1210,16 +1227,18 @@ def _probe(x: np.ndarray, a2: float):
     return rho * a2 * bf, bf
 
 
-def _objective_steps(key: tuple[float, float], channel: ChannelParams):
-    """The refinement objective at the pair key as a generator of walk requests.
+def _objective_steps(key: tuple[float, float], channel: ChannelParams, root_tol: float):
+    """The search objective at the pair key as a generator of walk requests.
 
-    Returns theorem_bound's evaluation there, or _PENALTY where
-    theorem_bound refuses the pair with a feasibility error or the value is
-    not finite.  A failed walk is thrown in at its request, where it
-    propagates as it would out of solve_endpoint.
+    Returns the evaluation theorem_bound's closed forms and floors
+    (_bound_at) give at the endpoint solved with root_tol, or _PENALTY
+    where they refuse the pair with a feasibility error or the value is
+    not finite: the one rule for the pairs the scan and the refinement
+    keep.  A failed walk is thrown in at its request, where it propagates
+    as it would out of solve_endpoint.
     """
     try:
-        ep = yield from _endpoint_steps(BoundaryPair(*key), channel, 1e-13)
+        ep = yield from _endpoint_steps(BoundaryPair(*key), channel, root_tol)
         ev = _bound_at(ep, channel)
     except _FEASIBILITY_ERRORS:
         return _PENALTY
@@ -1270,7 +1289,7 @@ def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[li
             known = memo.get(key)
             if known is None:
                 memo[key] = [(s, steps)]
-                return [(_objective_steps(key, channel), (p, key))]
+                return [(_objective_steps(key, channel, 1e-13), (p, key))]
             if known.__class__ is list:
                 known.append((s, steps))
                 return []
@@ -1291,47 +1310,10 @@ def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[li
     return ends, memos
 
 
-def _optimize_pass(channels: list[ChannelParams], bf_lo: float, bf_hi: float) -> list:
-    """One search pass per channel: (ev, on_cap), or the error the pass raises.
-
-    The scans run one channel after another, then the refinements of all
-    channels together (_refine).  Per channel, the first error in the order
-    of a pass run alone wins: the scan's, then the lowest start's.
-    """
-    scans: list = []
-    for channel in channels:
-        try:
-            candidates = _scan(channel, bf_lo, bf_hi)
-            if not candidates:
-                raise NoFeasiblePointError(
-                    f"every grid point degenerate for a={channel.a!r}, b={channel.b!r}"
-                )
-        except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
-            scans.append(exc)
-            continue
-        scans.append([[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]])
-    ends, memos = _refine(
-        [(channel, [] if isinstance(starts, Exception) else starts)
-         for channel, starts in zip(channels, scans)]
-    )
-    outcomes: list = []
-    for channel, starts, ended, memo in zip(channels, scans, ends, memos):
-        if isinstance(starts, Exception):
-            outcomes.append(starts)
-            continue
-        try:
-            outcomes.append(_closing(channel, ended, memo, bf_lo, bf_hi))
-        except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
-            outcomes.append(exc)
-    return outcomes
-
-
-def _closing(
-    channel: ChannelParams, ends: list, memo: dict, bf_lo: float, bf_hi: float
-) -> tuple[BoundEvaluation, bool]:
-    # The best start's optimum, read from the memo with no new solve, and
-    # whether it is on the cap.  Its value is the memo entry's normalized
-    # value, so the entry is that pair's evaluation.
+def _closing(channel: ChannelParams, ends: list, memo: dict) -> BoundEvaluation:
+    # The best start's optimum, read from the memo with no new solve.  Its
+    # value is the memo entry's normalized value, so the entry is that
+    # pair's evaluation.
     best_x = None
     best_val = math.inf
     for end in ends:
@@ -1343,6 +1325,4 @@ def _closing(
             best_x = x
     if best_x is None or best_val >= _PENALTY:
         raise NoFeasiblePointError("refinement found no feasible point")
-    ev = memo[_probe(best_x, channel.a * channel.a)]
-    bf = ev.endpoint.B_f
-    return ev, bf <= bf_lo * 1.01 or bf >= bf_hi * 0.99
+    return memo[_probe(best_x, channel.a * channel.a)]

@@ -238,6 +238,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ChannelParams(a=a, b=b)
 
+    def test_channel_refuses_a_gain_b_whose_square_overflows(self):
+        # b^2 = inf would read as lambda = inf and Q2 = 0 in the bound.
+        largest = math.sqrt(sys.float_info.max)
+        assert ChannelParams(a=1.1, b=largest).b == largest
+        with pytest.raises(NonFiniteError, match=r"b\^2 overflows at gain b=1e\+200"):
+            ChannelParams(a=1.1, b=1e200)
+
     @pytest.mark.parametrize("Af,Bf", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0)])
     def test_pair_rejects_bad_values(self, Af, Bf):
         with pytest.raises(ValueError):
@@ -262,6 +269,11 @@ class TestStableBranch:
             f_eval(0.0, 1.0)
         with pytest.raises(DomainError):
             f_eval(-2.0, 1.0)
+
+    def test_underflowing_square_is_non_finite(self):
+        # On the large-w branch 2 w^2 underflows to 0, as in the walk.
+        with pytest.raises(NonFiniteError, match=r"2\*w\*w underflows to 0"):
+            f_eval(1e-200, 1e300)
 
     def test_branch_switch_is_continuous(self):
         # The two algebraic forms meet at phi*w = 1; values must agree
@@ -494,6 +506,50 @@ class TestScan:
         assert [value.hex() for c in batch for value in c] == [
             value.hex() for c in scalar for value in c
         ]
+
+    def test_feasibility_errors_drop_pairs_and_the_first_other_error_in_grid_order_raises(
+        self, monkeypatch
+    ):
+        a2 = A11.a * A11.a
+        grid = [
+            (rho * a2 * bf, bf) for rho in bound._rho_grid() for bf in bound._bf_grid(1e-3, 1e3, 25)
+        ]
+        real = bound._bound_at
+        settled = []
+
+        def record(ep, channel):
+            settled.append(grid.index((ep.A_f, ep.B_f)))
+            return real(ep, channel)
+
+        monkeypatch.setattr(bound, "_bound_at", record)
+        full = bound._scan(A11, 1e-3, 1e3)
+        # The best pair is refused with a feasibility error: it is dropped.
+        best = grid.index((full[0][1] * a2 * full[0][2], full[0][2]))
+
+        def refuse(ep, channel):
+            if grid.index((ep.A_f, ep.B_f)) == best:
+                raise DegenerateBoundError("refused")
+            return real(ep, channel)
+
+        monkeypatch.setattr(bound, "_bound_at", refuse)
+        assert bound._scan(A11, 1e-3, 1e3) == full[1:]
+        # Two pairs fail otherwise: the first to settle, and one before it
+        # in the grid that settles later.  The scan raises the latter's.
+        first_settled = settled[0]
+        earlier = next(i for i in settled if i < first_settled)
+        raised = []
+
+        def fail(ep, channel):
+            at = grid.index((ep.A_f, ep.B_f))
+            if at in (first_settled, earlier):
+                raised.append(at)
+                raise LookupError(f"pair {at}")
+            return real(ep, channel)
+
+        monkeypatch.setattr(bound, "_bound_at", fail)
+        with pytest.raises(LookupError, match=f"pair {earlier}$"):
+            bound._scan(A11, 1e-3, 1e3)
+        assert raised == [first_settled, earlier]
 
     def test_memory_bound(self):
         # A wave of suspended endpoint solves and the batch walk's slices.
@@ -766,30 +822,42 @@ class TestLockstepRefinement:
             next(evs)
 
     def test_cap_warnings_in_channel_order_after_one_widened_pass(self, monkeypatch):
-        # Both channels are made to land on the cap of the first pass; they
-        # take the widened pass together, and each warning names its own
-        # optimum and points at the line that takes the result.
-        passes = []
-        real_pass, real_closing = bound._optimize_pass, bound._closing
+        # Both channels are made to land on the cap of the first pass (their
+        # first-pass optima are moved onto it); they take the widened pass
+        # together, and each warning names its own first-pass optimum and
+        # points at the line that takes the result.
+        scans, refined, capped = [], [], []
+        real_scan, real_refine, real_closing = bound._scan, bound._refine, bound._closing
 
-        def spy_pass(channels, bf_lo, bf_hi):
-            passes.append(([channel.b for channel in channels], bf_hi))
-            return real_pass(channels, bf_lo, bf_hi)
+        def spy_scan(channel, bf_lo, bf_hi):
+            scans.append((channel.b, bf_hi))
+            return real_scan(channel, bf_lo, bf_hi)
 
-        def on_cap(channel, ends, memo, bf_lo, bf_hi):
-            ev, _ = real_closing(channel, ends, memo, bf_lo, bf_hi)
-            return ev, bf_hi == 1e3
+        def spy_refine(problems):
+            refined.append([channel.b for channel, _ in problems])
+            return real_refine(problems)
 
-        monkeypatch.setattr(bound, "_optimize_pass", spy_pass)
+        def on_cap(channel, ends, memo):
+            ev = real_closing(channel, ends, memo)
+            if scans[-1][1] == 1e3:
+                B_f = 1e3 + ev.endpoint.B_f
+                ev = dataclasses.replace(ev, endpoint=dataclasses.replace(ev.endpoint, B_f=B_f))
+                capped.append(ev)
+            return ev
+
+        monkeypatch.setattr(bound, "_scan", spy_scan)
+        monkeypatch.setattr(bound, "_refine", spy_refine)
         monkeypatch.setattr(bound, "_closing", on_cap)
         channels = [ChannelParams(a=1.1, b=3.0), A11]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             evs = list(optimize_bounds(channels))
-        assert passes == [([3.0, 2.0], 1e3), ([3.0, 2.0], 1e4)]
+        assert scans == [(3.0, 1e3), (2.0, 1e3), (3.0, 1e4), (2.0, 1e4)]
+        assert refined == [[3.0, 2.0], [3.0, 2.0]]
+        assert len(capped) == len(channels)
         assert [str(w.message) for w in caught] == [
             f"optimum B_f={ev.endpoint.B_f:g} landed on the search cap; widening tenfold"
-            for ev in evs
+            for ev in capped
         ]
         assert {w.filename for w in caught} == {__file__}
         # optimize_bound's warning points at its caller.

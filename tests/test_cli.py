@@ -291,6 +291,21 @@ class TestExitCodes:
                 "a^2 overflows at gain a=1e+200",
                 id="sweep-overflow-gain",
             ),
+            *(
+                pytest.param(argv, EXIT_COLLAPSE, "b^2 overflows at gain b=1e+200",
+                             id=f"{argv[0]}-overflow-gain-b{'-pair' if '--Af' in argv else ''}")
+                for argv in (
+                    ["bound", "--a", "1.1", "--b", "1e200"],
+                    ["bound", "--a", "1.1", "--b", "1e200", *PAIR_ARGS],
+                    ["verify", "--a", "1.1", "--b", "1e200"],
+                    ["verify", "--a", "1.1", "--b", "1e200", *PAIR_ARGS],
+                    ["code", "--a", "1.1", "--b", "1e200", "--k", "8", "--out", "{tmp}/x"],
+                    ["code", "--a", "1.1", "--b", "1e200", *PAIR_ARGS, "--k", "8",
+                     "--out", "{tmp}/x"],
+                    ["sweep", "--a", "1.1", "--b-min", "0.5", "--b-max", "1e200",
+                     "--n-points", "3", "--out", "{tmp}/x.csv"],
+                )
+            ),
             pytest.param(
                 ["sweep", "--a", "1e-200", "--b-min", "1", "--b-max", "2", "--n-points", "2",
                  "--out", "{tmp}/x.csv"],
