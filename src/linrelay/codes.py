@@ -11,9 +11,10 @@ two is a genuine cross-check of the whole pipeline.  It is the package's one
 matrix oracle: the 2x2 baseline ranks its grid by the same formula in
 closed form, tied to this oracle by a test, and reports values from it.
 
-The code path holds at most D and one more k x k matrix: the builder fills
-D in place, export_code streams it in chunks of k entries, and the oracle's
-M is formed and factored in place.
+Beyond k = 512 the code path holds one k x k matrix, D: the builder fills
+D in place, export_code streams it in chunks of k entries, and the oracle
+builds and factors M in D's zero upper triangle and diagonal, 512 rows at
+a time, and zeroes them again before it returns.
 
 export_code writes every entry as the exact text of Python's "%.17g", but
 formats a chunk at a time in numpy (_g17.G17Lines): the 17 digits come
@@ -49,6 +50,13 @@ __all__ = [
 DEFAULT_K_CAP = 4096
 
 _COLLAPSE_TOL = 1e-12
+
+# Row blocks of the oracle's D D^T: the diagonal block's syrk temporary,
+# 2 MB, is the largest array evaluate_rank1 allocates beyond k = 512.
+_GRAM_BLOCK = 512
+
+# Leaves of the oracle's chunked ||D||^2, 128 kB of squares each.
+_SUM_LEAF = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -163,61 +171,140 @@ def build_code(channel: ChannelParams, endpoint: EndpointSolution, k: int) -> Re
     return RelayCode(k=k, delta=delta, s=s, u=u, z=z, r=r, D=D, lam=lam)
 
 
+def _sum_squares(flat: np.ndarray) -> float:
+    """float(np.sum(flat * flat)) bit for bit, squaring _SUM_LEAF entries at a time.
+
+    numpy sums a contiguous array pairwise: a range longer than 128 splits
+    at half its length rounded down to a multiple of 8.  This recursion
+    splits the same way down to leaves of at most _SUM_LEAF entries, and
+    np.sum of a leaf is that leaf's node of numpy's tree, so the sum has
+    np.sum's bits without a temporary the size of flat.
+    """
+    n = flat.shape[0]
+    if n <= _SUM_LEAF:
+        return float(np.sum(flat * flat))
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
+
+
+def _write_m(W: np.ndarray, bb: float) -> None:
+    """Write M = I + bb D D^T into W's zero upper triangle and diagonal.
+
+    D is W's strict lower part, which stays untouched.  Row block I of
+    _GRAM_BLOCK rows writes its blocks right of the diagonal in place as
+    D[I, :I_end] D[J, :I_end]^T, over the only columns where row block I
+    is nonzero, then its diagonal block from an nb x nb syrk temporary;
+    the block's products read its upper part while it is still zero.  For
+    k <= _GRAM_BLOCK the one block is the whole D D^T, scaled and shifted
+    in the same order as an out-of-place M, so M keeps those bits; for
+    larger k the sums split differently and M's last bits may move.
+
+    Raises:
+        ValueError: If an entry of M overflows.
+    """
+    k = W.shape[0]
+    for i0 in range(0, k, _GRAM_BLOCK):
+        i1 = min(i0 + _GRAM_BLOCK, k)
+        rows = W[i0:i1, :i1]
+        for j0 in range(i1, k, _GRAM_BLOCK):
+            block = W[i0:i1, j0 : j0 + _GRAM_BLOCK]
+            np.matmul(rows, W[j0 : j0 + _GRAM_BLOCK, :i1].T, out=block)
+            block *= bb
+            _check_finite_m(block)
+        G = rows @ rows.T
+        G *= bb
+        G.ravel()[:: i1 - i0 + 1] += 1.0
+        _check_finite_m(G)
+        for r in range(i1 - i0):
+            W[i0 + r, i0 + r : i1] = G[r, r:]
+        # Freed now, so it never coexists with the next block's G.
+        del G
+
+
+def _check_finite_m(block: np.ndarray) -> None:
+    if not np.isfinite(block).all():
+        raise ValueError("I + b^2 D D^T overflows")
+
+
 def evaluate_rank1(channel: ChannelParams, s: np.ndarray, D: np.ndarray) -> CodeEvaluation:
     """Energy-per-bit of an (s, D) scheme straight from the matrix formula.
 
     The denominator quadratic form is computed by assembling
     M = I + b^2 D D^T and solving M x = (I + a b D) s through a Cholesky
-    factorization; no builder sequences are consulted.  M is the one k x k
-    array beside D: D D^T is scaled and its diagonal raised in place, and
-    LAPACK factors it in place.
+    factorization; no builder sequences are consulted.
+
+    For k > 512, D is the only k x k array.  The numerator comes first,
+    with ||D||^2 as np.sum's pairwise sum taken in chunks.  Then _write_m
+    builds M in D's zero upper triangle and diagonal, the part of M that
+    LAPACK's potrf reads and overwrites when it factors D's transpose as a
+    Fortran matrix, and the solve reads that factor alone.
+
+    Workspace contract: the upper triangle and diagonal of the caller's D
+    are borrowed and set back to +0.0 on every path, success or error, so
+    the caller's D compares equal afterwards (a -0.0 there comes back as
+    +0.0), but one D must not be shared by concurrent calls.  A D that is
+    read-only, not C-contiguous or not float64 is evaluated on a private
+    copy and never written.
 
     Args:
         channel: Channel gains.
-        s: Source vector, nonzero, length k.
-        D: Relay matrix, k x k, strictly lower-triangular.
+        s: Source vector, nonzero, length k, finite.
+        D: Relay matrix, k x k, strictly lower-triangular, finite.
 
     Returns:
         The evaluation record.
 
     Raises:
-        ValueError: If D is not strictly lower-triangular or s is zero.
+        ValueError: If D is not strictly lower-triangular, s is zero, s or
+            D holds a non-finite entry, or the numerator, (I + a b D) s or
+            M overflows; all before the factorization.
         FactorizationFailureError: If M fails the positive-definite
             factorization (corrupted D).
     """
     # The package's one scipy use, imported here so that processes which
     # never run the oracle (verify, the bound as a library) load numpy
     # alone; importing scipy.linalg takes about 0.13 s.  It comes before the
-    # k x k temporaries: imported after them at k = 1024, it raised the peak
-    # RSS of a later k = 4096 call by 7 MB.  scipy raises numpy's LinAlgError.
+    # oracle's arrays: imported after k x k temporaries at k = 1024, it
+    # raised the peak RSS of a later k = 4096 call by 7 MB.  scipy raises
+    # numpy's LinAlgError.
     from scipy.linalg import cho_factor, cho_solve
 
     s = np.asarray(s, dtype=float)
-    D = np.asarray(D, dtype=float)
+    W = np.require(np.asarray(D, dtype=float), requirements="CAW")
     k = s.shape[0]
-    if D.shape != (k, k):
-        raise ValueError(f"D must be {k} x {k}, got {D.shape}")
-    # Row by row, so no k x k copy is made to look at the upper triangle.
-    if any(D[i, i:].any() for i in range(k)):
-        raise ValueError("D must be strictly lower-triangular")
-    norm_s2 = float(s @ s)
-    if norm_s2 == 0.0:
-        raise ValueError("s must be nonzero")
+    if W.shape != (k, k):
+        raise ValueError(f"D must be {k} x {k}, got {W.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("entries of s must be finite")
+    # Row by row, so no k x k temporary is made to look at D.
+    for i in range(k):
+        if W[i, i:].any():
+            raise ValueError("D must be strictly lower-triangular")
+        if not np.isfinite(W[i, :i]).all():
+            raise ValueError("entries of D must be finite")
     a, b = channel.a, channel.b
-    Ds = D @ s
-    numerator = norm_s2 + a * a * float(Ds @ Ds) + float(np.sum(D * D))
-    # numpy forms D @ D.T with syrk and mirrors it, so M is exactly
-    # symmetric and M.T is the same matrix in the Fortran order potrf
-    # factors without a copy.
-    M = D @ D.T
-    M *= b * b
-    M.ravel()[:: k + 1] += 1.0
-    v = s + a * b * Ds
-    try:
-        factor = cho_factor(M.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailureError(f"I + b^2 D D^T not positive definite: {exc}")
-    x = cho_solve(factor, v)
+    # Every result that can overflow is tested and refused as a ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_s2 = float(s @ s)
+        if norm_s2 == 0.0:
+            raise ValueError("s must be nonzero")
+        Ds = W @ s
+        numerator = norm_s2 + a * a * float(Ds @ Ds) + _sum_squares(W.ravel())
+        if not math.isfinite(numerator):
+            raise ValueError("the numerator ||s||^2 + a^2 ||Ds||^2 + ||D||^2 overflows")
+        v = s + a * b * Ds
+        if not np.isfinite(v).all():
+            raise ValueError("(I + a b D) s overflows")
+        try:
+            _write_m(W, b * b)
+            factor = cho_factor(W.T, lower=True, overwrite_a=True, check_finite=False)
+            x = cho_solve(factor, v, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailureError(f"I + b^2 D D^T not positive definite: {exc}")
+        finally:
+            for i in range(k):
+                W[i, i:] = 0.0
     quad = float(v @ x)
     # log1p keeps the rate accurate for near-zero-power inputs, where
     # 1 + quad would round away most of quad.

@@ -23,6 +23,7 @@ from linrelay._g17 import G17Lines
 from linrelay.codes import (
     DEFAULT_K_CAP,
     RelayCode,
+    _sum_squares,
     build_code,
     evaluate_rank1,
     export_code,
@@ -188,6 +189,132 @@ class TestEvaluateRank1:
         D[1, 0] = D[2, 0] = 1e9
         with pytest.raises(FactorizationFailureError, match="not positive definite"):
             evaluate_rank1(A11, np.ones(3), D)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 256, 257, 1000, 1536, 3000])
+    def test_chunked_sum_of_squares_matches_np_sum(self, k):
+        # Entries spread over twelve decades, so any other summation order
+        # shows in the last bits.
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-6, 6, (k, k)), k=-1)
+        assert _sum_squares(D.ravel()).hex() == float(np.sum(D * D)).hex()
+
+    @pytest.mark.parametrize("k", [513, 1100, 1600])
+    def test_blocked_gram_ties_out_of_place_formula(self, k):
+        # Beyond one block of 512 rows the sums of D D^T split differently,
+        # so only the last bits may differ from the out-of-place M.
+        channel = ChannelParams(a=0.9, b=1.7)
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)), k=-1)
+        s = 1e-8 * rng.normal(size=k)
+        out = evaluate_rank1(channel, s, D)
+        assert out.energy_per_bit == pytest.approx(_energy_longhand(channel, s, D), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("value", "match"),
+        [
+            pytest.param(np.inf, "entries of D must be finite", id="inf"),
+            pytest.param(np.nan, "entries of D must be finite", id="nan"),
+            pytest.param(1e200, "numerator .* overflows", id="1e200"),
+        ],
+    )
+    def test_non_finite_or_overflowing_D_rejected_without_warnings(self, value, match):
+        D = np.zeros((4, 4))
+        D[2, 1] = value
+        with pytest.raises(ValueError, match=match):
+            evaluate_rank1(A11, np.ones(4), D)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_source_rejected_without_warnings(self):
+        with pytest.raises(ValueError, match="entries of s must be finite"):
+            evaluate_rank1(A11, np.array([1.0, np.nan]), np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gram_rejected_without_warnings(self):
+        # ||D||^2 = 1e300 is finite, b^2 times it is not.
+        D = np.zeros((3, 3))
+        D[2, 0] = 1e150
+        with pytest.raises(ValueError, match=r"I \+ b\^2 D D\^T overflows"):
+            evaluate_rank1(ChannelParams(a=1.1, b=1e10), np.full(3, 1e-160), D)
+
+
+def _assert_restored(D, before):
+    """D equals its copy taken before the call, with +0.0 on and above the diagonal."""
+    assert np.array_equal(D, before)
+    assert not np.triu(D).view(np.int64).any()
+
+
+class TestWorkspace:
+    # evaluate_rank1 builds M in the caller's D and restores it; k = 600
+    # spans two row blocks.
+    @pytest.mark.parametrize("k", [3, 600])
+    def test_D_restored_after_success(self, k):
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)), k=-1)
+        before = D.copy()
+        evaluate_rank1(A11, rng.normal(size=k), D)
+        _assert_restored(D, before)
+
+    @pytest.mark.parametrize("k", [3, 600])
+    def test_D_restored_after_factorization_failure(self, k):
+        # As in test_singular_matrix_is_factorization_failure: M's rows 1
+        # and 2 are equal in floats.
+        D = np.zeros((k, k))
+        D[1, 0] = D[2, 0] = 1e9
+        before = D.copy()
+        with pytest.raises(FactorizationFailureError):
+            evaluate_rank1(A11, np.ones(k), D)
+        _assert_restored(D, before)
+
+    @pytest.mark.parametrize("k", [3, 600])
+    def test_D_restored_after_gram_overflow(self, k):
+        D = np.zeros((k, k))
+        D[k - 1, 0] = 1e150
+        before = D.copy()
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate_rank1(ChannelParams(a=1.1, b=1e10), np.full(k, 1e-160), D)
+        _assert_restored(D, before)
+
+    @pytest.mark.parametrize(
+        ("value", "s"),
+        [
+            pytest.param(np.inf, 1.0, id="inf"),
+            pytest.param(np.nan, 1.0, id="nan"),
+            pytest.param(1e200, 1.0, id="1e200"),
+            pytest.param(0.5, np.nan, id="nan-source"),
+        ],
+    )
+    def test_D_unchanged_after_value_errors(self, value, s):
+        D = np.zeros((4, 4))
+        D[2, 1] = value
+        before = D.copy()
+        with pytest.raises(ValueError):
+            evaluate_rank1(A11, np.full(4, s), D)
+        assert np.array_equal(D, before, equal_nan=True)
+        assert not np.triu(D).view(np.int64).any()
+
+    @pytest.mark.parametrize("k", [5, 600])
+    def test_read_only_D_evaluates_unwritten(self, k):
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)), k=-1)
+        s = rng.normal(size=k)
+        want = evaluate_rank1(A11, s, D).energy_per_bit
+        before = D.copy()
+        D.flags.writeable = False
+        assert evaluate_rank1(A11, s, D).energy_per_bit.hex() == want.hex()
+        _assert_restored(D, before)
+
+    @pytest.mark.parametrize("k", [5, 600])
+    def test_fortran_D_evaluates_unwritten(self, k):
+        rng = np.random.default_rng(k)
+        D = np.tril(rng.normal(size=(k, k)), k=-1)
+        s = rng.normal(size=k)
+        want = evaluate_rank1(A11, s, D).energy_per_bit
+        F = np.asfortranarray(D)
+        before = F.copy(order="F")
+        assert evaluate_rank1(A11, s, F).energy_per_bit.hex() == want.hex()
+        assert F.flags.f_contiguous
+        _assert_restored(F, before)
 
 
 class TestBuildCode:
@@ -414,19 +541,22 @@ class TestG17Text:
 
 
 class TestMemory:
-    # At k = 512 a k x k float matrix is one unit.  The builder holds only D,
-    # the oracle only M beside the caller's D, and the export one chunk of k
-    # entries.
+    # At k = 512 a k x k float matrix is one unit.  The builder holds only D
+    # and the export one chunk of k entries.
     K = 512
     UNIT = 8 * K * K
 
     def test_build_holds_only_D(self, endpoint):
         assert _traced_peak(lambda: build_code(A11, endpoint, self.K)) < 1.5 * self.UNIT
 
-    def test_oracle_holds_only_M(self, endpoint):
-        code = build_code(A11, endpoint, self.K)
+    def test_oracle_holds_no_second_matrix(self, endpoint):
+        # At k = 1536 (three row blocks) a k x k matrix is one unit; the
+        # oracle builds M in the caller's D, and its largest temporary is
+        # one 512 x 512 diagonal block, a ninth of a unit.
+        k = 1536
+        code = build_code(A11, endpoint, k)
         peak = _traced_peak(lambda: evaluate_rank1(A11, code.s, code.D))
-        assert peak < 1.5 * self.UNIT
+        assert peak < 0.2 * 8 * k * k
 
     def test_export_streams_rows(self, endpoint, tmp_path):
         code = build_code(A11, endpoint, self.K)
