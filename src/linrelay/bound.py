@@ -23,14 +23,16 @@ Each endpoint solve is a generator of walk requests (_endpoint_steps) that
 solve_endpoint drives with integrate_adaptive.  The optimizer evaluates
 every pair it touches by one objective, itself a generator of walk
 requests (_objective_steps), which drops a pair on a feasibility error or
-a non-finite value; and it runs many of them in lockstep through one
-driver (_lockstep): each round's pending walks go to integrate_batch when
-there are enough of them and to integrate_adaptive when there are few.
-The scan drives its grid pairs through it at its looser tolerances, and
-so does the refinement, which runs its Nelder-Mead starts
-(numerics.simplex_steps) of one channel or of many (optimize_bounds) and
-keeps each probe pair's evaluation in a memo; the optimum's evaluation is
-read from that memo, not solved again.
+a non-finite value.  One driver (_lockstep) runs a list of such generators
+to their ends in lockstep rounds and returns their outcomes: each round's
+pending walks go to integrate_batch when there are enough of them and to
+integrate_adaptive when there are few.  The scan runs its grid pairs
+through it in waves at its looser tolerances.  The refinement runs its
+Nelder-Mead starts (numerics.simplex_steps), of one channel or of many
+(optimize_bounds), in steps: each start runs on until it asks for a pair
+not yet solved, the pairs asked in a step are solved by one driver call,
+and their outcomes go into a memo that the starts resume from.  The
+optimum's evaluation is read from that memo, not solved again.
 """
 from __future__ import annotations
 
@@ -1022,12 +1024,12 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
     rho in [1e-3, 1 - 1e-6] and B_f in [1e-3, 1e3], then refine from the
     best three grid points with Nelder-Mead (numerics.simplex_steps) in
     (logit rho, ln B_f) coordinates, penalizing constraint violations.  The
-    scan's solves and the three starts each run in lockstep through one
-    driver (_lockstep); the refinement solves each distinct probe pair once
-    per pass and keeps its evaluation, and the optimum's evaluation is the
-    one kept for its pair.  If the refined optimum lands on the B_f cap
-    the search is rerun once with the cap widened tenfold and a warning is
-    emitted.
+    scan's solves and each refinement step's probe pairs run in lockstep
+    through one driver (_lockstep); the refinement solves each distinct
+    probe pair once per pass and keeps its evaluation, and the optimum's
+    evaluation is the one kept for its pair.  If the refined optimum lands
+    on the B_f cap the search is rerun once with the cap widened tenfold
+    and a warning is emitted.
 
     Args:
         channel: Channel gains.
@@ -1116,37 +1118,31 @@ def _optimize(channels: list[ChannelParams]) -> list[_Optimum]:
     return optima
 
 
-def _lockstep(solves: list, spec: QuadratureSpec, settle) -> None:
-    """Run generators of walk requests in lockstep rounds until all have ended.
+def _lockstep(solves: list, spec: QuadratureSpec) -> list:
+    """Run generators of walk requests in lockstep rounds; return their outcomes.
 
-    solves holds (steps, tag) pairs, steps a fresh generator of walk
-    requests (phi, lo, hi).  Every round answers each pending request at
-    spec: with one integrate_batch call where at least _LOCKSTEP_WIDTH are
-    pending, else with integrate_adaptive one by one, which is faster
-    there; both give the same bits.  A failed walk is thrown into its
-    generator.  When a generator ends, settle(tag, outcome) gets its
-    return value or the exception it raised, and returns the (steps, tag)
-    pairs of the solves it starts.
+    solves holds fresh generators of walk requests (phi, lo, hi).  Every
+    round answers each pending request at spec: with one integrate_batch
+    call where at least _LOCKSTEP_WIDTH are pending, else with
+    integrate_adaptive one by one, which is faster there; both give the
+    same bits.  A failed walk is thrown into its generator.  Returns, in
+    the order of solves, each generator's return value or the exception
+    it raised.
     """
-    answered = [(steps, tag, None) for steps, tag in solves]
+    outcomes: list = [None] * len(solves)
+    answered = [(i, steps, None) for i, steps in enumerate(solves)]
     while answered:
         live = []
-        # settle's new solves are appended to the list being walked, so
-        # they take their first step in this round.
-        for steps, tag, answer in answered:
+        for i, steps, answer in answered:
             try:
                 if isinstance(answer, Exception):
-                    request = steps.throw(answer)
+                    live.append((i, steps, steps.throw(answer)))
                 else:
-                    request = steps.send(answer)
+                    live.append((i, steps, steps.send(answer)))
             except StopIteration as stop:
-                outcome = stop.value
+                outcomes[i] = stop.value
             except Exception as exc:  # noqa: BLE001 - the generator's outcome
-                outcome = exc
-            else:
-                live.append((steps, tag, request))
-                continue
-            answered += [(new, t, None) for new, t in settle(tag, outcome)]
+                outcomes[i] = exc
         requests = [request for _, _, request in live]
         if len(requests) >= _LOCKSTEP_WIDTH:
             phi, lo, hi = (np.array(column) for column in zip(*requests))
@@ -1161,7 +1157,8 @@ def _lockstep(solves: list, spec: QuadratureSpec, settle) -> None:
                     answers.append(integrate_adaptive(*request, spec))
                 except Exception as exc:  # noqa: BLE001 - thrown in next round
                     answers.append(exc)
-        answered = [(steps, tag, answer) for (steps, tag, _), answer in zip(live, answers)]
+        answered = [(i, steps, answer) for (i, steps, _), answer in zip(live, answers)]
+    return outcomes
 
 
 def _scan(
@@ -1190,24 +1187,20 @@ def _scan(
         )
     grid = [(rho, bf) for rho in rhos for bf in bfs]
     # Each pair's normalized value or error; None where the pair is dropped.
-    values: list = [None] * len(grid)
-
-    def settle(i: int, outcome) -> tuple:
-        if outcome.__class__ is BoundEvaluation:
-            values[i] = outcome.normalized
-        elif isinstance(outcome, Exception):
-            values[i] = outcome
-        return ()
-
+    values: list = []
     for wave in range(0, len(grid), _SCAN_WAVE):
-        _lockstep(
+        outcomes = _lockstep(
             [
-                (_objective_steps((rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL), i)
-                for i, (rho, bf) in enumerate(grid[wave : wave + _SCAN_WAVE], wave)
+                _objective_steps((rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
+                for rho, bf in grid[wave : wave + _SCAN_WAVE]
             ],
             _SCAN_QUADRATURE,
-            settle,
         )
+        for outcome in outcomes:
+            if outcome.__class__ is BoundEvaluation:
+                values.append(outcome.normalized)
+            else:
+                values.append(outcome if isinstance(outcome, Exception) else None)
     for value in values:
         if isinstance(value, Exception):
             raise value
@@ -1246,67 +1239,64 @@ def _objective_steps(key: tuple[float, float], channel: ChannelParams, root_tol:
 
 
 def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[list, list]:
-    """Nelder-Mead from every start of every (channel, starts) problem in lockstep.
+    """Nelder-Mead from every start of every (channel, starts) problem, in steps.
 
     Returns (ends, memos).  ends holds, per problem and start, the (point,
     value) minimize_simplex returns with the refinement objective, or the
     exception it raises.  memos holds, per problem, each pair solved, keyed
     by the exact pair (_probe), with the objective's outcome there: the
-    BoundEvaluation, _PENALTY or the exception.  So each distinct pair is
-    solved once, also when two starts ask for it in the same round, and
-    the optimum's evaluation is read from the memo.  The pairs in flight
-    are solved by the lockstep driver (_lockstep) at DEFAULT_QUADRATURE,
-    whose batch and scalar rounds give the same bits, so each start
-    probes what it probes alone.
+    BoundEvaluation, _PENALTY or the exception.
+
+    In each step every live start runs on through penalties and memo hits
+    until it asks for a pair its problem's memo lacks, or ends.  The pairs
+    asked, each once however many starts ask for it, are solved together
+    by one lockstep driver call (_lockstep) at DEFAULT_QUADRATURE, whose
+    batch and scalar rounds give the same bits, so each start probes what
+    it probes alone.  Their outcomes go into the memos, and the starts
+    that asked resume from them in the next step.  The optimum's
+    evaluation is read from the memo.
     """
     ends: list[list] = [[None] * len(starts) for _, starts in problems]
-    # Per problem, pair -> outcome, or the list of starts waiting on it.
     memos: list[dict] = [{} for _ in problems]
-
-    def resume(p: int, s: int, steps, known) -> list:
-        # Runs start s of problem p on from known, the objective's outcome
-        # at its last probe (None before the first), until it waits for a
-        # pair or ends; returns the solve it starts, if any.
-        channel = problems[p][0]
-        a2 = channel.a * channel.a
-        memo = memos[p]
-        while True:
-            if isinstance(known, Exception):
-                ends[p][s] = known
-                return []
+    # Each live start as (problem, start, steps, the objective's outcome at
+    # its last probe), None before the first.
+    live = [
+        (p, s, simplex_steps(start), None)
+        for p, (_, starts) in enumerate(problems)
+        for s, start in enumerate(starts)
+    ]
+    while live:
+        # (problem, pair) -> the starts that ask for it in this step.
+        asked: dict[tuple, list] = {}
+        for p, s, steps, known in live:
+            memo = memos[p]
+            a2 = problems[p][0].a * problems[p][0].a
             try:
-                x = steps.send(known.normalized if known.__class__ is BoundEvaluation else known)
+                while not isinstance(known, Exception):
+                    if known.__class__ is BoundEvaluation:
+                        known = known.normalized
+                    x = steps.send(known)
+                    key = _probe(x, a2)
+                    if key.__class__ is tuple and key not in memo:
+                        asked.setdefault((p, key), []).append((s, steps))
+                        break
+                    known = memo[key] if key.__class__ is tuple else key
+                else:
+                    # The objective raised at the start's last probe.
+                    ends[p][s] = known
             except StopIteration as stop:
                 ends[p][s] = stop.value
-                return []
             except Exception as exc:  # noqa: BLE001 - the start's outcome
                 ends[p][s] = exc
-                return []
-            key = _probe(x, a2)
-            if key.__class__ is not tuple:
-                known = key
-                continue
-            known = memo.get(key)
-            if known is None:
-                memo[key] = [(s, steps)]
-                return [(_objective_steps(key, channel, 1e-13), (p, key))]
-            if known.__class__ is list:
-                known.append((s, steps))
-                return []
-
-    def settle(tag: tuple, outcome) -> list:
-        p, key = tag
-        waiting, memos[p][key] = memos[p][key], outcome
-        started = []
-        for s, steps in waiting:
-            started += resume(p, s, steps, outcome)
-        return started
-
-    started = []
-    for p, (_, starts) in enumerate(problems):
-        for s, start in enumerate(starts):
-            started += resume(p, s, simplex_steps(start), None)
-    _lockstep(started, DEFAULT_QUADRATURE, settle)
+        pairs = list(asked)
+        outcomes = _lockstep(
+            [_objective_steps(key, problems[p][0], 1e-13) for p, key in pairs],
+            DEFAULT_QUADRATURE,
+        )
+        live = []
+        for (p, key), outcome in zip(pairs, outcomes):
+            memos[p][key] = outcome
+            live += [(p, s, steps, outcome) for s, steps in asked[p, key]]
     return ends, memos
 
 

@@ -10,8 +10,8 @@ Subcommands:
     code    build a finite-k relay code, export it, report the oracle gap
     verify  run the identity and residual suites, one line per check
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 numerical
-collapse.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (an input
+too large for memory too), 3 numerical collapse.
 """
 from __future__ import annotations
 
@@ -369,6 +369,12 @@ def main(argv: list[str] | None = None) -> int:
             return exc.exit_code
         # Bare overflow and division by zero at extreme gains are collapse.
         return EXIT_COLLAPSE if isinstance(exc, ArithmeticError) else EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        # A size too large to hold, as a forced k's k x k matrix or a huge
+        # --n-samples; numpy's message names the allocation, a bare one is empty.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -679,23 +679,36 @@ class TestOptimizeBound:
                 probe = theorem_bound(BoundaryPair(A_f=rho * a2 * B_f, B_f=B_f), A11)
                 assert ev.normalized <= probe.normalized + 1e-12
 
-    def test_refinement_solves_each_pair_once(self, monkeypatch):
-        # Every full-precision endpoint solve is a distinct pair, and the
-        # optimum is read from them, not solved again.  The scan's solves
-        # use their own root tolerance.
+    @pytest.mark.parametrize("sweep", [False, True], ids=["optimize_bound", "sweep_refine"])
+    def test_refinement_solves_each_pair_once(self, sweep, monkeypatch):
+        # Every full-precision endpoint solve is a distinct pair of its
+        # channel, and each optimum is read from them, not solved again.  The
+        # scan's solves use their own root tolerance.  The second input
+        # refines the sweep's three channels together.
         solved = []
         real = bound._endpoint_steps
 
         def spy(pair, channel, root_tol):
             if root_tol != _SCAN_ROOT_TOL:
-                solved.append((pair.A_f, pair.B_f))
+                solved.append((channel, pair.A_f, pair.B_f))
             return real(pair, channel, root_tol)
 
+        if sweep:
+            problems = [(channel, _starts(channel)) for channel in SWEEP_CHANNELS]
+            monkeypatch.setattr(bound, "_endpoint_steps", spy)
+            ends, memos = bound._refine(problems)
+            monkeypatch.undo()
+            assert len(set(solved)) == len(solved)
+            assert {channel for channel, _, _ in solved} == set(SWEEP_CHANNELS)
+            for (channel, _), ended, memo in zip(problems, ends, memos):
+                ev = bound._closing(channel, ended, memo)
+                assert (channel, ev.endpoint.A_f, ev.endpoint.B_f) in solved
+            return
         monkeypatch.setattr(bound, "_endpoint_steps", spy)
         ev = optimize_bound(A11)
         monkeypatch.undo()
         assert len(set(solved)) == len(solved)
-        assert (ev.endpoint.A_f, ev.endpoint.B_f) in solved
+        assert (A11, ev.endpoint.A_f, ev.endpoint.B_f) in solved
         assert ev == theorem_bound(BoundaryPair(ev.endpoint.A_f, ev.endpoint.B_f), A11)
         assert ev.normalized == pytest.approx(PINNED_NORMALIZED, abs=1e-6)
         assert ev.endpoint.A_f == pytest.approx(PINNED_PAIR.A_f, abs=1e-3)

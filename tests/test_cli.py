@@ -380,6 +380,39 @@ class TestExitCodes:
             assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        ("argv", "target", "message"),
+        [
+            pytest.param(
+                ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "300000", "--out", "{tmp}/x",
+                 "--force"],
+                "linrelay.cli.build_code",
+                "Unable to allocate 671. GiB for an array with shape (300000, 300000) "
+                "and data type float64",
+                id="code-forced-k",
+            ),
+            pytest.param(
+                ["verify", *CHANNEL_ARGS, *PAIR_ARGS, "--n-samples", "10000000000000"],
+                "linrelay.cli.build_trajectory",
+                "",
+                id="verify-n-samples",
+            ),
+        ],
+    )
+    def test_out_of_memory_is_invalid_input(
+        self, argv, target, message, tmp_path, capsys, monkeypatch
+    ):
+        # The call that would allocate raises instead, with numpy's message
+        # or none; the command exits 2 with one error line, no traceback.
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(target, no_memory)
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert code == EXIT_INVALID_INPUT
+        shown = f"error: out of memory: {message}" if message else "error: out of memory"
+        assert capsys.readouterr().err == shown + "\n"
+
+    @pytest.mark.parametrize(
         ("command", "extra"),
         [
             pytest.param("bound", [], id="bound"),

@@ -1,17 +1,20 @@
-"""The README's CLI examples show what the commands print.
+"""The README's examples show what they print.
 
 Every block in README.md whose first line is `$ linrelay ...` is run through
 `cli.main`, and each line the block shows must appear in the output, in
 order; a block without a `...` line, which stands for output the README
-leaves out, must be the whole output.
+leaves out, must be the whole output.  The Library block is run as Python,
+and each number it prints starts with the digits its line's comment shows.
 """
 from __future__ import annotations
 
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import linrelay
 from linrelay import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,3 +54,22 @@ def test_example_output(argv, shown, optimized_cache, monkeypatch, capsys):
     for line in shown:
         if line.strip() != "...":
             assert line in remaining, f"README line not printed (in order): {line!r}"
+
+
+def test_library_example_prints_the_digits_it_shows(optimized_cache, monkeypatch, capsys):
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    block = text[start : text.index("```", start)]
+    # Each print's comment ends with the leading digits of what it prints.
+    shown = [
+        re.findall(r"(\d+\.\d+)\.\.\.", line.partition("#")[2])
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    monkeypatch.setattr(linrelay, "optimize_bound", lambda ch: optimized_cache(ch.a, ch.b))
+    exec(compile(block, str(README), "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [len(digits) for digits in shown] == [len(numbers) for numbers in printed] == [2, 2]
+    for numbers, digits in zip(printed, shown):
+        for number, prefix in zip(numbers, digits):
+            assert number.startswith(prefix), f"README shows {prefix}..., printed {number}"
