@@ -15,24 +15,27 @@ and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
 walk raises the first failure it meets, of either integral.
-integrate_batch walks many intervals at once in numpy with the same bits
-and answers every one of them: the walks it cannot do itself it finishes
-with integrate_adaptive, which gives each failure its exact error.
+integrate_batch answers many intervals at once with the same bits, and is
+the one place that picks the walk: a few intervals each take
+integrate_adaptive, more are walked together in numpy, and the walks the
+numpy walk cannot do it finishes with integrate_adaptive, which gives each
+failure its exact error.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
-solve_endpoint drives with integrate_adaptive.  The optimizer evaluates
-every pair it touches by one objective, itself a generator of walk
-requests (_objective_steps), which drops a pair on a feasibility error or
-a non-finite value.  One driver (_lockstep) runs a list of such generators
-to their ends in lockstep rounds and returns their outcomes: each round's
-pending walks go to integrate_batch when there are enough of them and to
-integrate_adaptive when there are few.  The scan runs its grid pairs
-through it in waves at its looser tolerances.  The refinement runs its
-Nelder-Mead starts (numerics.simplex_steps), of one channel or of many
-(optimize_bounds), in steps: each start runs on until it asks for a pair
-not yet solved, the pairs asked in a step are solved by one driver call,
-and their outcomes go into a memo that the starts resume from.  The
-optimum's evaluation is read from that memo, not solved again.
+solve_endpoint drives with integrate_adaptive.  It asks for no empty walk:
+the integrals up to a point already solved are read from its anchors.  The
+optimizer evaluates every pair it touches by one objective, itself a
+generator of walk requests (_objective_steps), which drops a pair on a
+feasibility error or a non-finite value.  One driver (_lockstep) runs a
+list of such generators to their ends in lockstep rounds and returns their
+outcomes: each round's pending walks go to one integrate_batch call.  The
+scan runs its grid pairs through it in waves at its looser tolerances.
+The refinement runs its Nelder-Mead starts (numerics.simplex_steps), of
+one channel or of many (optimize_bounds), in steps: each start runs on
+until it asks for a pair not yet solved, the pairs asked in a step are
+solved by one driver call, and their outcomes go into a memo that the
+starts resume from.  The optimum's evaluation is read from that memo, not
+solved again.
 """
 from __future__ import annotations
 
@@ -495,14 +498,20 @@ def integrate_adaptive(
         ) from None
 
 
+# Intervals at or above which integrate_batch walks them in numpy; fewer
+# take the scalar walk, which is faster there.  Measured in CHANGES.md.
+_BATCH_WIDTH = 6
+
 # The batch walk takes at most _BATCH_LEVEL nodes at a time.  A wider set
-# is cut into slices, and each slice's subtrees are walked to the bottom
-# before the next slice starts.  That bounds the memory held, and it reaches
-# a failing node near the lower limit (where the jitter-limited integrands
-# that fail at the depth cap fail) after a few hundred nodes, as the
-# depth-first walk does, where a level-by-level walk would first fill out
-# every level above the cap.  Every tree is walked to its end or its first
-# failure, however many nodes it takes.
+# is cut into slices that keep their computed columns, and each slice's
+# subtrees are walked to the bottom before the next slice starts.  That
+# bounds the memory held, and it reaches a failing node near the lower
+# limit (where the jitter-limited integrands that fail at the depth cap
+# fail) after a few hundred nodes, as the depth-first walk does, where a
+# level-by-level walk would first fill out every level above the cap.
+# Every tree is walked to its end or its first failure, however many nodes
+# it takes.  integrate_batch also starts its roots _BATCH_LEVEL at a time:
+# one forest for all of them holds more waiting slices at once.
 _BATCH_LEVEL = 512
 
 
@@ -533,22 +542,6 @@ def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     out[1] /= den
 
 
-def _simpson_nodes(phi: np.ndarray, walk: np.ndarray, x: np.ndarray, active: np.ndarray) -> tuple:
-    # Tree nodes from their intervals x = (lo, hi): rows fa, fm, fb (f at
-    # both ends and the middle, two rows each) and the Simpson estimate,
-    # by the recursive walk's float operations, so that a node rebuilt here
-    # has the bits its parent gave it.
-    lo, hi = x
-    n = walk.size
-    f = np.empty((2, 3 * n))
-    pw = phi[walk]
-    _f_terms_batch(np.concatenate((lo, 0.5 * (lo + hi), hi)), np.concatenate((pw, pw, pw)), f)
-    f8 = np.empty((8, n))
-    f8[:6] = f.reshape(2, 3, n).transpose(1, 0, 2).reshape(6, n)
-    np.multiply((hi - lo) / 6.0, f8[0:2] + 4.0 * f8[2:4] + f8[4:6], out=f8[6:8])
-    return walk, x, f8, active
-
-
 class _Forest:
     """The trees of at most _BATCH_LEVEL walks, one tree per walk.
 
@@ -556,17 +549,27 @@ class _Forest:
     lo and hi, f8 the rows fa, fm, fb and the Simpson estimate whole, each
     for both integrals (rows 0 and 1 of every pair), and active whether
     each integral still refines at the node (_two while both do, _one
-    after).  A tree is gone once one of its nodes fails; integrate_batch
-    then finishes it with integrate_adaptive.
+    after).  The roots are computed from their intervals, every other
+    node by its parent's level, and a slice of a node set carries its
+    columns, so no node is computed twice.  A tree is gone once one of its
+    nodes fails; integrate_batch then finishes it with integrate_adaptive.
     """
 
-    def __init__(self, phi: np.ndarray, roots: tuple, spec: QuadratureSpec) -> None:
-        f8 = roots[2]
+    def __init__(self, phi: np.ndarray, x: np.ndarray, spec: QuadratureSpec) -> None:
+        # The roots from their intervals x = (lo, hi), by integrate_adaptive's
+        # float operations: f at both ends and the middle, then whole.
+        n = phi.size
+        f = np.empty((2, 3 * n))
+        _f_terms_batch(np.concatenate((x[0], 0.5 * (x[0] + x[1]), x[1])), np.tile(phi, 3), f)
+        f8 = np.empty((8, n))
+        f8[:6] = f.reshape(2, 3, n).transpose(1, 0, 2).reshape(6, n)
+        np.multiply((x[1] - x[0]) / 6.0, f8[0:2] + 4.0 * f8[2:4] + f8[4:6], out=f8[6:8])
         scaled = spec.tol * np.abs(f8[6:8])
         self.phi = phi
         self.eps15 = 15.0 * np.where(scaled > spec.tol, scaled, spec.tol)
         self.max_depth = spec.max_depth
         self.gone = ~np.isfinite(f8[:6]).all(axis=0)
+        self.roots = [(np.arange(n), x, f8, np.ones((2, n), dtype=bool))]
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
         """The (I1, I2) values of nodes at one depth, as _two and _one return them.
@@ -580,15 +583,12 @@ class _Forest:
         if not keep.size:
             return np.zeros((2, m))
         if keep.size < m or m > _BATCH_LEVEL:
-            # Slices wait for their turn as intervals alone.
             parts = np.array_split(keep, -(-keep.size // _BATCH_LEVEL))
-            walk, x, active = nodes[0], nodes[1], nodes[3]
+            waiting = [tuple(column.take(p, axis=-1) for column in nodes) for p in parts]
             del nodes
-            waiting = [(walk[p], x.take(p, axis=1), active.take(p, axis=1)) for p in parts]
-            del walk, x, active
             out = np.zeros((2, m))
             for part in parts:
-                out[:, part] = self.values(depth, _simpson_nodes(self.phi, *waiting.pop(0)))
+                out[:, part] = self.values(depth, waiting.pop(0))
             return out
         val, split, idx, children = self._level(depth, nodes)
         del nodes
@@ -650,16 +650,18 @@ def integrate_batch(
     hi,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Both endpoint integrals over many intervals, walked level by level.
+    """Both endpoint integrals over many intervals; the one place that picks the walk.
 
-    Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec):
-    each level of many trees is processed at once, with the same float
-    operations in the same order, the same exhaustion and error tests, the
-    same eps halving and the same switch from both integrals to one, and
-    each node's value is left + right of its children's, as in the
-    recursive walk.  The intervals integrate_adaptive refuses and the
-    trees that fail are finished by integrate_adaptive itself, in
-    ascending index order, so each failure is its exact error.
+    Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec).
+    Fewer than _BATCH_WIDTH intervals are each walked by integrate_adaptive.
+    Wider sets are walked level by level in numpy: each level of many
+    trees is processed at once, with the same float operations in the same
+    order, the same exhaustion and error tests, the same eps halving and
+    the same switch from both integrals to one, and each node's value is
+    left + right of its children's, as in the recursive walk.  The
+    intervals integrate_adaptive refuses and the trees that fail are
+    finished by integrate_adaptive itself, in ascending index order, so
+    each failure is its exact error.
 
     Args:
         phi: The conserved constant, one per interval or one for all.
@@ -677,19 +679,19 @@ def integrate_batch(
     hi = np.asarray(hi, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), lo.shape)
     integrals = np.zeros((2, lo.size))
-    handoff = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
-    walks = np.flatnonzero(~handoff & (lo < hi))
-    with np.errstate(all="ignore"):
-        for start in range(0, walks.size, _BATCH_LEVEL):
-            chunk = walks[start : start + _BATCH_LEVEL]
-            n, p = chunk.size, phi[chunk]
-            x = np.stack((lo[chunk], hi[chunk]))
-            roots = [_simpson_nodes(p, np.arange(n), x, np.ones((2, n), dtype=bool))]
-            forest = _Forest(p, roots[0], spec)
-            integrals[:, chunk] = forest.values(0, roots.pop())
-            handoff[chunk[forest.gone]] = True
+    handoff = range(lo.size)
+    if lo.size >= _BATCH_WIDTH:
+        scalar = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
+        walks = np.flatnonzero(~scalar & (lo < hi))
+        with np.errstate(all="ignore"):
+            for start in range(0, walks.size, _BATCH_LEVEL):
+                chunk = walks[start : start + _BATCH_LEVEL]
+                forest = _Forest(phi[chunk], np.stack((lo[chunk], hi[chunk])), spec)
+                integrals[:, chunk] = forest.values(0, forest.roots.pop())
+                scalar[chunk[forest.gone]] = True
+        handoff = np.flatnonzero(scalar).tolist()
     failures: dict[int, Exception] = {}
-    for i in np.flatnonzero(handoff).tolist():
+    for i in handoff:
         # Python floats, so that a refusal's message reads as a scalar call's.
         try:
             integrals[:, i] = integrate_adaptive(float(phi[i]), float(lo[i]), float(hi[i]), spec)
@@ -720,19 +722,21 @@ class _CumulativeIntegrals:
     def upto(self, w: float):
         """Steps to (I1(w), I2(w)) for w >= the anchor origin A_f.
 
-        Yields the one walk request (phi, anchor, w) and receives its
-        (I1, I2) over that gap.
+        At an anchor, returns its integrals without a request.  Otherwise
+        yields the one walk request (phi, anchor, w) from the nearest
+        anchor below, receives its (I1, I2) over that gap, and keeps w as
+        an anchor.
         """
         idx = bisect.bisect_right(self._ws, w) - 1
         base_w = self._ws[idx]
+        if w == base_w:
+            return self._i1[idx], self._i2[idx]
         d1, d2 = yield self._phi, base_w, w
         i1 = self._i1[idx] + d1
         i2 = self._i2[idx] + d2
-        if w > base_w:
-            at = idx + 1
-            self._ws.insert(at, w)
-            self._i1.insert(at, i1)
-            self._i2.insert(at, i2)
+        self._ws.insert(idx + 1, w)
+        self._i1.insert(idx + 1, i1)
+        self._i2.insert(idx + 1, i2)
         return i1, i2
 
 
@@ -761,7 +765,8 @@ def _endpoint_steps(pair: BoundaryPair, channel: ChannelParams, root_tol: float)
     walk's (I1, I2); returns the EndpointSolution.  Whoever answers the
     requests picks the quadrature, so one request at a time can go to
     integrate_adaptive (solve_endpoint) or many generators can be answered
-    together by integrate_batch (the optimizer's scan).
+    together by integrate_batch (_lockstep).  No request is an empty
+    walk, lo == hi.
     """
     check_pair(pair, channel)
     a = channel.a
@@ -993,11 +998,6 @@ _SCAN_ROOT_TOL = 1e-9
 # per wave keeps batches wide enough that the scan is no slower.
 _SCAN_WAVE = 150
 
-# Pending walks at or above which a lockstep round (_lockstep) walks them
-# through integrate_batch; narrower rounds take the scalar walk, which is
-# faster there.  Measured in CHANGES.md.
-_LOCKSTEP_WIDTH = 6
-
 
 def _rho_grid() -> list[float]:
     # 24 points on [1e-3, 1 - 1e-6]: 12 log-spaced in rho up to 1/2, then 12
@@ -1122,12 +1122,10 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
     """Run generators of walk requests in lockstep rounds; return their outcomes.
 
     solves holds fresh generators of walk requests (phi, lo, hi).  Every
-    round answers each pending request at spec: with one integrate_batch
-    call where at least _LOCKSTEP_WIDTH are pending, else with
-    integrate_adaptive one by one, which is faster there; both give the
-    same bits.  A failed walk is thrown into its generator.  Returns, in
-    the order of solves, each generator's return value or the exception
-    it raised.
+    round answers all pending requests at spec with one integrate_batch
+    call, which picks the walk by how many are pending.  A failed walk is
+    thrown into its generator.  Returns, in the order of solves, each
+    generator's return value or the exception it raised.
     """
     outcomes: list = [None] * len(solves)
     answered = [(i, steps, None) for i, steps in enumerate(solves)]
@@ -1143,20 +1141,12 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
                 outcomes[i] = stop.value
             except Exception as exc:  # noqa: BLE001 - the generator's outcome
                 outcomes[i] = exc
-        requests = [request for _, _, request in live]
-        if len(requests) >= _LOCKSTEP_WIDTH:
-            phi, lo, hi = (np.array(column) for column in zip(*requests))
-            i1, i2, failures = integrate_batch(phi, lo, hi, spec)
-            answers: list = list(zip(i1.tolist(), i2.tolist()))
-            for j, exc in failures.items():
-                answers[j] = exc
-        else:
-            answers = []
-            for request in requests:
-                try:
-                    answers.append(integrate_adaptive(*request, spec))
-                except Exception as exc:  # noqa: BLE001 - thrown in next round
-                    answers.append(exc)
+        # The reshape gives the last round, with nothing pending, its 3 columns.
+        phi, lo, hi = np.reshape([request for _, _, request in live], (-1, 3)).T
+        i1, i2, failures = integrate_batch(phi, lo, hi, spec)
+        answers: list = list(zip(i1.tolist(), i2.tolist()))
+        for j, exc in failures.items():
+            answers[j] = exc
         answered = [(i, steps, answer) for (i, steps, _), answer in zip(live, answers)]
     return outcomes
 
@@ -1251,10 +1241,10 @@ def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[li
     until it asks for a pair its problem's memo lacks, or ends.  The pairs
     asked, each once however many starts ask for it, are solved together
     by one lockstep driver call (_lockstep) at DEFAULT_QUADRATURE, whose
-    batch and scalar rounds give the same bits, so each start probes what
-    it probes alone.  Their outcomes go into the memos, and the starts
-    that asked resume from them in the next step.  The optimum's
-    evaluation is read from the memo.
+    rounds give integrate_adaptive's bits however wide they are, so each
+    start probes what it probes alone.  Their outcomes go into the memos,
+    and the starts that asked resume from them in the next step.  The
+    optimum's evaluation is read from the memo.
     """
     ends: list[list] = [[None] * len(starts) for _, starts in problems]
     memos: list[dict] = [{} for _ in problems]

@@ -86,6 +86,8 @@ def _check_out_dir(path: str) -> None:
     # Refused before any solve with the error that writing would raise.
     if not Path(path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _pair_args(args) -> BoundaryPair | None:

@@ -355,7 +355,8 @@ def parse_code(path: str | Path) -> tuple[ChannelParams, RelayCode]:
 
     Raises:
         ValueError: On malformed content (wrong counts, non-numeric fields,
-            k below 1, lambda or Q1 not positive and finite, s or D not finite).
+            k below 1, lambda or Q1 not positive and finite, s or D not
+            finite, anything but blank lines after row k).
     """
     with open(path) as stream:
         header = stream.readline().split()
@@ -376,6 +377,8 @@ def parse_code(path: str | Path) -> tuple[ChannelParams, RelayCode]:
             if len(row) != i:
                 raise ValueError(f"row {i + 1} must carry {i} entries, got {len(row)}")
             D[i, :i] = row
+        if any(line.strip() for line in stream):
+            raise ValueError(f"content after row {k}")
     if not (np.isfinite(s).all() and np.isfinite(D).all()):
         raise ValueError("entries of s and D must be finite")
     channel = ChannelParams(a=a, b=b)

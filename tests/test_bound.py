@@ -453,6 +453,40 @@ class TestIntegrateBatch:
             tracemalloc.stop()
         assert peak <= 1.5e6
 
+    @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, _SCAN_QUADRATURE], ids=["default", "scan"])
+    def test_narrow_sets_take_the_scalar_walk(self, spec, monkeypatch):
+        # Sets of five, the last two with an empty, a reversed, a zero-based
+        # and a NaN interval and two non-finite integrands: each interval is
+        # one integrate_adaptive call under bound's name, the one the tracer
+        # wraps, with the scalar walk's bits and failures.
+        phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
+        real = bound.integrate_adaptive
+        calls = []
+
+        def traced(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bound, "integrate_adaptive", traced)
+        failed = set()
+        for start in range(0, lo.size, 5):
+            part = slice(start, start + 5)
+            calls.clear()
+            i1, i2, failures = integrate_batch(phi[part], lo[part], hi[part], spec)
+            assert len(calls) == lo[part].size
+            intervals = zip(phi[part].tolist(), lo[part].tolist(), hi[part].tolist())
+            for k, interval in enumerate(intervals):
+                scalar = _outcome(lambda: real(*interval, spec))
+                if k in failures:
+                    exc = failures[k]
+                    assert (type(exc), str(exc)) == scalar, interval
+                    assert exc.__traceback__ is None
+                    assert math.isnan(i1[k]) and math.isnan(i2[k])
+                else:
+                    assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+            failed.update(start + k for k in failures)
+        assert failed >= {401, 402, 403, 404, 405}
+
     def test_one_phi_for_all_intervals(self):
         lo = np.geomspace(0.3, 3.0, 9)
         i1, i2, failures = integrate_batch(1.25, lo[:-1], lo[1:])
@@ -498,9 +532,9 @@ class TestScan:
     def test_batch_and_scalar_rounds_agree_bit_for_bit(self, a, b, monkeypatch):
         # Every round batched, then every round walked one request at a time.
         channel = ChannelParams(a=a, b=b)
-        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
         batch = bound._scan(channel, 1e-3, 1e3)
-        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", sys.maxsize)
+        monkeypatch.setattr(bound, "_BATCH_WIDTH", sys.maxsize)
         scalar = bound._scan(channel, 1e-3, 1e3)
         assert batch
         assert [value.hex() for c in batch for value in c] == [
@@ -591,6 +625,34 @@ class TestSolveEndpoint:
         for solve in (solve_endpoint, theorem_bound):
             with pytest.raises(NonFiniteError, match=r"phi=inf .*A_f=1e\+150, B_f=1e\+160"):
                 solve(pair, channel)
+
+    @pytest.mark.parametrize(
+        "pair,root_tol,spec",
+        [
+            (PINNED_PAIR, 1e-13, DEFAULT_QUADRATURE),
+            # The scan's grid pair at rho = 1/2, B_f = 1.
+            (BoundaryPair(0.5 * 1.1 * 1.1, 1.0), _SCAN_ROOT_TOL, _SCAN_QUADRATURE),
+        ],
+        ids=["optimum", "scan"],
+    )
+    def test_asks_for_no_empty_walk(self, pair, root_tol, spec):
+        # The bracket's ends and A0 are read from the anchors, with the
+        # bits of the solve that answers them.
+        requests = []
+
+        def walk(request):
+            requests.append(request)
+            return integrate_adaptive(*request, spec)
+
+        ep = drive_steps(_endpoint_steps(pair, A11, root_tol), walk)
+        assert requests and all(lo < hi for _, lo, hi in requests)
+        if root_tol == 1e-13:
+            reference = solve_endpoint(pair, A11)
+        else:
+            (reference,) = bound._lockstep([_endpoint_steps(pair, A11, root_tol)], spec)
+        assert {k: v.hex() for k, v in dataclasses.asdict(ep).items()} == {
+            k: v.hex() for k, v in dataclasses.asdict(reference).items()
+        }
 
     def test_ratio_above_boundary_rejected(self):
         with pytest.raises(DomainError):
@@ -740,9 +802,9 @@ class TestLockstepRefinement:
         return [(channel, _starts(channel)) for channel in SWEEP_CHANNELS]
 
     def test_batch_and_scalar_rounds_agree_bit_for_bit(self, sweep_problems, monkeypatch):
-        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
         batch, _ = bound._refine(sweep_problems)
-        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", sys.maxsize)
+        monkeypatch.setattr(bound, "_BATCH_WIDTH", sys.maxsize)
         scalar, _ = bound._refine(sweep_problems)
         assert _hexed(batch) == _hexed(scalar)
 
@@ -762,7 +824,7 @@ class TestLockstepRefinement:
                 return bound._PENALTY
             return ev.normalized if math.isfinite(ev.normalized) else bound._PENALTY
 
-        monkeypatch.setattr(bound, "_LOCKSTEP_WIDTH", 1)
+        monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
         ((ours,),), _ = bound._refine([(A11, [start])])
         assert _hexed([[ours]]) == _hexed([[minimize_simplex(objective, start)]])
 

@@ -21,6 +21,7 @@ BF = "0.7594024699528037"
 CHANNEL_ARGS = ["--a", "1.1", "--b", "2"]
 PAIR_ARGS = ["--Af", AF, "--Bf", BF]
 SWEEP_ARGS = ["sweep", "--a", "1.1", "--b-min", "2", "--b-max", "5", "--n-points", "2"]
+MISSING = "[Errno 2] No such file or directory: '{tmp}/missing/x'"
 
 # (a, b, A_f, B_f, exit code, words of the error line) across the a^2
 # boundary at a = 1.1, and one pair inside it whose A_f B_f overflows.
@@ -454,28 +455,41 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,error",
         [
             pytest.param(
                 ["code", *CHANNEL_ARGS, "--k", "1024", "--out", "{tmp}/missing/x"],
+                MISSING,
                 id="code-optimized",
             ),
             pytest.param(
                 ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "16", "--out", "{tmp}/missing/x"],
+                MISSING,
                 id="code-pair",
             ),
-            pytest.param([*SWEEP_ARGS, "--out", "{tmp}/missing/x"], id="sweep-out"),
+            pytest.param([*SWEEP_ARGS, "--out", "{tmp}/missing/x"], MISSING, id="sweep-out"),
             pytest.param(
                 [*SWEEP_ARGS, "--out", "{tmp}/t.csv", "--svg", "{tmp}/missing/x"],
+                MISSING,
                 id="sweep-svg",
+            ),
+            pytest.param(
+                ["code", *CHANNEL_ARGS, "--k", "8", "--out", "{tmp}"],
+                "[Errno 21] Is a directory: '{tmp}'",
+                id="code-directory",
+            ),
+            pytest.param(
+                [*SWEEP_ARGS, "--out", "{tmp}/t.csv", "--svg", "{tmp}"],
+                "[Errno 21] Is a directory: '{tmp}'",
+                id="sweep-svg-directory",
             ),
         ],
     )
     def test_missing_directory_refused_before_any_solve(
-        self, argv, tmp_path, capsys, monkeypatch
+        self, argv, error, tmp_path, capsys, monkeypatch
     ):
-        # A missing directory is refused before any solve, and nothing is
-        # written.
+        # A missing directory, or a directory in place of the file, is
+        # refused before any solve, and nothing is written.
         def no_solve(*args):
             raise AssertionError("solved before the output directory was checked")
 
@@ -486,11 +500,8 @@ class TestExitCodes:
         ):
             monkeypatch.setattr(name, no_solve)
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
-        missing = tmp_path / "missing" / "x"
         assert code == EXIT_INVALID_INPUT
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: '{missing}'\n"
-        )
+        assert capsys.readouterr().err == f"error: {error.replace('{tmp}', str(tmp_path))}\n"
         assert not any(tmp_path.iterdir())
 
 

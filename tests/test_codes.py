@@ -449,6 +449,7 @@ class TestExchangeFormat:
             "2 1.1 2 0 0.5\n0.5 0.5\n0.1\n",
             "2 1.1 2 1.0 0.5\nnan 0.5\n0.1\n",
             "2 1.1 2 1.0 0.5\n0.5 0.5\ninf\n",
+            "2 1.1 2 1.0 0.5\n0.5 0.5\n0.1\n0.2\n",
         ],
     )
     def test_malformed_content_rejected(self, text, tmp_path):
