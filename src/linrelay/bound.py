@@ -15,11 +15,10 @@ and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
 walk raises the first failure it meets, of either integral.
-integrate_batch answers many intervals at once with the same bits, and is
-the one place that picks the walk: a few intervals each take
-integrate_adaptive, more are walked together in numpy, and the walks the
-numpy walk cannot do it finishes with integrate_adaptive, which gives each
-failure its exact error.
+integrate_batch answers many intervals at once with the same bits and the
+same errors, and is the one place that picks the walk: a few narrow
+intervals each take integrate_adaptive, wide intervals and wider sets are
+walked together in numpy, which builds each failure's exact error itself.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
 solve_endpoint drives with integrate_adaptive.  It asks for no empty walk:
@@ -299,6 +298,13 @@ def _non_finite(g: float, x: float) -> NonFiniteError:
     return NonFiniteError(f"integrand returned {g!r} at x={x!r}")
 
 
+def _underflow(phi: float, lo: float, hi: float) -> NonFiniteError:
+    # 2 w^2 underflows to 0 where f's large-w branch meets a tiny w.
+    return NonFiniteError(
+        f"integrand is infinite on [{lo!r}, {hi!r}] at phi={phi!r}: 2*w*w underflows to 0"
+    )
+
+
 def _too_deep(eps: float, lo: float, hi: float, depth: int) -> DepthExceededError:
     return DepthExceededError(
         f"tolerance {eps:g} unreachable on [{lo!r}, {hi!r}] at depth {depth}"
@@ -492,15 +498,17 @@ def integrate_adaptive(
             0, spec.max_depth,
         )
     except ZeroDivisionError:
-        # 2 w^2 underflows to 0 where f's large-w branch meets a tiny w.
-        raise NonFiniteError(
-            f"integrand is infinite on [{lo!r}, {hi!r}] at phi={phi!r}: 2*w*w underflows to 0"
-        ) from None
+        raise _underflow(phi, lo, hi) from None
 
 
-# Intervals at or above which integrate_batch walks them in numpy; fewer
-# take the scalar walk, which is faster there.  Measured in CHANGES.md.
+# integrate_batch walks every interval of a set at least _BATCH_WIDTH wide
+# in numpy.  In a narrower set an interval takes the scalar walk, faster on
+# a small tree, unless its span exceeds _WIDE_SPAN times its lower limit:
+# adaptive Simpson's tree grows with the span it resolves, and a lone tree
+# of about 1,000 f evaluations or more is faster in numpy.  Measured in
+# CHANGES.md; spans from 0.1 to 1.0 times lo measured about the same.
 _BATCH_WIDTH = 6
+_WIDE_SPAN = 0.5
 
 # The batch walk takes at most _BATCH_LEVEL nodes at a time.  A wider set
 # is cut into slices that keep their computed columns, and each slice's
@@ -551,8 +559,16 @@ class _Forest:
     each integral still refines at the node (_two while both do, _one
     after).  The roots are computed from their intervals, every other
     node by its parent's level, and a slice of a node set carries its
-    columns, so no node is computed twice.  A tree is gone once one of its
-    nodes fails; integrate_batch then finishes it with integrate_adaptive.
+    columns, so no node is computed twice.
+
+    A tree fails as the scalar walk does, at its first failing node in
+    depth-first order.  Failing nodes have no children, so none contains
+    another, and the first is the one with the smallest lo.  fail_lo holds,
+    per tree, the lo of its leftmost failing node found so far (inf while
+    none is), and failures the error the scalar walk raises there.  Only
+    the nodes left of it are walked on, and the tree's values are dropped.
+    A tree whose root fails has fail_lo -inf and no failure: integrate_batch
+    hands it to integrate_adaptive, which fails at once.
     """
 
     def __init__(self, phi: np.ndarray, x: np.ndarray, spec: QuadratureSpec) -> None:
@@ -566,20 +582,22 @@ class _Forest:
         np.multiply((x[1] - x[0]) / 6.0, f8[0:2] + 4.0 * f8[2:4] + f8[4:6], out=f8[6:8])
         scaled = spec.tol * np.abs(f8[6:8])
         self.phi = phi
-        self.eps15 = 15.0 * np.where(scaled > spec.tol, scaled, spec.tol)
+        self.x = x
+        self.eps = np.where(scaled > spec.tol, scaled, spec.tol)
         self.max_depth = spec.max_depth
-        self.gone = ~np.isfinite(f8[:6]).all(axis=0)
+        self.fail_lo = np.where(np.isfinite(f8[:6]).all(axis=0), np.inf, -np.inf)
+        self.failures: dict[int, Exception] = {}
         self.roots = [(np.arange(n), x, f8, np.ones((2, n), dtype=bool))]
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
         """The (I1, I2) values of nodes at one depth, as _two and _one return them.
 
-        Nodes of gone trees get zeros.  Node sets are passed inline
-        (list.pop()), so that each call owns its nodes and can free them
-        before it goes deeper.
+        Nodes at or right of their tree's leftmost failure get zeros.  Node
+        sets are passed inline (list.pop()), so that each call owns its
+        nodes and can free them before it goes deeper.
         """
         m = nodes[0].size
-        keep = (~self.gone[nodes[0]]).nonzero()[0]
+        keep = (nodes[1][0] < self.fail_lo[nodes[0]]).nonzero()[0]
         if not keep.size:
             return np.zeros((2, m))
         if keep.size < m or m > _BATCH_LEVEL:
@@ -624,13 +642,23 @@ class _Forest:
         low = c_mid <= c_x[0]
         exhausted = low[:m] | low[m:] | (mid >= hi) | (hi - lo <= _WIDTH_FLOOR * hi)
         live = active & ~exhausted
-        split = live & ~(np.abs(err) <= self.eps15.take(walk, axis=1) * 0.5**depth)
+        split = live & ~(np.abs(err) <= 15.0 * self.eps.take(walk, axis=1) * 0.5**depth)
         finite = np.isfinite(c8[2:4])
         bad = live & ~(finite[:, :m] & finite[:, m:])
         if depth >= self.max_depth:
             bad |= split
-        self.gone[walk[bad[0] | bad[1]]] = True
-        parent = (split[0] | split[1]) & ~self.gone[walk]
+        failed = (bad[0] | bad[1]).nonzero()[0]
+        if failed.size:
+            # Each tree's leftmost failing node at this depth; every node
+            # here is left of the tree's earlier failures.
+            failed = failed[np.lexsort((lo[failed], walk[failed]))]
+            for j in failed[np.unique(walk[failed], return_index=True)[1]].tolist():
+                w = int(walk[j])
+                self.fail_lo[w] = lo[j]
+                self.failures[w] = self._failure(
+                    w, float(lo[j]), float(hi[j]), depth, live[:, j], split[:, j]
+                )
+        parent = (split[0] | split[1]) & (lo < self.fail_lo[walk])
         idx = parent.nonzero()[0]
         sel = np.concatenate((idx, idx + m))
         split = split.take(idx, axis=1)
@@ -643,6 +671,31 @@ class _Forest:
         )
         return np.where(exhausted, f8[6:8], both + err / 15.0), split, idx, [children]
 
+    def _failure(self, w: int, lo: float, hi: float, depth: int, live, split) -> Exception:
+        # The error the scalar walk raises at a failing node of tree w, by
+        # _two's check order while both integrals refine and _one's after:
+        # f at both points, then each value's finiteness, then the depth cap
+        # at the eps of the integral that splits (eps1 if both do).
+        phi = float(self.phi[w])
+        mid = 0.5 * (lo + hi)
+        lmid = 0.5 * (lo + mid)
+        rmid = 0.5 * (mid + hi)
+        try:
+            if live[0] and live[1]:
+                _, flm1, flm2 = _f_terms(lmid, phi)
+                _, frm1, frm2 = _f_terms(rmid, phi)
+                checks = ((flm1, lmid), (frm1, rmid), (flm2, lmid), (frm2, rmid))
+            else:
+                k = 1 if live[0] else 2
+                checks = ((_f_terms(x, phi)[k], x) for x in (lmid, rmid))
+            for g, x in checks:
+                if not math.isfinite(g):
+                    return _non_finite(g, x)
+        except ZeroDivisionError:
+            return _underflow(phi, float(self.x[0, w]), float(self.x[1, w]))
+        eps = float(self.eps[0 if split[0] else 1, w])
+        return _too_deep(eps * 0.5**depth, lo, hi, depth)
+
 
 def integrate_batch(
     phi,
@@ -652,16 +705,19 @@ def integrate_batch(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Both endpoint integrals over many intervals; the one place that picks the walk.
 
-    Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec).
-    Fewer than _BATCH_WIDTH intervals are each walked by integrate_adaptive.
-    Wider sets are walked level by level in numpy: each level of many
+    Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec),
+    or fails with its exact error.  In a set of fewer than _BATCH_WIDTH
+    intervals, those no wider than _WIDE_SPAN times their lower limit are
+    each walked by integrate_adaptive.  The others, and every interval of a
+    wider set, are walked level by level in numpy: each level of many
     trees is processed at once, with the same float operations in the same
     order, the same exhaustion and error tests, the same eps halving and
     the same switch from both integrals to one, and each node's value is
-    left + right of its children's, as in the recursive walk.  The
-    intervals integrate_adaptive refuses and the trees that fail are
-    finished by integrate_adaptive itself, in ascending index order, so
-    each failure is its exact error.
+    left + right of its children's, as in the recursive walk.  A tree that
+    fails below its root gets the error the scalar walk raises at its first
+    failing node.  The intervals integrate_adaptive refuses and the trees
+    whose roots fail are handed to integrate_adaptive, in ascending index
+    order, which fails at once.
 
     Args:
         phi: The conserved constant, one per interval or one for all.
@@ -672,26 +728,31 @@ def integrate_batch(
     Returns:
         (I1, I2, failures): the two integrals per interval, and a dict from
         the index of each interval integrate_adaptive fails on to the
-        exception it raises there, its traceback dropped.  Failed entries
-        of I1 and I2 read NaN.
+        exception it raises there, with no traceback.  Failed entries of I1
+        and I2 read NaN.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), lo.shape)
     integrals = np.zeros((2, lo.size))
-    handoff = range(lo.size)
-    if lo.size >= _BATCH_WIDTH:
-        scalar = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
-        walks = np.flatnonzero(~scalar & (lo < hi))
-        with np.errstate(all="ignore"):
-            for start in range(0, walks.size, _BATCH_LEVEL):
-                chunk = walks[start : start + _BATCH_LEVEL]
-                forest = _Forest(phi[chunk], np.stack((lo[chunk], hi[chunk])), spec)
-                integrals[:, chunk] = forest.values(0, forest.roots.pop())
-                scalar[chunk[forest.gone]] = True
-        handoff = np.flatnonzero(scalar).tolist()
     failures: dict[int, Exception] = {}
-    for i in handoff:
+    scalar = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
+    walks = ~scalar & (lo < hi)
+    if lo.size < _BATCH_WIDTH:
+        narrow = walks & ~(hi - lo > _WIDE_SPAN * lo)
+        scalar |= narrow
+        walks &= ~narrow
+    walks = np.flatnonzero(walks)
+    with np.errstate(all="ignore"):
+        for start in range(0, walks.size, _BATCH_LEVEL):
+            chunk = walks[start : start + _BATCH_LEVEL]
+            forest = _Forest(phi[chunk], np.stack((lo[chunk], hi[chunk])), spec)
+            integrals[:, chunk] = forest.values(0, forest.roots.pop())
+            scalar[chunk[forest.fail_lo == -np.inf]] = True
+            for j, exc in forest.failures.items():
+                failures[int(chunk[j])] = exc
+                integrals[:, chunk[j]] = math.nan
+    for i in np.flatnonzero(scalar).tolist():
         # Python floats, so that a refusal's message reads as a scalar call's.
         try:
             integrals[:, i] = integrate_adaptive(float(phi[i]), float(lo[i]), float(hi[i]), spec)
@@ -1123,13 +1184,14 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
 
     solves holds fresh generators of walk requests (phi, lo, hi).  Every
     round answers all pending requests at spec with one integrate_batch
-    call, which picks the walk by how many are pending.  A failed walk is
-    thrown into its generator.  Returns, in the order of solves, each
-    generator's return value or the exception it raised.
+    call, which picks the walk for each.  A failed walk is thrown into its
+    generator.  The rounds end when no request is pending.  Returns, in the
+    order of solves, each generator's return value or the exception it
+    raised.
     """
     outcomes: list = [None] * len(solves)
     answered = [(i, steps, None) for i, steps in enumerate(solves)]
-    while answered:
+    while True:
         live = []
         for i, steps, answer in answered:
             try:
@@ -1141,14 +1203,14 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
                 outcomes[i] = stop.value
             except Exception as exc:  # noqa: BLE001 - the generator's outcome
                 outcomes[i] = exc
-        # The reshape gives the last round, with nothing pending, its 3 columns.
-        phi, lo, hi = np.reshape([request for _, _, request in live], (-1, 3)).T
+        if not live:
+            return outcomes
+        phi, lo, hi = np.array([request for _, _, request in live]).T
         i1, i2, failures = integrate_batch(phi, lo, hi, spec)
         answers: list = list(zip(i1.tolist(), i2.tolist()))
         for j, exc in failures.items():
             answers[j] = exc
         answered = [(i, steps, answer) for (i, steps, _), answer in zip(live, answers)]
-    return outcomes
 
 
 def _scan(

@@ -84,7 +84,8 @@ def _print_json(payload: dict) -> None:
 
 def _check_out_dir(path: str) -> None:
     # Refused before any solve with the error that writing would raise.
-    if not Path(path).parent.is_dir():
+    # Path("").parent is ".", so the empty path is refused by name.
+    if not path or not Path(path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -250,8 +251,9 @@ def cmd_sweep(args) -> int:
     if not args.b_max >= args.b_min:
         raise ValueError("b_max must not be below b_min")
     ChannelParams(a=args.a, b=max(args.b_max, _MIN_B))
-    for path in filter(None, (args.out, args.svg)):
-        _check_out_dir(path)
+    _check_out_dir(args.out)
+    if args.svg:  # an empty --svg asks for no chart
+        _check_out_dir(args.svg)
     b_values = _sweep_b_values(args.b_min, args.b_max, args.n_points, args.grid)
     rows = run_sweep(args.a, b_values)
     _write_rows(rows, args.out, args.format)

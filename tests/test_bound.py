@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -230,6 +231,105 @@ def _log_uniform_intervals(n, seed):
     lo = np.concatenate((lo, [e[1] for e in extra]))
     hi = np.concatenate((hi, [e[2] for e in extra]))
     return phi, lo, hi
+
+
+def _scalar_only(monkeypatch):
+    # Every walk takes integrate_adaptive: no set is wide enough for the
+    # level walk, and no interval either.
+    def no_level_walk(*args):
+        raise AssertionError("the level walk ran")
+
+    monkeypatch.setattr(bound, "_BATCH_WIDTH", sys.maxsize)
+    monkeypatch.setattr(bound, "_WIDE_SPAN", math.inf)
+    monkeypatch.setattr(bound, "_Forest", no_level_walk)
+
+
+def _count_scalar_walks(monkeypatch):
+    # The intervals of the integrate_adaptive calls integrate_batch makes,
+    # under bound's name, by repr (NaN limits included).
+    real = bound.integrate_adaptive
+    calls = []
+
+    def counted(*args):
+        calls.append(repr(args[:3]))
+        return real(*args)
+
+    monkeypatch.setattr(bound, "integrate_adaptive", counted)
+    return real, calls
+
+
+def _root_fails(phi, lo, hi):
+    # Whether an integrand is non-finite at a root point of the walk.
+    points = (lo, 0.5 * (lo + hi), hi)
+    return not all(math.isfinite(g) for w in points for g in bound._f_terms(w, phi)[1:])
+
+
+def _stand_in_failures(monkeypatch, nan_at=(), underflow_at=()):
+    # f's integrands with failures put where a test needs them, the same in
+    # both walks: NaN in the integrands listed (1, 2) at the points nan_at
+    # holds as (w, integrands), and 2 w^2 underflowing to 0 at the points
+    # in underflow_at (the scalar walk's ZeroDivisionError, NaN in numpy).
+    # With f itself, the points where 2 w^2 underflows lie just left of a far
+    # wider span where the integrands overflow, so a tree whose root is
+    # finite fails in that span first.
+    real, real_batch = bound._f_terms, bound._f_terms_batch
+
+    def f_terms(w, phi):
+        if w in underflow_at:
+            raise ZeroDivisionError
+        terms = list(real(w, phi))
+        for point, integrands in nan_at:
+            if w == point:
+                for k in integrands:
+                    terms[k] = math.nan
+        return tuple(terms)
+
+    def f_terms_batch(w, phi, out):
+        real_batch(w, phi, out)
+        for point in underflow_at:
+            out[:, w == point] = math.nan
+        for point, integrands in nan_at:
+            for k in integrands:
+                out[k - 1, w == point] = math.nan
+
+    monkeypatch.setattr(bound, "_f_terms", f_terms)
+    monkeypatch.setattr(bound, "_f_terms_batch", f_terms_batch)
+
+
+def _failure_sites(monkeypatch):
+    # Where the walk builds its errors: (function, integrand k of _one) per
+    # _too_deep or _non_finite call.
+    sites = []
+    for name in ("_too_deep", "_non_finite"):
+        def spy(*args, real=getattr(bound, name)):
+            frame = sys._getframe(1)
+            sites.append((frame.f_code.co_name, frame.f_locals.get("k")))
+            return real(*args)
+
+        monkeypatch.setattr(bound, name, spy)
+    return sites
+
+
+# Trees that fail by the depth cap below the root, as (phi, lo, hi, tol,
+# max_depth), each in the phase named: _two with both integrals splitting
+# (eps1 in the error), _two with only integral 2 splitting (eps2), and _one
+# on integrand 1 and on integrand 2.  The two integrals' eps differ in each,
+# and each first failing node is the leftmost at its depth.
+_DEPTH_CASES = {
+    "two": (4760.607040556698, 72.5552202095499, 2296.0085176820016, 1e-12, 7),
+    "two-2": (102.77568039321623, 929.1666159545941, 4893.126425717823, 1e-12, 7),
+    "one-1": (191.1556429831941, 0.0006462099305101077, 0.02296671390943897, 1e-12, 7),
+    "one-2": (184819.73231430372, 452.00996052045576, 2439.592337541307, 1e-12, 6),
+}
+
+
+def _first_failing_node(case):
+    # The node a _DEPTH_CASES tree fails at, read off the scalar walk's error.
+    phi, lo, hi, tol, max_depth = case
+    with pytest.raises(DepthExceededError) as caught:
+        integrate_adaptive(phi, lo, hi, QuadratureSpec(tol=tol, max_depth=max_depth))
+    a, b = (float(v) for v in re.search(r"\[(.*), (.*)\]", str(caught.value)).groups())
+    return a, b
 
 
 class TestParams:
@@ -454,28 +554,30 @@ class TestIntegrateBatch:
         assert peak <= 1.5e6
 
     @pytest.mark.parametrize("spec", [DEFAULT_QUADRATURE, _SCAN_QUADRATURE], ids=["default", "scan"])
-    def test_narrow_sets_take_the_scalar_walk(self, spec, monkeypatch):
+    def test_narrow_sets_pick_the_walk_by_span(self, spec, monkeypatch):
         # Sets of five, the last two with an empty, a reversed, a zero-based
-        # and a NaN interval and two non-finite integrands: each interval is
-        # one integrate_adaptive call under bound's name, the one the tracer
-        # wraps, with the scalar walk's bits and failures.
+        # and a NaN interval and two non-finite integrands.  An interval no
+        # wider than _WIDE_SPAN times its lower limit is one integrate_adaptive
+        # call under bound's name, the one the tracer wraps; a wider one takes
+        # the level walk, and calls it only where its root fails.  Either way
+        # each entry has the scalar walk's bits or failure.
         phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
-        real = bound.integrate_adaptive
-        calls = []
-
-        def traced(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(bound, "integrate_adaptive", traced)
+        real, calls = _count_scalar_walks(monkeypatch)
         failed = set()
+        sides = set()
         for start in range(0, lo.size, 5):
             part = slice(start, start + 5)
             calls.clear()
             i1, i2, failures = integrate_batch(phi[part], lo[part], hi[part], spec)
-            assert len(calls) == lo[part].size
-            intervals = zip(phi[part].tolist(), lo[part].tolist(), hi[part].tolist())
+            intervals = list(zip(phi[part].tolist(), lo[part].tolist(), hi[part].tolist()))
+            scalar_walks = []
             for k, interval in enumerate(intervals):
+                p, a, b = interval
+                refused = not a <= b or (a <= 0.0 and a < b)
+                wide = not refused and b - a > bound._WIDE_SPAN * a
+                if refused or (wide and _root_fails(p, a, b)) or (a < b and not wide):
+                    scalar_walks.append(repr(interval))
+                sides.add(wide)
                 scalar = _outcome(lambda: real(*interval, spec))
                 if k in failures:
                     exc = failures[k]
@@ -484,8 +586,180 @@ class TestIntegrateBatch:
                     assert math.isnan(i1[k]) and math.isnan(i2[k])
                 else:
                     assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+            assert calls == scalar_walks
             failed.update(start + k for k in failures)
+        assert sides == {False, True}
         assert failed >= {401, 402, 403, 404, 405}
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_wide_intervals_take_the_level_walk_in_any_set(self, size, monkeypatch):
+        # Sets narrower than _BATCH_WIDTH of wide intervals, failing ones
+        # included, and of refused ones: only the refused intervals reach
+        # integrate_adaptive.
+        cases = _random_cases(320, seed=20261018)
+        phi, lo, hi = (
+            np.array([case[k] for case in cases if case[3] is DEFAULT_QUADRATURE]) for k in range(3)
+        )
+        wide = hi - lo > bound._WIDE_SPAN * lo
+        phi = np.concatenate((phi[wide], [1.0, 1.0, 1.0]))
+        lo = np.concatenate((lo[wide], [2.0, 0.0, math.nan]))
+        hi = np.concatenate((hi[wide], [1.0, 1.0, 1.0]))
+        real, calls = _count_scalar_walks(monkeypatch)
+        walked = 0
+        for start in range(0, lo.size, size):
+            part = slice(start, start + size)
+            calls.clear()
+            i1, i2, failures = integrate_batch(phi[part], lo[part], hi[part])
+            intervals = list(zip(phi[part].tolist(), lo[part].tolist(), hi[part].tolist()))
+            assert calls == [repr(i) for i in intervals if not i[1] <= i[2] or i[1] <= 0.0]
+            for k, interval in enumerate(intervals):
+                scalar = _outcome(lambda: real(*interval))
+                if k in failures:
+                    assert (type(failures[k]), str(failures[k])) == scalar, interval
+                else:
+                    assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+            walked += len(intervals) - len(calls)
+        assert walked >= 100
+
+    def test_trees_failing_below_the_root_are_not_walked_again(self, monkeypatch):
+        # Every case of _random_cases, one integrate_batch call per spec: the
+        # failures below the root, about one case in four, come from the level
+        # walk with the scalar walk's class and message, and no interval
+        # reaches integrate_adaptive.
+        cases = _random_cases(320, seed=20261018)
+        real, calls = _count_scalar_walks(monkeypatch)
+        failed = 0
+        for spec in {case[3] for case in cases}:
+            phi, lo, hi = (np.array([c[k] for c in cases if c[3] == spec]) for k in range(3))
+            i1, i2, failures = integrate_batch(phi, lo, hi, spec)
+            for k, interval in enumerate(zip(phi.tolist(), lo.tolist(), hi.tolist())):
+                scalar = _outcome(lambda: real(*interval, spec))
+                if k in failures:
+                    assert (type(failures[k]), str(failures[k])) == scalar, interval
+                    assert failures[k].__traceback__ is None
+                else:
+                    assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+            failed += len(failures)
+        assert calls == []
+        assert failed >= 30
+
+    @pytest.mark.parametrize(
+        "case,site",
+        [
+            (_DEPTH_CASES["two"], ("_two", None)),
+            (_DEPTH_CASES["two-2"], ("_two", None)),
+            (_DEPTH_CASES["one-1"], ("_one", 1)),
+            (_DEPTH_CASES["one-2"], ("_one", 2)),
+            # Integrand 2 overflows left of about 1e-72, where the walk
+            # arrives at depth 36 refining integrand 2 alone.
+            ((1.60015102630338e82, 2.8047039270688645e-98, 1.688939465603267e-61, 1e-12, 60),
+             ("_one", 2)),
+        ],
+        ids=["depth-two", "depth-two-2", "depth-one-1", "depth-one-2", "non-finite-child"],
+    )
+    def test_failure_below_the_root_is_the_scalar_error(self, case, site, monkeypatch):
+        # One wide tree that fails below its root, where the scalar walk's
+        # error is built as the id says, gets that error from the level walk.
+        phi, lo, hi, tol, max_depth = case
+        spec = QuadratureSpec(tol=tol, max_depth=max_depth)
+        sites = _failure_sites(monkeypatch)
+        scalar = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
+        assert sites == [site]
+        assert not _root_fails(phi, lo, hi)
+        _, calls = _count_scalar_walks(monkeypatch)
+        _, _, failures = integrate_batch([phi], [lo], [hi], spec)
+        assert calls == []
+        assert (type(failures[0]), str(failures[0])) == scalar
+
+    @pytest.mark.parametrize(
+        "case,failures_at,raised",
+        [
+            # While both integrals refine (_two): f at both points, then
+            # flm1, frm1, flm2, frm2.
+            ("two", {"underflow": "l"}, ("_two", "underflow")),
+            ("two", {"nan": [("l", (1, 2))], "underflow": "r"}, ("_two", "underflow")),
+            ("two", {"nan": [("l", (2,)), ("r", (1,))]}, ("_two", "r")),
+            ("two", {"nan": [("l", (2,))]}, ("_two", "l")),
+            # Refining integral k alone (_one): f and flm_k at lmid, then f
+            # and frm_k at rmid; the other integral is not read.
+            ("one-1", {"nan": [("l", (1,))], "underflow": "r"}, ("_one", "l")),
+            ("one-1", {"underflow": "r"}, ("_one", "underflow")),
+            ("one-1", {"nan": [("l", (2,)), ("r", (1,))]}, ("_one", "r")),
+            ("one-2", {"nan": [("r", (2,))]}, ("_one", "r")),
+            ("one-2", {"nan": [("l", (1,)), ("r", (1,))]}, (None, None)),
+        ],
+        ids=[
+            "two-underflow-l", "two-nan-l-underflow-r", "two-nan2-l-nan1-r", "two-nan2-l",
+            "one-1-nan1-l-underflow-r", "one-1-underflow-r", "one-1-nan2-l-nan1-r",
+            "one-2-nan2-r", "one-2-nan1-not-read",
+        ],
+    )
+    def test_check_order_at_a_failing_node(self, case, failures_at, raised, monkeypatch):
+        # A _DEPTH_CASES tree, with no depth cap, given stand-in failures at
+        # the two points of the node it failed at: the level walk fails
+        # where the scalar walk does, in _two's or _one's check order, with
+        # its class and message and no integrate_adaptive call; a tree that
+        # the stand-ins do not fail keeps the scalar walk's bits.
+        phi, lo, hi, tol, _ = _DEPTH_CASES[case]
+        spec = QuadratureSpec(tol=tol, max_depth=60)
+        a, b = _first_failing_node(_DEPTH_CASES[case])
+        mid = 0.5 * (a + b)
+        points = {"l": 0.5 * (a + mid), "r": 0.5 * (mid + b)}
+        _stand_in_failures(
+            monkeypatch,
+            nan_at=[(points[at], integrands) for at, integrands in failures_at.get("nan", [])],
+            underflow_at=tuple(points[at] for at in failures_at.get("underflow", "")),
+        )
+        sites = _failure_sites(monkeypatch)
+        scalar = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
+        function, at = raised
+        if function is None:
+            assert not isinstance(scalar[0], type)
+        elif at == "underflow":
+            assert scalar == (
+                NonFiniteError,
+                f"integrand is infinite on [{lo!r}, {hi!r}] at phi={phi!r}: 2*w*w underflows to 0",
+            )
+        else:
+            assert scalar[0] is NonFiniteError and f"at x={points[at]!r}" in scalar[1]
+            assert sites[-1][0] == function
+        _, calls = _count_scalar_walks(monkeypatch)
+        i1, i2, failures = integrate_batch([phi], [lo], [hi], spec)
+        assert calls == []
+        if function is None:
+            assert failures == {}
+            assert (float(i1[0]).hex(), float(i2[0]).hex()) == scalar
+        else:
+            assert (type(failures[0]), str(failures[0])) == scalar
+
+    def test_right_failure_shallower_than_the_first(self, monkeypatch):
+        # The "two" tree fails at the depth cap at its lower limit.  A
+        # stand-in failure at depth 1 right of it is found first by the level
+        # walk, which must still raise the deeper error, the scalar walk's
+        # first.
+        phi, lo, hi, tol, max_depth = _DEPTH_CASES["two"]
+        spec = QuadratureSpec(tol=tol, max_depth=max_depth)
+        a, b = _first_failing_node(_DEPTH_CASES["two"])
+        mid = 0.5 * (lo + hi)
+        assert b <= mid
+        right_rmid = 0.5 * (0.5 * (mid + hi) + hi)
+        _stand_in_failures(monkeypatch, nan_at=[(right_rmid, (1, 2))])
+        scalar = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
+        assert scalar[0] is DepthExceededError
+        assert f"[{a!r}, {b!r}] at depth {max_depth}" in scalar[1]
+        found = []
+        real_failure = bound._Forest._failure
+
+        def spy(forest, w, lo, hi, depth, live, split):
+            found.append(depth)
+            return real_failure(forest, w, lo, hi, depth, live, split)
+
+        monkeypatch.setattr(bound._Forest, "_failure", spy)
+        _, calls = _count_scalar_walks(monkeypatch)
+        _, _, failures = integrate_batch([phi], [lo], [hi], spec)
+        assert calls == []
+        assert found == [1, max_depth]
+        assert (type(failures[0]), str(failures[0])) == scalar
 
     def test_one_phi_for_all_intervals(self):
         lo = np.geomspace(0.3, 3.0, 9)
@@ -534,7 +808,7 @@ class TestScan:
         channel = ChannelParams(a=a, b=b)
         monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
         batch = bound._scan(channel, 1e-3, 1e3)
-        monkeypatch.setattr(bound, "_BATCH_WIDTH", sys.maxsize)
+        _scalar_only(monkeypatch)
         scalar = bound._scan(channel, 1e-3, 1e3)
         assert batch
         assert [value.hex() for c in batch for value in c] == [
@@ -804,9 +1078,26 @@ class TestLockstepRefinement:
     def test_batch_and_scalar_rounds_agree_bit_for_bit(self, sweep_problems, monkeypatch):
         monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
         batch, _ = bound._refine(sweep_problems)
-        monkeypatch.setattr(bound, "_BATCH_WIDTH", sys.maxsize)
+        _scalar_only(monkeypatch)
         scalar, _ = bound._refine(sweep_problems)
         assert _hexed(batch) == _hexed(scalar)
+
+    def test_no_round_without_a_walk(self, sweep_problems, monkeypatch):
+        # The driver ends when nothing is pending: neither the scan's waves
+        # nor the refinement's steps answer an empty round.
+        real = bound.integrate_batch
+        sizes = []
+
+        def spy(phi, lo, hi, spec):
+            sizes.append(len(lo))
+            return real(phi, lo, hi, spec)
+
+        monkeypatch.setattr(bound, "integrate_batch", spy)
+        bound._scan(A11, 1e-3, 1e3)
+        scanned = len(sizes)
+        bound._refine(sweep_problems[1:2])
+        assert scanned and len(sizes) > scanned
+        assert 0 not in sizes
 
     def test_start_is_minimize_simplex_over_theorem_bound(self, monkeypatch):
         # The refinement objective written out with theorem_bound, as one

@@ -483,13 +483,23 @@ class TestExitCodes:
                 "[Errno 21] Is a directory: '{tmp}'",
                 id="sweep-svg-directory",
             ),
+            pytest.param(
+                ["code", *CHANNEL_ARGS, "--k", "8", "--out", ""],
+                "[Errno 2] No such file or directory: ''",
+                id="code-empty",
+            ),
+            pytest.param(
+                [*SWEEP_ARGS, "--out", ""],
+                "[Errno 2] No such file or directory: ''",
+                id="sweep-empty",
+            ),
         ],
     )
     def test_missing_directory_refused_before_any_solve(
         self, argv, error, tmp_path, capsys, monkeypatch
     ):
-        # A missing directory, or a directory in place of the file, is
-        # refused before any solve, and nothing is written.
+        # A missing directory, a directory in place of the file, or an empty
+        # path is refused before any solve, and nothing is written.
         def no_solve(*args):
             raise AssertionError("solved before the output directory was checked")
 
