@@ -22,13 +22,15 @@ walked together in numpy, which builds each failure's exact error itself.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
 solve_endpoint drives with integrate_adaptive.  It asks for no empty walk:
-the integrals up to a point already solved are read from its anchors.  The
-optimizer evaluates every pair it touches by one objective, itself a
-generator of walk requests (_objective_steps), which drops a pair on a
-feasibility error or a non-finite value.  One driver (_lockstep) runs a
-list of such generators to their ends in lockstep rounds and returns their
-outcomes: each round's pending walks go to one integrate_batch call.  The
-scan runs its grid pairs through it in waves at its looser tolerances.
+the integrals up to a point already solved are read from its anchors.  One
+driver (_lockstep) runs a list of such generators to their ends in
+lockstep rounds and returns their outcomes: each round's pending walks go
+to one integrate_batch call.  The optimizer keeps or drops every pair it
+touches by one rule (_kept) on its solve's outcome: a feasibility error or
+a non-finite value drops it.  The scan's grid and the endpoints on it
+depend on the gain a alone, so a search pass solves them once per distinct
+a among its channels, in waves through the driver at the scan's looser
+tolerances, and values every channel of that a from them.
 The refinement runs its Nelder-Mead starts (numerics.simplex_steps), of
 one channel or of many (optimize_bounds), in steps: each start runs on
 until it asks for a pair not yet solved, the pairs asked in a step are
@@ -39,6 +41,7 @@ solved again.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import sys
 import warnings
@@ -615,9 +618,7 @@ class _Forest:
             # A node that split is left + right of its children, as in the
             # recursive walk.
             sums = sub[:, : idx.size] + sub[:, idx.size :]
-            for row in range(2):
-                node = val[row]
-                node[idx] = np.where(split[row], sums[row], node[idx])
+            val[:, idx] = np.where(split, sums, val[:, idx])
         return val
 
     def _level(self, depth: int, nodes: tuple):
@@ -1111,8 +1112,9 @@ def optimize_bound(channel: ChannelParams) -> BoundEvaluation:
 def optimize_bounds(channels: Sequence[ChannelParams]) -> Iterator[BoundEvaluation]:
     """optimize_bound for each channel in order, every channel's refinement in lockstep.
 
-    The searches of all channels run together at the first next(): the
-    scans one channel after another, then every start of every channel in
+    The searches of all channels run together at the first next(): the scan
+    solves its grid endpoints once per distinct gain a and values each
+    channel of that a from them, then every start of every channel runs in
     lockstep, and the channels whose optimum lands on the B_f cap take the
     widened pass together.  Each evaluation is bit for bit optimize_bound's,
     and each channel's warnings and error come out in its turn, as they
@@ -1140,29 +1142,29 @@ class _Optimum:
 
 def _optimize(channels: list[ChannelParams]) -> list[_Optimum]:
     # Every channel's first pass, then the widened pass of those whose
-    # optimum lands on the cap.  A pass scans its channels one after
-    # another, then refines every channel the scan left candidates for
-    # together (_refine).  Per channel, the first error in the order of a
-    # pass run alone wins: the scan's, then the lowest start's (_closing).
+    # optimum lands on the cap.  A pass scans its channels together, the
+    # grid endpoints solved once per distinct a (_scan), then refines every
+    # channel the scan left candidates for together (_refine).  Per channel,
+    # the first error in the order of a pass run alone wins: the scan's,
+    # then the lowest start's (_closing).
     optima = [_Optimum() for _ in channels]
     pending = list(range(len(channels)))
     for bf_lo, bf_hi, note in (
         (1e-3, 1e3, "landed on the search cap; widening tenfold"),
         (1e-4, 1e4, "still on the widened cap; result suspect"),
     ):
+        if not pending:
+            break
         scanned = []
-        for i in pending:
-            channel = channels[i]
-            try:
-                candidates = _scan(channel, bf_lo, bf_hi)
-                if not candidates:
-                    raise NoFeasiblePointError(
-                        f"every grid point degenerate for a={channel.a!r}, b={channel.b!r}"
-                    )
-            except Exception as exc:  # noqa: BLE001 - raised in the channel's turn
-                optima[i].outcome = exc
+        for i, found in zip(pending, _scan([channels[i] for i in pending], bf_lo, bf_hi)):
+            if found == []:
+                found = NoFeasiblePointError(
+                    f"every grid point degenerate for a={channels[i].a!r}, b={channels[i].b!r}"
+                )
+            if isinstance(found, Exception):
+                optima[i].outcome = found
                 continue
-            starts = [[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]]
+            starts = [[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in found[:3]]
             scanned.append((i, starts))
         ends, memos = _refine([(channels[i], starts) for i, starts in scanned])
         pending = []
@@ -1202,7 +1204,10 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except Exception as exc:  # noqa: BLE001 - the generator's outcome
-                outcomes[i] = exc
+                # Kept without this frame, which holds outcomes: an error
+                # and the solve it ended are then freed with the list, not
+                # left to the cycle collector.
+                outcomes[i] = exc.with_traceback(exc.__traceback__.tb_next)
         if not live:
             return outcomes
         phi, lo, hi = np.array([request for _, _, request in live]).T
@@ -1214,20 +1219,72 @@ def _lockstep(solves: list, spec: QuadratureSpec) -> list:
 
 
 def _scan(
-    channel: ChannelParams, bf_lo: float, bf_hi: float
-) -> list[tuple[float, float, float]]:
-    """The scan's sorted candidates (normalized, rho, B_f) on the 24 x 25 grid.
+    channels: list[ChannelParams], bf_lo: float, bf_hi: float
+) -> list:
+    """Each channel's sorted scan candidates (normalized, rho, B_f), or its error.
 
-    Each grid pair is evaluated by the search objective (_objective_steps)
-    with _SCAN_ROOT_TOL and walks at _SCAN_QUADRATURE, _SCAN_WAVE pairs at
-    a time through the lockstep driver (_lockstep), and dropped where the
-    objective gives _PENALTY.  Any other error is raised after the waves,
-    the first in grid order, as a pair-by-pair loop would raise it.
+    The 24 x 25 grid and the endpoint at each grid pair depend on the gain a
+    alone, so the endpoints are solved once per distinct a among channels
+    (compared as exact floats) and shared by every channel of that a: by
+    _solve_steps at _SCAN_ROOT_TOL with walks at _SCAN_QUADRATURE,
+    _SCAN_WAVE pairs at a time through the lockstep driver (_lockstep).
+    After each wave every channel of that a values the wave's pairs by the
+    search's keep-or-drop rule (_kept).  A channel's error is its first in
+    grid order, as a pair-by-pair loop would raise it; each further channel
+    an error reaches gets a copy of it, so that no channel's raise adds to
+    another's traceback.
     """
+    groups: dict[float, list[int]] = {}
+    for i, channel in enumerate(channels):
+        groups.setdefault(channel.a, []).append(i)
+    found: list = [None] * len(channels)
+    for group in groups.values():
+        first = channels[group[0]]
+        try:
+            grid = _scan_grid(first, bf_lo, bf_hi)
+        except (NonFiniteError, DomainError) as exc:
+            for i in group:
+                found[i] = exc
+            continue
+        a2 = first.a * first.a
+        # Per channel, each pair's normalized value or error; None where the
+        # pair is dropped.
+        values: list[list] = [[] for _ in group]
+        for wave in range(0, len(grid), _SCAN_WAVE):
+            endpoints = _lockstep(
+                [
+                    _solve_steps((rho * a2 * bf, bf), first, _SCAN_ROOT_TOL)
+                    for rho, bf in grid[wave : wave + _SCAN_WAVE]
+                ],
+                _SCAN_QUADRATURE,
+            )
+            for i, kept in zip(group, values):
+                for endpoint in endpoints:
+                    outcome = _kept(endpoint, channels[i])
+                    if outcome.__class__ is BoundEvaluation:
+                        kept.append(outcome.normalized)
+                    else:
+                        kept.append(outcome if isinstance(outcome, Exception) else None)
+        for i, kept in zip(group, values):
+            error = next((v for v in kept if isinstance(v, Exception)), None)
+            found[i] = error if error is not None else sorted(
+                (v, rho, bf) for (rho, bf), v in zip(grid, kept) if v is not None
+            )
+    seen = set()
+    for i, outcome in enumerate(found):
+        if isinstance(outcome, Exception):
+            if id(outcome) in seen:
+                found[i] = _copied(outcome)
+            seen.add(id(outcome))
+    return found
+
+
+def _scan_grid(channel: ChannelParams, bf_lo: float, bf_hi: float) -> list[tuple[float, float]]:
+    # The scan's (rho, B_f) grid, refused where some A_f = rho * a^2 * B_f
+    # would not be a positive finite float.
     a2 = channel.a * channel.a
     rhos, bfs = _rho_grid(), _bf_grid(bf_lo, bf_hi, 25)
-    # Rounding is monotone, so the grid's corners decide whether every
-    # A_f = rho * a2 * bf is a positive finite float.
+    # Rounding is monotone, so the grid's corners decide.
     if max(rhos) * a2 * max(bfs) == math.inf:
         raise NonFiniteError(
             f"a^2*B_f overflows at gain a={channel.a!r} on the scan's B_f up to {bf_hi:g}"
@@ -1237,26 +1294,16 @@ def _scan(
             f"gain a={channel.a!r} too small: a^2*B_f underflows to 0 on the scan's "
             f"B_f down to {bf_lo:g}"
         )
-    grid = [(rho, bf) for rho in rhos for bf in bfs]
-    # Each pair's normalized value or error; None where the pair is dropped.
-    values: list = []
-    for wave in range(0, len(grid), _SCAN_WAVE):
-        outcomes = _lockstep(
-            [
-                _objective_steps((rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
-                for rho, bf in grid[wave : wave + _SCAN_WAVE]
-            ],
-            _SCAN_QUADRATURE,
-        )
-        for outcome in outcomes:
-            if outcome.__class__ is BoundEvaluation:
-                values.append(outcome.normalized)
-            else:
-                values.append(outcome if isinstance(outcome, Exception) else None)
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return sorted((value, rho, bf) for (rho, bf), value in zip(grid, values) if value is not None)
+    return [(rho, bf) for rho in rhos for bf in bfs]
+
+
+def _copied(exc: Exception) -> Exception:
+    # A copy of an error that more than one channel raises: its type, args,
+    # chaining and the traceback it left the solve with.
+    dup = copy.copy(exc)
+    dup.__cause__, dup.__context__ = exc.__cause__, exc.__context__
+    dup.__suppress_context__ = exc.__suppress_context__
+    return dup.with_traceback(exc.__traceback__)
 
 
 def _probe(x: np.ndarray, a2: float):
@@ -1272,21 +1319,30 @@ def _probe(x: np.ndarray, a2: float):
     return rho * a2 * bf, bf
 
 
-def _objective_steps(key: tuple[float, float], channel: ChannelParams, root_tol: float):
-    """The search objective at the pair key as a generator of walk requests.
+def _solve_steps(key: tuple[float, float], channel: ChannelParams, root_tol: float):
+    # The endpoint solve at the exact pair key = (A_f, B_f) as a generator of
+    # walk requests, BoundaryPair's refusal of the pair included.
+    return (yield from _endpoint_steps(BoundaryPair(*key), channel, root_tol))
+
+
+def _kept(outcome, channel: ChannelParams):
+    """The search's one keep-or-drop rule for a pair, from its endpoint solve's outcome.
 
     Returns the evaluation theorem_bound's closed forms and floors
-    (_bound_at) give at the endpoint solved with root_tol, or _PENALTY
-    where they refuse the pair with a feasibility error or the value is
-    not finite: the one rule for the pairs the scan and the refinement
-    keep.  A failed walk is thrown in at its request, where it propagates
-    as it would out of solve_endpoint.
+    (_bound_at) give at the solved endpoint, or _PENALTY where the solve or
+    _bound_at refuses the pair with a feasibility error or the value is not
+    finite.  Any other error, of the solve or of _bound_at, is returned for
+    the caller to raise in its turn.  The scan and the refinement keep the
+    pairs this rule keeps.
     """
+    if isinstance(outcome, Exception):
+        return _PENALTY if isinstance(outcome, _FEASIBILITY_ERRORS) else outcome
     try:
-        ep = yield from _endpoint_steps(BoundaryPair(*key), channel, root_tol)
-        ev = _bound_at(ep, channel)
+        ev = _bound_at(outcome, channel)
     except _FEASIBILITY_ERRORS:
         return _PENALTY
+    except Exception as exc:  # noqa: BLE001 - the pair's outcome
+        return exc
     return ev if math.isfinite(ev.normalized) else _PENALTY
 
 
@@ -1342,12 +1398,12 @@ def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[li
                 ends[p][s] = exc
         pairs = list(asked)
         outcomes = _lockstep(
-            [_objective_steps(key, problems[p][0], 1e-13) for p, key in pairs],
+            [_solve_steps(key, problems[p][0], 1e-13) for p, key in pairs],
             DEFAULT_QUADRATURE,
         )
         live = []
         for (p, key), outcome in zip(pairs, outcomes):
-            memos[p][key] = outcome
+            memos[p][key] = outcome = _kept(outcome, problems[p][0])
             live += [(p, s, steps, outcome) for s, steps in asked[p, key]]
     return ends, memos
 

@@ -10,11 +10,14 @@ expm1 rewrite).  Agreement to 1e-9 pins every formula at once.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import traceback
 import re
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -789,6 +792,14 @@ def _pair_by_pair_candidates(channel):
     return sorted(candidates)
 
 
+def _scanned(channel, bf_lo=1e-3, bf_hi=1e3):
+    # The scan of one channel alone: its candidates, or its error raised.
+    (found,) = bound._scan([channel], bf_lo, bf_hi)
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
 class TestScan:
     # The benchmark's and the README's channels (2.2360679774997902 is the
     # middle b of the benchmark's three-point sweep from 0.5 to 10), and a
@@ -800,16 +811,16 @@ class TestScan:
     )
     def test_lockstep_candidates_equal_pair_by_pair(self, a, b):
         channel = ChannelParams(a=a, b=b)
-        assert bound._scan(channel, 1e-3, 1e3) == _pair_by_pair_candidates(channel)
+        assert _scanned(channel) == _pair_by_pair_candidates(channel)
 
     @pytest.mark.parametrize("a,b", [(1.1, 2.0), (0.5, 0.5)])
     def test_batch_and_scalar_rounds_agree_bit_for_bit(self, a, b, monkeypatch):
         # Every round batched, then every round walked one request at a time.
         channel = ChannelParams(a=a, b=b)
         monkeypatch.setattr(bound, "_BATCH_WIDTH", 1)
-        batch = bound._scan(channel, 1e-3, 1e3)
+        batch = _scanned(channel)
         _scalar_only(monkeypatch)
-        scalar = bound._scan(channel, 1e-3, 1e3)
+        scalar = _scanned(channel)
         assert batch
         assert [value.hex() for c in batch for value in c] == [
             value.hex() for c in scalar for value in c
@@ -822,51 +833,76 @@ class TestScan:
         grid = [
             (rho * a2 * bf, bf) for rho in bound._rho_grid() for bf in bound._bf_grid(1e-3, 1e3, 25)
         ]
-        real = bound._bound_at
-        settled = []
-
-        def record(ep, channel):
-            settled.append(grid.index((ep.A_f, ep.B_f)))
-            return real(ep, channel)
-
-        monkeypatch.setattr(bound, "_bound_at", record)
-        full = bound._scan(A11, 1e-3, 1e3)
+        real_steps, real_bound_at = bound._endpoint_steps, bound._bound_at
+        full = _scanned(A11)
         # The best pair is refused with a feasibility error: it is dropped.
         best = grid.index((full[0][1] * a2 * full[0][2], full[0][2]))
 
         def refuse(ep, channel):
             if grid.index((ep.A_f, ep.B_f)) == best:
                 raise DegenerateBoundError("refused")
-            return real(ep, channel)
+            return real_bound_at(ep, channel)
 
         monkeypatch.setattr(bound, "_bound_at", refuse)
-        assert bound._scan(A11, 1e-3, 1e3) == full[1:]
-        # Two pairs fail otherwise: the first to settle, and one before it
-        # in the grid that settles later.  The scan raises the latter's.
+        assert _scanned(A11) == full[1:]
+        monkeypatch.undo()
+        # The solves settle in lockstep order, not in grid order.
+        settled = []
+
+        def record(pair, channel, root_tol):
+            ep = yield from real_steps(pair, channel, root_tol)
+            settled.append(grid.index((pair.A_f, pair.B_f)))
+            return ep
+
+        monkeypatch.setattr(bound, "_endpoint_steps", record)
+        _scanned(A11)
         first_settled = settled[0]
         earlier = next(i for i in settled if i < first_settled)
-        raised = []
+        # Two pairs fail otherwise, one in its solve and one in its
+        # valuation, each way round: the first to settle, and one before it
+        # in the grid that settles later.  The scan raises the latter's.
+        for in_solve, in_value in ((first_settled, earlier), (earlier, first_settled)):
 
-        def fail(ep, channel):
-            at = grid.index((ep.A_f, ep.B_f))
-            if at in (first_settled, earlier):
-                raised.append(at)
-                raise LookupError(f"pair {at}")
-            return real(ep, channel)
+            def solve(pair, channel, root_tol, in_solve=in_solve):
+                ep = yield from real_steps(pair, channel, root_tol)
+                at = grid.index((pair.A_f, pair.B_f))
+                if at == in_solve:
+                    raise LookupError(f"pair {at}")
+                return ep
 
-        monkeypatch.setattr(bound, "_bound_at", fail)
-        with pytest.raises(LookupError, match=f"pair {earlier}$"):
-            bound._scan(A11, 1e-3, 1e3)
-        assert raised == [first_settled, earlier]
+            def value(ep, channel, in_value=in_value):
+                at = grid.index((ep.A_f, ep.B_f))
+                if at == in_value:
+                    raise LookupError(f"pair {at}")
+                return real_bound_at(ep, channel)
+
+            monkeypatch.setattr(bound, "_endpoint_steps", solve)
+            monkeypatch.setattr(bound, "_bound_at", value)
+            with pytest.raises(LookupError, match=f"pair {earlier}$"):
+                _scanned(A11)
+
+    def test_refusals_leave_no_reference_cycle(self):
+        # A refused pair's error is kept as its solve's outcome without the
+        # driver's frame, so it is freed when dropped.  Left to the cycle
+        # collector, such errors and the frames they hold let the peak memory
+        # of a process that repeats `code` at k = 4096 grow by about 137 MB
+        # a round.
+        gc.collect()
+        gc.disable()
+        try:
+            _scanned(A11)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_memory_bound(self):
         # A wave of suspended endpoint solves and the batch walk's slices.
         channel = ChannelParams(a=0.5, b=0.5)
-        bound._scan(channel, 1e-3, 1e3)
+        _scanned(channel)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            bound._scan(channel, 1e-3, 1e3)
+            _scanned(channel)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1062,7 +1098,7 @@ SWEEP_CHANNELS = [ChannelParams(a=1.1, b=b) for b in (0.5, 2.2360679774997902, 1
 
 def _starts(channel):
     # The refinement's starts: the scan's best three points.
-    candidates = bound._scan(channel, 1e-3, 1e3)
+    candidates = _scanned(channel)
     return [[math.log(rho / (1.0 - rho)), math.log(bf)] for _, rho, bf in candidates[:3]]
 
 
@@ -1093,7 +1129,7 @@ class TestLockstepRefinement:
             return real(phi, lo, hi, spec)
 
         monkeypatch.setattr(bound, "integrate_batch", spy)
-        bound._scan(A11, 1e-3, 1e3)
+        _scanned(A11)
         scanned = len(sizes)
         bound._refine(sweep_problems[1:2])
         assert scanned and len(sizes) > scanned
@@ -1153,7 +1189,7 @@ class TestLockstepRefinement:
     def test_lowest_start_error_is_raised(self, monkeypatch):
         # Start 1 fails at its first pair at once, start 0 at its first pair
         # two walks later; the sequential order raises start 0's error.
-        candidates = bound._scan(A11, 1e-3, 1e3)
+        candidates = _scanned(A11)
         a2 = A11.a * A11.a
         first = [bound._probe(np.array(start), a2) for start in _starts(A11)]
         raised = []
@@ -1168,7 +1204,7 @@ class TestLockstepRefinement:
             raised.append(start)
             raise LookupError(f"start {start}")
 
-        monkeypatch.setattr(bound, "_scan", lambda channel, lo, hi: candidates)
+        monkeypatch.setattr(bound, "_scan", lambda channels, lo, hi: [candidates for _ in channels])
         monkeypatch.setattr(bound, "_endpoint_steps", failing)
         with pytest.raises(LookupError, match="start 0"):
             optimize_bound(A11)
@@ -1179,9 +1215,11 @@ class TestLockstepRefinement:
         # the channels before it have given their results.
         weak = ChannelParams(a=1.1, b=3.0)
         real = bound._scan
-        monkeypatch.setattr(
-            bound, "_scan", lambda channel, lo, hi: [] if channel == weak else real(channel, lo, hi)
-        )
+
+        def weak_finds_nothing(channels, lo, hi):
+            return [[] if ch == weak else found for ch, found in zip(channels, real(channels, lo, hi))]
+
+        monkeypatch.setattr(bound, "_scan", weak_finds_nothing)
         evs = optimize_bounds([A11, weak, A11])
         assert next(evs) == optimized_cache(1.1, 2.0)
         with pytest.raises(NoFeasiblePointError, match="every grid point degenerate"):
@@ -1191,13 +1229,20 @@ class TestLockstepRefinement:
         # Both channels are made to land on the cap of the first pass (their
         # first-pass optima are moved onto it); they take the widened pass
         # together, and each warning names its own first-pass optimum and
-        # points at the line that takes the result.
+        # points at the line that takes the result.  They share the gain a,
+        # so each pass solves the scan's grid endpoints once.
         scans, refined, capped = [], [], []
         real_scan, real_refine, real_closing = bound._scan, bound._refine, bound._closing
+        real_steps = bound._endpoint_steps
 
-        def spy_scan(channel, bf_lo, bf_hi):
-            scans.append((channel.b, bf_hi))
-            return real_scan(channel, bf_lo, bf_hi)
+        def spy_scan(channels, bf_lo, bf_hi):
+            scans.append(([channel.b for channel in channels], bf_hi, Counter()))
+            return real_scan(channels, bf_lo, bf_hi)
+
+        def spy_steps(pair, channel, root_tol):
+            if root_tol == _SCAN_ROOT_TOL:
+                scans[-1][2][channel.a] += 1
+            return real_steps(pair, channel, root_tol)
 
         def spy_refine(problems):
             refined.append([channel.b for channel, _ in problems])
@@ -1211,6 +1256,7 @@ class TestLockstepRefinement:
                 capped.append(ev)
             return ev
 
+        monkeypatch.setattr(bound, "_endpoint_steps", spy_steps)
         monkeypatch.setattr(bound, "_scan", spy_scan)
         monkeypatch.setattr(bound, "_refine", spy_refine)
         monkeypatch.setattr(bound, "_closing", on_cap)
@@ -1218,7 +1264,7 @@ class TestLockstepRefinement:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             evs = list(optimize_bounds(channels))
-        assert scans == [(3.0, 1e3), (2.0, 1e3), (3.0, 1e4), (2.0, 1e4)]
+        assert scans == [([3.0, 2.0], 1e3, {1.1: 600}), ([3.0, 2.0], 1e4, {1.1: 600})]
         assert refined == [[3.0, 2.0], [3.0, 2.0]]
         assert len(capped) == len(channels)
         assert [str(w.message) for w in caught] == [
@@ -1233,3 +1279,79 @@ class TestLockstepRefinement:
             ev = optimize_bound(A11)
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
         assert ev == evs[1]
+
+
+# Two gains a, interleaved.
+MIXED_CHANNELS = [ChannelParams(a=1.1, b=2.0), ChannelParams(a=0.7, b=3.0), ChannelParams(a=1.1, b=10.0)]
+
+
+def _hex_fields(ev):
+    # Every float of an evaluation and of its endpoint, as float.hex.
+    fields = dataclasses.asdict(ev)
+    fields.update(fields.pop("endpoint"))
+    return {name: value.hex() for name, value in fields.items()}
+
+
+class TestSharedScan:
+    def test_each_a_is_scanned_once_per_pass_and_each_channel_is_optimize_bound(
+        self, optimized_cache, monkeypatch
+    ):
+        # Per pass, the channels it searches and each scan endpoint solved,
+        # counted by (a, A_f, B_f).
+        passes = []
+        real_scan, real_steps = bound._scan, bound._endpoint_steps
+
+        def spy_scan(channels, bf_lo, bf_hi):
+            passes.append(([channel.a for channel in channels], Counter()))
+            return real_scan(channels, bf_lo, bf_hi)
+
+        def spy_steps(pair, channel, root_tol):
+            if root_tol == _SCAN_ROOT_TOL:
+                passes[-1][1][channel.a, pair.A_f, pair.B_f] += 1
+            return real_steps(pair, channel, root_tol)
+
+        monkeypatch.setattr(bound, "_scan", spy_scan)
+        monkeypatch.setattr(bound, "_endpoint_steps", spy_steps)
+        evs = list(optimize_bounds(MIXED_CHANNELS))
+        monkeypatch.undo()
+        assert passes and passes[0][0] == [1.1, 0.7, 1.1]
+        for gains, solves in passes:
+            assert set(solves.values()) == {1}
+            assert Counter(a for a, _, _ in solves) == {a: 24 * 25 for a in gains}
+        for ev, channel in zip(evs, MIXED_CHANNELS):
+            assert _hex_fields(ev) == _hex_fields(optimized_cache(channel.a, channel.b))
+
+    def test_a_shared_error_is_raised_by_each_channel_of_its_a_in_its_turn(
+        self, optimized_cache, monkeypatch
+    ):
+        # One scan endpoint at a = 1.1 fails with an error that is not a
+        # feasibility error.  Both channels of that a raise it, each in its
+        # turn and each with the traceback the solve gave it; the channel
+        # between them is unaffected.  optimize_bounds ends at the first
+        # error, so the channels' turns are taken from their searches.
+        a2 = 1.1 * 1.1
+        rho, bf = bound._rho_grid()[12], bound._bf_grid(1e-3, 1e3, 25)[12]
+        real = bound._endpoint_steps
+
+        def failing(pair, channel, root_tol):
+            ep = yield from real(pair, channel, root_tol)
+            if channel.a == 1.1 and (pair.A_f, pair.B_f) == (rho * a2 * bf, bf):
+                raise LookupError("shared")
+            return ep
+
+        monkeypatch.setattr(bound, "_endpoint_steps", failing)
+        first, middle, third = bound._optimize(MIXED_CHANNELS)
+        with pytest.raises(LookupError, match="shared") as raised_first:
+            first.result()
+        assert _hex_fields(middle.result()) == _hex_fields(optimized_cache(0.7, 3.0))
+        with pytest.raises(LookupError, match="shared") as raised_third:
+            third.result()
+        assert raised_third.value is not raised_first.value
+        frames = [
+            [(frame.filename, frame.name) for frame in traceback.extract_tb(info.value.__traceback__)]
+            for info in (raised_first, raised_third)
+        ]
+        assert frames[0] == frames[1]
+        assert frames[0][-1][1] == "failing"
+        with pytest.raises(LookupError, match="shared"):
+            next(optimize_bounds(MIXED_CHANNELS))
