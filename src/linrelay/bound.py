@@ -21,18 +21,17 @@ intervals each take integrate_adaptive, wide intervals and wider sets are
 walked together in numpy, which builds each failure's exact error itself.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
-solve_endpoint drives with integrate_adaptive.  It asks for no empty walk:
-the integrals up to a point already solved are read from its anchors.  One
-driver (_lockstep) runs a list of such generators to their ends in
-lockstep rounds and returns their outcomes: each round's pending walks go
-to one integrate_batch call.  The optimizer keeps or drops every pair it
-touches by one rule (_kept) on its solve's outcome: a feasibility error or
-a non-finite value drops it.  The scan's grid and the endpoints on it
-depend on the gain a alone, so a search pass solves them once per distinct
-a among its channels, in waves through the driver at the scan's looser
-tolerances, and values every channel of that a from them.
-The refinement runs its Nelder-Mead starts (numerics.simplex_steps), of
-one channel or of many (optimize_bounds), in steps: each start runs on
+asks for no empty walk: the integrals up to a point already solved are read
+from its anchors.  One driver (_lockstep) runs every solve, one pair's
+(solve_endpoint) or the search's many, to its end in lockstep rounds: each
+round's pending walks go to one integrate_batch call.  The optimizer keeps
+or drops every pair it touches by one rule (_kept) on its solve's outcome:
+a feasibility error or a non-finite value drops it.  The scan's grid and
+the endpoints on it depend on the gain a alone, so a search pass solves
+them once per distinct a among its channels, in waves through the driver
+at the scan's looser tolerances, and values every channel of that a from
+them.  The refinement runs its Nelder-Mead starts (numerics.simplex_steps),
+of one channel or of many (optimize_bounds), in steps: each start runs on
 until it asks for a pair not yet solved, the pairs asked in a step are
 solved by one driver call, and their outcomes go into a memo that the
 starts resume from.  The optimum's evaluation is read from that memo, not
@@ -63,7 +62,6 @@ from .errors import (
 # find_root_bracketed and minimize_simplex are not called here;
 # perfbench/tracing.py wraps them under this module's name.
 from .numerics import (
-    drive_steps,
     find_root_bracketed,
     minimize_simplex,
     root_steps,
@@ -102,6 +100,9 @@ _CANCEL_FLOOR = 1e-10
 
 # Bracket expansion cap when hunting for the endpoint A0.
 _BRACKET_CAP = 1e30
+
+# Relative root tolerance of solve_endpoint and of the refinement's solves.
+_ROOT_TOL = 1e-13
 
 # Subintervals narrower than this multiple of their endpoints' ulp spacing
 # are treated as converged.  Any variation on that scale is evaluation
@@ -452,9 +453,11 @@ def integrate_adaptive(
 
     The integrands are f/(1 + w f^2) and f^2/(1 + w f^2) with f = f_eval(., phi).
     The walk evaluates f once per node and refines each integral with its
-    own error test, so each value I satisfies |I - integral| <=
-    max(tol, tol*|I|) for integrands smooth on the interval, and is
-    exactly what a separate adaptive Simpson run on that integrand returns.
+    own error test, so each value is exactly what a separate adaptive
+    Simpson run on that integrand returns.  The test, Simpson's error
+    estimate against max(tol, tol*|S|) for S the first Simpson value, is no
+    bound: on the smooth [0.5412430767871772, 0.6637519887785263] at phi =
+    0.02753541891296596 and tol 1e-12, I1 is 2.94e-12 above the integral.
 
     Args:
         phi: The conserved constant.
@@ -820,16 +823,15 @@ def check_pair(pair: BoundaryPair, channel: ChannelParams) -> None:
         )
 
 
-def _endpoint_steps(pair: BoundaryPair, channel: ChannelParams, root_tol: float):
-    """solve_endpoint as a generator of walk requests.
+def _endpoint_steps(key: tuple[float, float], channel: ChannelParams, root_tol: float):
+    """The endpoint solve at the exact pair key = (A_f, B_f) as a generator of walk requests.
 
-    Yields each endpoint walk it needs as (phi, lo, hi) and receives that
-    walk's (I1, I2); returns the EndpointSolution.  Whoever answers the
-    requests picks the quadrature, so one request at a time can go to
-    integrate_adaptive (solve_endpoint) or many generators can be answered
-    together by integrate_batch (_lockstep).  No request is an empty
-    walk, lo == hi.
+    Yields each walk for the driver (_lockstep) as (phi, lo, hi), never an
+    empty one, and receives its (I1, I2) or its error; returns the
+    EndpointSolution.  It builds the BoundaryPair itself, so a refused pair
+    is an outcome like any other.
     """
+    pair = BoundaryPair(*key)
     check_pair(pair, channel)
     a = channel.a
     phi = compute_phi(pair)
@@ -896,9 +898,9 @@ def solve_endpoint(pair: BoundaryPair, channel: ChannelParams) -> EndpointSoluti
     A0 is the unique root of the monotone zero function; the bracket starts
     at [A_f, max(2 A_f, 1)] and the upper end doubles until the sign flips.
     psi then follows from the second integral equation, and the first
-    equation is evaluated as an independent residual check.  Each walk is
-    one integrate_adaptive call at DEFAULT_QUADRATURE, and the root is
-    bracketed to a relative 1e-13.
+    equation is evaluated as an independent residual check.  The search's
+    driver (_lockstep) runs the solve, so integrate_batch picks each walk at
+    DEFAULT_QUADRATURE; the root is bracketed to a relative 1e-13.
 
     Args:
         pair: Terminal pair strictly inside the a^2 boundary.
@@ -914,10 +916,12 @@ def solve_endpoint(pair: BoundaryPair, channel: ChannelParams) -> EndpointSoluti
             underflows to 0.
         BracketOverflowError: If no sign change appears below the growth cap.
     """
-    return drive_steps(
-        _endpoint_steps(pair, channel, 1e-13),
-        lambda request: integrate_adaptive(*request),
-    )
+    steps = _endpoint_steps((pair.A_f, pair.B_f), channel, _ROOT_TOL)
+    outcome = _lockstep([steps], DEFAULT_QUADRATURE)
+    if isinstance(outcome[0], Exception):
+        # Popped: the error's traceback holds this frame, which must not hold it.
+        raise outcome.pop()
+    return outcome[0]
 
 
 def _closed_forms(ep: EndpointSolution, channel: ChannelParams) -> _ClosedForms:
@@ -1117,8 +1121,9 @@ def optimize_bounds(channels: Sequence[ChannelParams]) -> Iterator[BoundEvaluati
     channel of that a from them, then every start of every channel runs in
     lockstep, and the channels whose optimum lands on the B_f cap take the
     widened pass together.  Each evaluation is bit for bit optimize_bound's,
-    and each channel's warnings and error come out in its turn, as they
-    would from a loop of optimize_bound calls.
+    and each channel's warnings and error come out in its turn.  Being a
+    generator, it ends at the first channel that raises: the channels after
+    it yield nothing, where a loop of optimize_bound calls could go on.
     """
     for optimum in _optimize(list(channels)):
         yield optimum.result()
@@ -1226,7 +1231,7 @@ def _scan(
     The 24 x 25 grid and the endpoint at each grid pair depend on the gain a
     alone, so the endpoints are solved once per distinct a among channels
     (compared as exact floats) and shared by every channel of that a: by
-    _solve_steps at _SCAN_ROOT_TOL with walks at _SCAN_QUADRATURE,
+    _endpoint_steps at _SCAN_ROOT_TOL with walks at _SCAN_QUADRATURE,
     _SCAN_WAVE pairs at a time through the lockstep driver (_lockstep).
     After each wave every channel of that a values the wave's pairs by the
     search's keep-or-drop rule (_kept).  A channel's error is its first in
@@ -1253,7 +1258,7 @@ def _scan(
         for wave in range(0, len(grid), _SCAN_WAVE):
             endpoints = _lockstep(
                 [
-                    _solve_steps((rho * a2 * bf, bf), first, _SCAN_ROOT_TOL)
+                    _endpoint_steps((rho * a2 * bf, bf), first, _SCAN_ROOT_TOL)
                     for rho, bf in grid[wave : wave + _SCAN_WAVE]
                 ],
                 _SCAN_QUADRATURE,
@@ -1317,12 +1322,6 @@ def _probe(x: np.ndarray, a2: float):
     if rho >= 1.0 - RATIO_MARGIN:
         return _PENALTY
     return rho * a2 * bf, bf
-
-
-def _solve_steps(key: tuple[float, float], channel: ChannelParams, root_tol: float):
-    # The endpoint solve at the exact pair key = (A_f, B_f) as a generator of
-    # walk requests, BoundaryPair's refusal of the pair included.
-    return (yield from _endpoint_steps(BoundaryPair(*key), channel, root_tol))
 
 
 def _kept(outcome, channel: ChannelParams):
@@ -1398,7 +1397,7 @@ def _refine(problems: list[tuple[ChannelParams, list[list[float]]]]) -> tuple[li
                 ends[p][s] = exc
         pairs = list(asked)
         outcomes = _lockstep(
-            [_solve_steps(key, problems[p][0], 1e-13) for p, key in pairs],
+            [_endpoint_steps(key, problems[p][0], _ROOT_TOL) for p, key in pairs],
             DEFAULT_QUADRATURE,
         )
         live = []

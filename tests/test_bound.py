@@ -779,7 +779,7 @@ def _pair_by_pair_candidates(channel):
     candidates = []
     for rho in bound._rho_grid():
         for bf in bound._bf_grid(1e-3, 1e3, 25):
-            steps = _endpoint_steps(BoundaryPair(rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
+            steps = _endpoint_steps((rho * a2 * bf, bf), channel, _SCAN_ROOT_TOL)
             try:
                 ev = _bound_at(
                     drive_steps(steps, lambda r: integrate_adaptive(*r, _SCAN_QUADRATURE)),
@@ -849,9 +849,9 @@ class TestScan:
         # The solves settle in lockstep order, not in grid order.
         settled = []
 
-        def record(pair, channel, root_tol):
-            ep = yield from real_steps(pair, channel, root_tol)
-            settled.append(grid.index((pair.A_f, pair.B_f)))
+        def record(key, channel, root_tol):
+            ep = yield from real_steps(key, channel, root_tol)
+            settled.append(grid.index(key))
             return ep
 
         monkeypatch.setattr(bound, "_endpoint_steps", record)
@@ -863,9 +863,9 @@ class TestScan:
         # in the grid that settles later.  The scan raises the latter's.
         for in_solve, in_value in ((first_settled, earlier), (earlier, first_settled)):
 
-            def solve(pair, channel, root_tol, in_solve=in_solve):
-                ep = yield from real_steps(pair, channel, root_tol)
-                at = grid.index((pair.A_f, pair.B_f))
+            def solve(key, channel, root_tol, in_solve=in_solve):
+                ep = yield from real_steps(key, channel, root_tol)
+                at = grid.index(key)
                 if at == in_solve:
                     raise LookupError(f"pair {at}")
                 return ep
@@ -909,7 +909,88 @@ class TestScan:
         assert peak <= 2.5e6
 
 
+# Explicit pairs (a, b, A_f, B_f) that solve in a few ms: rows of 120
+# log-uniform draws in [1e-6, 1e6]^4 (values, DomainErrors and
+# DegenerateBoundErrors), a walk that fails below its root in the level walk
+# (DepthExceededError), a walk whose root fails (NonFiniteError), a pair
+# whose first bracket walk [0.01, 1] takes the level walk, and the optimum
+# at (1.1, 2).
+_LOG_UNIFORM = 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, (120, 4))
+EXPLICIT_PAIRS = [
+    tuple(_LOG_UNIFORM[i].tolist())
+    for i in (3, 7, 17, 26, 56, 57, 89, 108, 111, 116, 2, 5, 21, 29, 39, 78)
+] + [
+    (1e-6, 1e6, 1e-13, 1.0),
+    (1.1, 2.0, 1e-300, 1e300),
+    (1.1, 2.0, 0.01, 0.5),
+    (1.1, 2.0, PINNED_PAIR.A_f, PINNED_PAIR.B_f),
+]
+
+
+def _solved(call):
+    """_hex_fields of what call returns, or the class and message of its error."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome
+        return type(exc), str(exc)
+    return _hex_fields(result)
+
+
 class TestSolveEndpoint:
+    @pytest.mark.parametrize("a,b,A_f,B_f", EXPLICIT_PAIRS)
+    def test_one_driver_is_the_scalar_solve_bit_for_bit(self, a, b, A_f, B_f):
+        # The lockstep driver against the endpoint solve with every walk one
+        # integrate_adaptive call, for solve_endpoint and theorem_bound.
+        channel, pair = ChannelParams(a, b), BoundaryPair(A_f, B_f)
+
+        def scalar():
+            steps = _endpoint_steps((A_f, B_f), channel, bound._ROOT_TOL)
+            return drive_steps(steps, lambda request: integrate_adaptive(*request))
+
+        assert _solved(lambda: solve_endpoint(pair, channel)) == _solved(scalar)
+        assert _solved(lambda: theorem_bound(pair, channel)) == _solved(
+            lambda: _bound_at(scalar(), channel)
+        )
+
+    def test_every_walk_is_picked_by_integrate_batch(self, monkeypatch):
+        # Each integrate_adaptive call of an explicit-pair solve comes from
+        # integrate_batch, the one place that picks the walk.  The explicit
+        # pairs take both walks and end in every kind of outcome.
+        real_adaptive, real_forest = bound.integrate_adaptive, bound._Forest
+        callers, forests, outcomes = [], [], set()
+
+        def adaptive(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_adaptive(*args)
+
+        def forest(*args):
+            forests.append(args)
+            return real_forest(*args)
+
+        monkeypatch.setattr(bound, "integrate_adaptive", adaptive)
+        monkeypatch.setattr(bound, "_Forest", forest)
+        for a, b, A_f, B_f in EXPLICIT_PAIRS:
+            outcome = _solved(lambda: theorem_bound(BoundaryPair(A_f, B_f), ChannelParams(a, b)))
+            outcomes.add(outcome[0] if isinstance(outcome, tuple) else "value")
+        assert callers and set(callers) == {"integrate_batch"}
+        assert forests
+        assert outcomes == {
+            "value", DomainError, DegenerateBoundError, DepthExceededError, NonFiniteError
+        }
+
+    def test_refusals_leave_no_reference_cycle(self):
+        # A refused pair's error, of the pair rule or of a walk, is freed
+        # once the caller drops it, not left to the cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            for pair in (BoundaryPair(2.0, 1.0), BoundaryPair(1e-8, 1e8)):
+                with pytest.raises((DomainError, DepthExceededError)):
+                    solve_endpoint(pair, A11)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_interior_solution_pins(self):
         # Frozen endpoint at the all-ones pair for (a, b) = (1.1, 2).
         ep = solve_endpoint(BoundaryPair(A_f=1.0, B_f=1.0), A11)
@@ -937,15 +1018,15 @@ class TestSolveEndpoint:
                 solve(pair, channel)
 
     @pytest.mark.parametrize(
-        "pair,root_tol,spec",
+        "key,root_tol,spec",
         [
-            (PINNED_PAIR, 1e-13, DEFAULT_QUADRATURE),
+            ((PINNED_PAIR.A_f, PINNED_PAIR.B_f), bound._ROOT_TOL, DEFAULT_QUADRATURE),
             # The scan's grid pair at rho = 1/2, B_f = 1.
-            (BoundaryPair(0.5 * 1.1 * 1.1, 1.0), _SCAN_ROOT_TOL, _SCAN_QUADRATURE),
+            ((0.5 * 1.1 * 1.1, 1.0), _SCAN_ROOT_TOL, _SCAN_QUADRATURE),
         ],
         ids=["optimum", "scan"],
     )
-    def test_asks_for_no_empty_walk(self, pair, root_tol, spec):
+    def test_asks_for_no_empty_walk(self, key, root_tol, spec):
         # The bracket's ends and A0 are read from the anchors, with the
         # bits of the solve that answers them.
         requests = []
@@ -954,12 +1035,9 @@ class TestSolveEndpoint:
             requests.append(request)
             return integrate_adaptive(*request, spec)
 
-        ep = drive_steps(_endpoint_steps(pair, A11, root_tol), walk)
+        ep = drive_steps(_endpoint_steps(key, A11, root_tol), walk)
         assert requests and all(lo < hi for _, lo, hi in requests)
-        if root_tol == 1e-13:
-            reference = solve_endpoint(pair, A11)
-        else:
-            (reference,) = bound._lockstep([_endpoint_steps(pair, A11, root_tol)], spec)
+        (reference,) = bound._lockstep([_endpoint_steps(key, A11, root_tol)], spec)
         assert {k: v.hex() for k, v in dataclasses.asdict(ep).items()} == {
             k: v.hex() for k, v in dataclasses.asdict(reference).items()
         }
@@ -1060,10 +1138,10 @@ class TestOptimizeBound:
         solved = []
         real = bound._endpoint_steps
 
-        def spy(pair, channel, root_tol):
+        def spy(key, channel, root_tol):
             if root_tol != _SCAN_ROOT_TOL:
-                solved.append((channel, pair.A_f, pair.B_f))
-            return real(pair, channel, root_tol)
+                solved.append((channel, *key))
+            return real(key, channel, root_tol)
 
         if sweep:
             problems = [(channel, _starts(channel)) for channel in SWEEP_CHANNELS]
@@ -1172,9 +1250,9 @@ class TestLockstepRefinement:
         solved = []
         real = bound._endpoint_steps
 
-        def spy(pair, channel, root_tol):
-            solved.append((pair.A_f, pair.B_f))
-            return real(pair, channel, root_tol)
+        def spy(key, channel, root_tol):
+            solved.append(key)
+            return real(key, channel, root_tol)
 
         start = _starts(A11)[0]
         monkeypatch.setattr(bound, "_endpoint_steps", spy)
@@ -1194,8 +1272,8 @@ class TestLockstepRefinement:
         first = [bound._probe(np.array(start), a2) for start in _starts(A11)]
         raised = []
 
-        def failing(pair, channel, root_tol):
-            start = first.index((pair.A_f, pair.B_f))
+        def failing(key, channel, root_tol):
+            start = first.index(key)
             if start == 1:
                 raised.append(start)
                 raise LookupError("start 1")
@@ -1239,10 +1317,10 @@ class TestLockstepRefinement:
             scans.append(([channel.b for channel in channels], bf_hi, Counter()))
             return real_scan(channels, bf_lo, bf_hi)
 
-        def spy_steps(pair, channel, root_tol):
+        def spy_steps(key, channel, root_tol):
             if root_tol == _SCAN_ROOT_TOL:
                 scans[-1][2][channel.a] += 1
-            return real_steps(pair, channel, root_tol)
+            return real_steps(key, channel, root_tol)
 
         def spy_refine(problems):
             refined.append([channel.b for channel, _ in problems])
@@ -1286,9 +1364,10 @@ MIXED_CHANNELS = [ChannelParams(a=1.1, b=2.0), ChannelParams(a=0.7, b=3.0), Chan
 
 
 def _hex_fields(ev):
-    # Every float of an evaluation and of its endpoint, as float.hex.
+    # Every float of an evaluation and of its endpoint, or of an endpoint
+    # alone, as float.hex.
     fields = dataclasses.asdict(ev)
-    fields.update(fields.pop("endpoint"))
+    fields.update(fields.pop("endpoint", {}))
     return {name: value.hex() for name, value in fields.items()}
 
 
@@ -1305,10 +1384,10 @@ class TestSharedScan:
             passes.append(([channel.a for channel in channels], Counter()))
             return real_scan(channels, bf_lo, bf_hi)
 
-        def spy_steps(pair, channel, root_tol):
+        def spy_steps(key, channel, root_tol):
             if root_tol == _SCAN_ROOT_TOL:
-                passes[-1][1][channel.a, pair.A_f, pair.B_f] += 1
-            return real_steps(pair, channel, root_tol)
+                passes[-1][1][(channel.a, *key)] += 1
+            return real_steps(key, channel, root_tol)
 
         monkeypatch.setattr(bound, "_scan", spy_scan)
         monkeypatch.setattr(bound, "_endpoint_steps", spy_steps)
@@ -1333,9 +1412,9 @@ class TestSharedScan:
         rho, bf = bound._rho_grid()[12], bound._bf_grid(1e-3, 1e3, 25)[12]
         real = bound._endpoint_steps
 
-        def failing(pair, channel, root_tol):
-            ep = yield from real(pair, channel, root_tol)
-            if channel.a == 1.1 and (pair.A_f, pair.B_f) == (rho * a2 * bf, bf):
+        def failing(key, channel, root_tol):
+            ep = yield from real(key, channel, root_tol)
+            if channel.a == 1.1 and key == (rho * a2 * bf, bf):
                 raise LookupError("shared")
             return ep
 
