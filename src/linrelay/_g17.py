@@ -2,9 +2,14 @@
 
 G17Lines writes lines of entries to a text stream, byte for byte as
 " ".join("%.17g" % x for x in line) would, at a fraction of the cost:
-"%.17g" takes CPython about 660 ns per entry.  codes.export_code imports
-this module at its first call, so importing the package does not load it,
-and its tables are built at the first export.
+"%.17g" takes CPython about 640 ns per entry.  numpy formats only the
+entries with |x| in [1e-99, 1), where a relay code's entries lie: those
+of the codes built at eight channel points for k = 1, 2, 4, ..., 4096 lie
+in [3.9e-12, 0.43].  Their text is fixed notation with a decimal exponent
+p = -4..-1 or exponent notation with two exponent digits; "%.17g" writes
+every other entry.  codes.export_code imports this module at its first
+call, so importing the package does not load it, and its tables are built
+at the first export.
 """
 from __future__ import annotations
 
@@ -23,21 +28,20 @@ __all__ = ["G17Lines"]
 # written as uint32:
 #
 #   0 '-' | 1-5 "0.000" | 6 first digit | 7 '.' | 8-23 (words 2-5) digits
-#   2-17 | 27 'e' | 28-31 (word 7) exponent sign and three digits |
-#   32 separator
+#   2-17 | 24-27 (word 6) "e-" and two exponent digits | 28 separator
 #
-# Exponent notation and fixed notation below 10 read off these columns;
-# fixed notation from 10 up moves the point into the digits.
-_W = 36
-_C_LEAD, _C_DIGITS, _C_E, _C_SEP = 1, 6, 27, 32
+# Fixed notation below one keeps "0." and -p - 1 zeros from columns 1-5,
+# then the digits without the point; exponent notation keeps the point.
+_W = 32
+_C_LEAD, _C_DIGITS, _C_E, _C_SEP = 1, 6, 24, 28
 _SPACE, _NEWLINE = ord(" "), ord("\n")
-# The entries formatted in numpy have |x| in [1e-290, 1e290], so their
-# decimal exponents p = floor(log10|x|) lie in [_P_MIN, _P_MAX], which
-# leaves a margin for log10's rounding.  Tables are indexed by p - _P_MIN.
-_P_MIN, _P_MAX = -292, 292
-# Layouts: 0-3 fixed with p = -4..-1, 4-20 fixed with p = 0..16, 21 and 22
-# exponent notation with two and three exponent digits.
-_LAYOUTS = 23
+# The entries formatted in numpy have |x| in [1e-99, 1), so their decimal
+# exponents p = floor(log10|x|) lie in [-99, -1]; log10's rounding can put
+# them one off, in [_P_MIN, _P_MAX], where the digits show it and "%.17g"
+# takes the entry.  Tables are indexed by p - _P_MIN.
+_P_MIN, _P_MAX = -100, 0
+# Layouts: 0-3 fixed with p = -4..-1, 4 exponent notation.
+_LAYOUTS = 5
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class _Tables:
             gives it for Dekker's product; tail is the double nearest the
             rest.
         layout: 17 times the layout of exponent p, column p - _P_MIN.
-        exponent: The ASCII of the sign and three digits of p as uint32,
+        exponent: The ASCII of "e-" and the last two digits of p as uint32,
             column p - _P_MIN.
         quads: The ASCII of "0000".."9999" as uint32.
         sig: Shape (4, 10000) uint8: for group j of digits 2-17 with value
@@ -61,9 +65,6 @@ class _Tables:
         masks: Shape (17 * _LAYOUTS, _W) uint8, row 17 * layout + that
             count: the columns to keep, but for the sign.
         template: The constant bytes of a slot.
-        point: Shape (17, 18), row p: the order in which the 18 columns
-            from _C_DIGITS (first digit, point, 16 digits) are read so
-            that the point follows digit p + 1.
     """
 
     pow10: np.ndarray
@@ -73,35 +74,31 @@ class _Tables:
     sig: np.ndarray
     masks: np.ndarray
     template: np.ndarray
-    point: np.ndarray
 
 
 @functools.cache
 def _tables() -> _Tables:
-    # Python's int true division and int-to-float conversion round
-    # correctly, so exact integers give each power of ten and its tail.
+    # Python's int-to-float conversion rounds correctly, so exact integers
+    # give each power of ten, an integer above 2^53, and its tail.
     p = np.arange(_P_MIN, _P_MAX + 1)
     pow10 = np.empty((3, p.size))
     for col, q in enumerate((16 - p).tolist()):
-        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
-        m, m_den = (num / den).as_integer_ratio()
+        m = int(float(10**q))
         # Veltkamp's split: m_hi is m rounded to 26 significant bits.
-        shift = max(m.bit_length() - 26, 0)
+        shift = m.bit_length() - 26
         m_hi = (m + (1 << shift >> 1)) >> shift << shift
-        pow10[:, col] = m_hi / m_den, (m - m_hi) / m_den, (num * m_den - m * den) / (den * m_den)
-    fixed = (p >= -4) & (p <= 16)
-    layout = 17 * np.where(fixed, p + 4, np.where(np.abs(p) >= 100, 22, 21))
-    place = np.array([1000, 100, 10, 1])
+        pow10[:, col] = m_hi, m - m_hi, 10**q - m
+    layout = 17 * np.where(p >= -4, p + 4, 4)
     exponent = np.empty((p.size, 4), np.uint8)
-    exponent[:, 0] = np.where(p < 0, ord("-"), ord("+"))
-    exponent[:, 1:] = 48 + np.abs(p)[:, None] // place[1:] % 10
+    exponent[:, :2] = np.frombuffer(b"e-", np.uint8)
+    exponent[:, 2:] = 48 + np.abs(p)[:, None] // np.array([10, 1]) % 10
     exponent = exponent.view(np.uint32).ravel()
 
     # Built a column at a time in uint8, to hold little beside the tables.
     g = np.arange(10000, dtype=np.uint16)
     quads = np.empty((10000, 4), np.uint8)
     length = np.zeros(10000, np.uint8)
-    for j, unit in enumerate(place.tolist()):
+    for j, unit in enumerate((1000, 100, 10, 1)):
         digit = (g // unit % 10).astype(np.uint8)
         quads[:, j] = 48 + digit
         length[digit != 0] = j + 1
@@ -113,34 +110,23 @@ def _tables() -> _Tables:
     lay = np.arange(_LAYOUTS)[:, None, None]
     m = np.arange(1, 18)[None, :, None]
     col = np.arange(_W)[None, None, :]
-    below_one = lay < 4
-    # Digits before the point, in the 18 columns from _C_DIGITS; below one
-    # the point is in "0.000" and the first digit stands alone.
-    before = np.where((lay >= 4) & (lay < 21), lay - 3, 1)
+    fixed = lay < 4
+    # In the 18 columns from _C_DIGITS: the first digit, digits 2..m, and
+    # in exponent notation the point if a digit follows it.
     r = col - _C_DIGITS
-    keep_digits = (r >= 0) & np.where(
-        below_one,
-        (r == 0) | ((r >= 2) & (r <= m)),
-        (r < before) | ((m > before) & (r <= m)),
-    )
+    keep_digits = (r == 0) | ((r >= 2) & (r <= m)) | (~fixed & (m > 1) & (r == 1))
     # "0." and then -p - 1 zeros, where p = lay - 4.
-    keep_lead = below_one & (col >= _C_LEAD) & (col < _C_LEAD + 5 - lay)
-    exp_from = np.where(lay == 22, _C_E + 2, _C_E + 3)
-    keep_exp = (lay >= 21) & ((col == _C_E) | (col == _C_E + 1) | (col >= exp_from))
-    keep_exp &= col < _C_SEP
+    keep_lead = fixed & (col >= _C_LEAD) & (col < _C_LEAD + 5 - lay)
+    keep_exp = ~fixed & (col >= _C_E) & (col < _C_E + 4)
     masks = (keep_lead | keep_digits | keep_exp | (col == _C_SEP)).astype(np.uint8)
 
     template = np.zeros(_W, np.uint8)
     template[0] = ord("-")
     template[_C_LEAD : _C_LEAD + 5] = np.frombuffer(b"0.000", np.uint8)
     template[_C_DIGITS + 1] = ord(".")
-    template[_C_E] = ord("e")
     template[_C_SEP] = _SPACE
 
-    before = np.arange(1, 18)[:, None]
-    r = np.arange(18)
-    point = np.where(r == before, 1, np.where((r > 0) & (r < before), r + 1, r))
-    tables = (pow10, layout, exponent, quads, sig, masks.reshape(-1, _W), template, point)
+    tables = (pow10, layout, exponent, quads, sig, masks.reshape(-1, _W), template)
     # Every export shares them.
     for table in tables:
         table.flags.writeable = False
@@ -153,7 +139,8 @@ class G17Lines:
 
     Entries are buffered in chunks of `size` entries whatever the line
     lengths, and each chunk is formatted in numpy with work buffers that
-    are reused.  An entry x gets exactly the text of "%.17g" % x because:
+    are reused.  An entry x with |x| in [1e-99, 1) gets exactly the text of
+    "%.17g" % x because:
 
     - With p = floor(log10|x|), the value |x| 10^(16-p) is formed as a
       double-double: Dekker's exact product of |x| and the double nearest
@@ -166,14 +153,14 @@ class G17Lines:
       prints, unless its fractional part is within 1e-6 of one half, where
       the error could decide the rounding.  Exact ties, such as 2^-25 with
       its 18 digits, are among these.
-    - %g prints N in fixed notation when -4 <= p < 17, else as d.ddd...e-XX
-      with at least two exponent digits, and strips trailing zeros, and
-      the point if no digit follows it.
+    - %g prints N in fixed notation when -4 <= p, else as d.ddd...e-XX
+      with two exponent digits, and strips trailing zeros, and the point
+      if no digit follows it.
 
-    "%.17g" % x itself formats the entries it cannot vouch for: those whose
-    floor is outside [1e16, 1e17) (a log10 one off) or whose rounding
-    carries to 1e17, those within 1e-6 of a half, and those with |x|
-    outside [1e-290, 1e290] (zeros, subnormals, infinities and nan).
+    "%.17g" % x itself formats every other entry: |x| >= 1 or below 1e-99,
+    zeros, subnormals, infinities and nan, entries within 1e-6 of a half,
+    entries whose log10 is one off (the floor outside [1e16, 1e17)), and
+    those whose rounding carries to 1e17.
     """
 
     def __init__(self, fh: TextIO, size: int):
@@ -211,17 +198,10 @@ class G17Lines:
         slots = self._slots[:n]
         N, ip, ok = _decimal(x, t.pow10)
         sig = _digits(N, slots, t)
-        slots.view(np.uint32)[:, 7] = t.exponent[ip]
+        slots.view(np.uint32)[:, _C_E // 4] = t.exponent[ip]
         mask = t.masks.take(t.layout[ip] + sig, axis=0, out=self._mask[:n])
         mask[:, 0] = x < 0
 
-        # From 10 up, fixed notation moves the point after digit p + 1.
-        moved = np.flatnonzero((ip > -_P_MIN) & (ip <= 16 - _P_MIN))
-        if moved.size:
-            region = slots[moved, _C_DIGITS : _C_DIGITS + 18]
-            slots[moved, _C_DIGITS : _C_DIGITS + 18] = np.take_along_axis(
-                region, t.point[ip[moved] + _P_MIN], axis=1
-            )
         fallback = np.flatnonzero(~ok)
         for i in fallback.tolist():
             text = np.frombuffer(("%.17g" % x[i]).encode("ascii"), np.uint8)
@@ -234,18 +214,18 @@ class G17Lines:
         # deleted are the texts.
         mask *= slots
         # Restore what the chunk changed beyond the columns every entry sets.
-        slots[np.concatenate([moved, fallback])] = t.template
+        slots[fallback] = t.template
         slots[:, _C_SEP] = _SPACE
         return mask.tobytes().translate(None, b"\0")
 
 
 def _decimal(x: np.ndarray, pow10: np.ndarray):
     """The 17 digits N and exponent column p - _P_MIN of each entry of x,
-    and whether they are certain; N = 1e16 and p = 0 where they are not."""
+    and whether they are certain; N = 1e16 and p = -1 where they are not."""
     a = np.abs(x)
     with np.errstate(invalid="ignore"):
-        ok = (a >= 1e-290) & (a <= 1e290)
-    a[~ok] = 1.0
+        ok = (a >= 1e-99) & (a < 1.0)
+    a[~ok] = 0.5
     ip = np.floor(np.log10(a)).astype(np.intp) - _P_MIN
     hi, lo, tail = pow10.take(ip, axis=1)
     # Veltkamp's split of a; hi and lo come split.
@@ -266,7 +246,7 @@ def _decimal(x: np.ndarray, pow10: np.ndarray):
     N += err > 0.5
     ok &= N < 10**17
     N[~ok] = 10**16
-    ip[~ok] = -_P_MIN
+    ip[~ok] = -1 - _P_MIN
     return N, ip, ok
 
 

@@ -913,8 +913,13 @@ def solve_endpoint(pair: BoundaryPair, channel: ChannelParams) -> EndpointSoluti
         DomainError: Beyond the a^2 boundary (check_pair, the one a^2 rule).
         DegenerateBoundError: Within RATIO_MARGIN of it (check_pair).
         NonFiniteError: If phi overflows, as when A_f*B_f does, or A_f*B_f
-            underflows to 0.
+            underflows to 0, or a walk's integrand is NaN or infinite or
+            its interval underflows.
+        DepthExceededError: If a walk cannot meet its tolerance within the
+            depth cap, as at BoundaryPair(1e-8, 1e8) for gains (1.1, 2).
         BracketOverflowError: If no sign change appears below the growth cap.
+        RootNotConvergedError: If the root search (root_steps) runs out of
+            iterations before its tolerance.
     """
     steps = _endpoint_steps((pair.A_f, pair.B_f), channel, _ROOT_TOL)
     outcome = _lockstep([steps], DEFAULT_QUADRATURE)
@@ -999,6 +1004,9 @@ def theorem_bound(pair: BoundaryPair, channel: ChannelParams) -> BoundEvaluation
         DomainError: Beyond the a^2 boundary (check_pair, via solve_endpoint).
         DegenerateBoundError: At or numerically too close to the boundary
             (check_pair, Q1 <= 0, log_arg <= 1, or nonpositive total energy).
+        NonFiniteError, DepthExceededError, BracketOverflowError,
+            RootNotConvergedError: From the endpoint solve, as solve_endpoint
+            raises them.
     """
     return _bound_at(solve_endpoint(pair, channel), channel)
 

@@ -18,10 +18,11 @@ a time, and zeroes them again before it returns.
 
 export_code writes every entry as the exact text of Python's "%.17g", but
 formats a chunk at a time in numpy (_g17.G17Lines): the 17 digits come
-from a double-double product with a power of ten, exact to 1e-13 units,
-and the few entries where that cannot decide the last digit (within 1e-6
-of a half), where log10 misjudges the exponent, and zeros, subnormals,
-infinities and nan are formatted by "%.17g" itself.
+from a double-double product with a power of ten, exact to 1e-13 units.
+numpy formats the entries with |x| in [1e-99, 1), where a code's entries
+lie; "%.17g" itself formats every other entry, and the few where the
+product cannot decide the last digit (within 1e-6 of a half) or log10
+misjudges the exponent.
 """
 from __future__ import annotations
 
@@ -325,12 +326,13 @@ def export_code(code: RelayCode, channel: ChannelParams, fh: TextIO) -> None:
     are formatted by Python; the entries of s and D go through G17Lines,
     which writes the same bytes with numpy in chunks of k entries, so the
     file is written a chunk at a time and no string of the whole file is
-    ever held.  G17Lines takes the 17 digits of |x| 10^(16-p), p the
-    decimal exponent, from a double-double product exact to 1e-13 units,
-    and formats with "%.17g" itself the entries where that cannot decide:
-    within 1e-6 of a half (exact ties among them), a log10 one off or a
-    carry to 10^17, and |x| outside [1e-290, 1e290] (zeros, subnormals,
-    infinities, nan).
+    ever held.  G17Lines formats the entries with |x| in [1e-99, 1), the
+    range a code's entries lie in, taking the 17 digits of |x| 10^(16-p),
+    p the decimal exponent, from a double-double product exact to 1e-13
+    units.  "%.17g" itself formats every other entry (|x| >= 1 or below
+    1e-99, zeros, subnormals, infinities, nan) and those where the product
+    cannot decide: within 1e-6 of a half (exact ties among them), a log10
+    one off or a carry to 10^17.
     """
     # Loaded at the first export, so importing the package does not
     # compile the formatter.
