@@ -530,9 +530,9 @@ _BATCH_LEVEL = 512
 
 
 def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
-    # _f_terms' two integrands at many points into the rows of out, by the
-    # same float operations in the same order (in place where the order
-    # allows: + and * commute bit for bit).
+    # _f_terms' two integrands at the points w, of any shape, into out[0]
+    # and out[1], by the same float operations in the same order (in place
+    # where the order allows: + and * commute bit for bit).
     t = phi * w
     t -= 1.0
     disc = t * t
@@ -543,11 +543,11 @@ def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     np.sqrt(disc, out=disc)
     neg = t < 0.0
     fw = t + disc
-    np.multiply(2.0 * w, w, out=cube)
+    two_w = 2.0 * w
+    np.multiply(two_w, w, out=cube)
     fw /= cube
     np.subtract(disc, t, out=disc)
-    np.multiply(2.0, w, out=cube)
-    np.divide(cube, disc, out=fw, where=neg)
+    np.divide(two_w, disc, out=fw, where=neg)
     den = w * fw
     den *= fw
     den += 1.0
@@ -556,16 +556,23 @@ def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     out[1] /= den
 
 
+# The rows of a node set, one column per node: lo, hi, f at lo, mid and hi
+# for integral 1 and then for integral 2, the Simpson estimate whole of each
+# integral, 15 eps of each at depth 0, phi and the node's tree (walk).
+_LO, _HI, _F, _WHOLE, _TOL, _PHI, _WALK = 0, 1, slice(2, 8), slice(8, 10), slice(10, 12), 12, 13
+_ROWS = 14
+
+
 class _Forest:
     """The trees of at most _BATCH_LEVEL walks, one tree per walk.
 
-    A node set is (walk, x, f8, active) with one column per node: x holds
-    lo and hi, f8 the rows fa, fm, fb and the Simpson estimate whole, each
-    for both integrals (rows 0 and 1 of every pair), and active whether
-    each integral still refines at the node (_two while both do, _one
-    after).  The roots are computed from their intervals, every other
-    node by its parent's level, and a slice of a node set carries its
-    columns, so no node is computed twice.
+    A node set is (rows, active): rows holds the _ROWS floats of each node
+    in a column, and active whether each integral still refines at the
+    node (_two while both do, _one after).  A node at depth d tests its
+    error against its 15 eps row times 0.5**d, the bits of the scalar
+    walk's halved eps.  The roots are computed from their intervals, every
+    other node by its parent's level, and a slice of a node set is one take
+    of its columns, so no node is computed twice.
 
     A tree fails as the scalar walk does, at its first failing node in
     depth-first order.  Failing nodes have no children, so none contains
@@ -574,26 +581,34 @@ class _Forest:
     none is), and failures the error the scalar walk raises there.  Only
     the nodes left of it are walked on, and the tree's values are dropped.
     A tree whose root fails has fail_lo -inf and no failure: integrate_batch
-    hands it to integrate_adaptive, which fails at once.
+    hands it to integrate_adaptive, which fails at once.  Until a failure is
+    recorded only the roots can lie right of one, so fail_lo is read at the
+    roots and, once failures is not empty, at every level; a level looks
+    for failing nodes only where a child's f is not finite or at the depth
+    cap.
     """
 
-    def __init__(self, phi: np.ndarray, x: np.ndarray, spec: QuadratureSpec) -> None:
-        # The roots from their intervals x = (lo, hi), by integrate_adaptive's
-        # float operations: f at both ends and the middle, then whole.
+    def __init__(self, phi: np.ndarray, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec) -> None:
+        # The roots from their intervals, by integrate_adaptive's float
+        # operations: f at both ends and the middle, then whole.
         n = phi.size
-        f = np.empty((2, 3 * n))
-        _f_terms_batch(np.concatenate((x[0], 0.5 * (x[0] + x[1]), x[1])), np.tile(phi, 3), f)
-        f8 = np.empty((8, n))
-        f8[:6] = f.reshape(2, 3, n).transpose(1, 0, 2).reshape(6, n)
-        np.multiply((x[1] - x[0]) / 6.0, f8[0:2] + 4.0 * f8[2:4] + f8[4:6], out=f8[6:8])
-        scaled = spec.tol * np.abs(f8[6:8])
-        self.phi = phi
-        self.x = x
+        rows = np.empty((_ROWS, n))
+        w = np.empty((3, n))
+        w[0], w[2] = lo, hi
+        np.add(lo, hi, out=w[1])
+        w[1] *= 0.5
+        f = rows[_F].reshape(2, 3, n)
+        _f_terms_batch(w, phi, f)
+        np.multiply((hi - lo) / 6.0, f[:, 0] + 4.0 * f[:, 1] + f[:, 2], out=rows[_WHOLE])
+        scaled = spec.tol * np.abs(rows[_WHOLE])
         self.eps = np.where(scaled > spec.tol, scaled, spec.tol)
+        np.multiply(15.0, self.eps, out=rows[_TOL])
+        rows[_LO], rows[_HI], rows[_PHI], rows[_WALK] = lo, hi, phi, np.arange(n)
+        self.phi, self.lo, self.hi = phi, lo, hi
         self.max_depth = spec.max_depth
-        self.fail_lo = np.where(np.isfinite(f8[:6]).all(axis=0), np.inf, -np.inf)
+        self.fail_lo = np.where(np.isfinite(rows[_F]).all(axis=0), np.inf, -np.inf)
         self.failures: dict[int, Exception] = {}
-        self.roots = [(np.arange(n), x, f8, np.ones((2, n), dtype=bool))]
+        self.roots = [(rows, np.ones((2, n), dtype=bool))]
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
         """The (I1, I2) values of nodes at one depth, as _two and _one return them.
@@ -602,12 +617,14 @@ class _Forest:
         sets are passed inline (list.pop()), so that each call owns its
         nodes and can free them before it goes deeper.
         """
-        m = nodes[0].size
-        keep = (nodes[1][0] < self.fail_lo[nodes[0]]).nonzero()[0]
-        if not keep.size:
-            return np.zeros((2, m))
-        if keep.size < m or m > _BATCH_LEVEL:
-            parts = np.array_split(keep, -(-keep.size // _BATCH_LEVEL))
+        m = nodes[0].shape[1]
+        keep = range(m)
+        if depth == 0 or self.failures:
+            keep = (nodes[0][_LO] < self.fail_lo[nodes[0][_WALK].astype(np.intp)]).nonzero()[0]
+            if not keep.size:
+                return np.zeros((2, m))
+        if len(keep) < m or m > _BATCH_LEVEL:
+            parts = np.array_split(keep, -(-len(keep) // _BATCH_LEVEL))
             waiting = [tuple(column.take(p, axis=-1) for column in nodes) for p in parts]
             del nodes
             out = np.zeros((2, m))
@@ -627,53 +644,77 @@ class _Forest:
     def _level(self, depth: int, nodes: tuple):
         # One level of _two/_one for every node: the node values where they
         # stop, the integrals that split, the nodes that have children, and
-        # those children (in a one-element list).  Candidate child j is the
-        # left half of node j, child m + j its right half.
-        walk, x, f8, active = nodes
-        m = walk.size
-        lo, hi = x
-        mid = 0.5 * (lo + hi)
-        c_x = np.concatenate((lo, mid, mid, hi)).reshape(2, 2 * m)
-        c_mid = 0.5 * (c_x[0] + c_x[1])
-        c8 = np.empty((8, 2 * m))
-        np.concatenate((f8[0:2], f8[2:4]), axis=1, out=c8[0:2])
-        pw = self.phi[walk]
-        _f_terms_batch(c_mid, np.concatenate((pw, pw)), c8[2:4])
-        np.concatenate((f8[2:4], f8[4:6]), axis=1, out=c8[4:6])
-        np.multiply((c_x[1] - c_x[0]) / 6.0, c8[0:2] + 4.0 * c8[2:4] + c8[4:6], out=c8[6:8])
-        both = c8[6:8, :m] + c8[6:8, m:]
-        err = both - f8[6:8]
-        low = c_mid <= c_x[0]
-        exhausted = low[:m] | low[m:] | (mid >= hi) | (hi - lo <= _WIDTH_FLOOR * hi)
-        live = active & ~exhausted
-        split = live & ~(np.abs(err) <= 15.0 * self.eps.take(walk, axis=1) * 0.5**depth)
-        finite = np.isfinite(c8[2:4])
-        bad = live & ~(finite[:, :m] & finite[:, m:])
+        # those children (a list of their one node set, empty if none).  c
+        # holds the rows of every candidate child: c[:, 0, j] is the left
+        # half of node j, c[:, 1, j] its right half.
+        rows, active = nodes
+        m = rows.shape[1]
+        lo, hi = rows[_LO], rows[_HI]
+        c = np.empty((_ROWS, 2, m))
+        x = c[_LO : _HI + 1]
+        mid = np.add(lo, hi, out=x[0, 1])
+        mid *= 0.5
+        x[0, 0], x[1, 0], x[1, 1] = lo, mid, hi
+        c_mid = x[0] + x[1]
+        c_mid *= 0.5
+        # f of child rows (integral, point, half): fa and fb are the
+        # parent's, fm is new.
+        f = rows[_F].reshape(2, 3, m)
+        cf = c[_F].reshape(2, 3, 2, m)
+        _f_terms_batch(c_mid, rows[_PHI], cf[:, 1])
+        cf[:, 0], cf[:, 2] = f[:, 0:2], f[:, 1:3]
+        width = x[1] - x[0]
+        width /= 6.0
+        simpson = 4.0 * cf[:, 1]
+        simpson += cf[:, 0]
+        simpson += cf[:, 2]
+        halves = np.multiply(width, simpson, out=c[_WHOLE])
+        both = halves[:, 0] + halves[:, 1]
+        err = both - rows[_WHOLE]
+        # The scalar walk stops a node when lmid <= lo, rmid <= mid,
+        # mid >= hi or hi - lo <= _WIDTH_FLOOR * hi.  The width test decides
+        # alone.  Where hi is normal, a node wider than the floor spans over
+        # 4,000 ulps of hi, so the other three fail.  Where they fire below
+        # that, the node is at most three subnormal steps wide: its Simpson
+        # estimates and its halves' are +0.0 (width / 6 underflows) and f is
+        # finite at its points, so walking on gives the same bits.  (lo + hi
+        # does not overflow at a walked node: f was finite at its mid, and f
+        # is NaN at inf.)
+        wide = hi - lo > _WIDTH_FLOOR * hi
+        live = active & wide
+        split = live & ~(np.abs(err) <= rows[_TOL] * 0.5**depth)
+        finite = np.isfinite(cf[:, 1])
+        if depth >= self.max_depth or not finite.all():
+            self._record_failures(depth, rows, live, split, finite)
+        idx = (split[0] | split[1]).nonzero()[0]
+        split = split.take(idx, axis=1)
+        children = []
+        if idx.size:
+            c[_TOL.start :] = rows[_TOL.start :, None]
+            children.append(
+                (c.take(idx, axis=2).reshape(_ROWS, 2 * idx.size), np.concatenate((split, split), axis=1))
+            )
+        return np.where(wide, both + err / 15.0, rows[_WHOLE]), split, idx, children
+
+    def _record_failures(self, depth: int, rows: np.ndarray, live, split, finite) -> None:
+        # Records each tree's leftmost failing node at this level: a live
+        # integral with a non-finite f at either child, or one that splits
+        # at the depth cap.  Every node here is left of the tree's earlier
+        # failures.
+        bad = live & ~(finite[:, 0] & finite[:, 1])
         if depth >= self.max_depth:
             bad |= split
         failed = (bad[0] | bad[1]).nonzero()[0]
-        if failed.size:
-            # Each tree's leftmost failing node at this depth; every node
-            # here is left of the tree's earlier failures.
-            failed = failed[np.lexsort((lo[failed], walk[failed]))]
-            for j in failed[np.unique(walk[failed], return_index=True)[1]].tolist():
-                w = int(walk[j])
-                self.fail_lo[w] = lo[j]
-                self.failures[w] = self._failure(
-                    w, float(lo[j]), float(hi[j]), depth, live[:, j], split[:, j]
-                )
-        parent = (split[0] | split[1]) & (lo < self.fail_lo[walk])
-        idx = parent.nonzero()[0]
-        sel = np.concatenate((idx, idx + m))
-        split = split.take(idx, axis=1)
-        w = walk[idx]
-        children = (
-            np.concatenate((w, w)),
-            c_x.take(sel, axis=1),
-            c8.take(sel, axis=1),
-            np.concatenate((split, split), axis=1),
-        )
-        return np.where(exhausted, f8[6:8], both + err / 15.0), split, idx, [children]
+        if not failed.size:
+            return
+        lo, hi, walk = rows[_LO], rows[_HI], rows[_WALK]
+        failed = failed[np.lexsort((lo[failed], walk[failed]))]
+        for j in failed[np.unique(walk[failed], return_index=True)[1]].tolist():
+            w = int(walk[j])
+            self.fail_lo[w] = lo[j]
+            self.failures[w] = self._failure(
+                w, float(lo[j]), float(hi[j]), depth, live[:, j], split[:, j]
+            )
 
     def _failure(self, w: int, lo: float, hi: float, depth: int, live, split) -> Exception:
         # The error the scalar walk raises at a failing node of tree w, by
@@ -696,7 +737,7 @@ class _Forest:
                 if not math.isfinite(g):
                     return _non_finite(g, x)
         except ZeroDivisionError:
-            return _underflow(phi, float(self.x[0, w]), float(self.x[1, w]))
+            return _underflow(phi, float(self.lo[w]), float(self.hi[w]))
         eps = float(self.eps[0 if split[0] else 1, w])
         return _too_deep(eps * 0.5**depth, lo, hi, depth)
 
@@ -712,8 +753,9 @@ def integrate_batch(
     Entry i is bit for bit integrate_adaptive(phi[i], lo[i], hi[i], spec),
     or fails with its exact error.  In a set of fewer than _BATCH_WIDTH
     intervals, those no wider than _WIDE_SPAN times their lower limit are
-    each walked by integrate_adaptive.  The others, and every interval of a
-    wider set, are walked level by level in numpy: each level of many
+    each walked by integrate_adaptive; when every interval of such a set is
+    one of them, no numpy array is set up.  The others, and every interval
+    of a wider set, are walked level by level in numpy: each level of many
     trees is processed at once, with the same float operations in the same
     order, the same exhaustion and error tests, the same eps halving and
     the same switch from both integrals to one, and each node's value is
@@ -737,9 +779,25 @@ def integrate_batch(
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), lo.shape)
-    integrals = np.zeros((2, lo.size))
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != lo.shape:
+        phi = np.broadcast_to(phi, lo.shape)
     failures: dict[int, Exception] = {}
+    if lo.size < _BATCH_WIDTH:
+        intervals = list(zip(phi.tolist(), lo.tolist(), hi.tolist()))
+        if all(0.0 < a < b and not b - a > _WIDE_SPAN * a for _, a, b in intervals):
+            # Narrow walks only: each takes the scalar walk on Python floats,
+            # with none of the level walk's set-up.
+            values = []
+            for i, interval in enumerate(intervals):
+                try:
+                    values.append(integrate_adaptive(*interval, spec))
+                except Exception as exc:  # noqa: BLE001 - returned as the walk's outcome
+                    failures[i] = exc.with_traceback(None)
+                    values.append((math.nan, math.nan))
+            i1, i2 = np.array(values).T
+            return i1, i2, failures
+    integrals = np.zeros((2, lo.size))
     scalar = ~(lo <= hi) | ((lo <= 0.0) & (lo < hi))
     walks = ~scalar & (lo < hi)
     if lo.size < _BATCH_WIDTH:
@@ -750,7 +808,7 @@ def integrate_batch(
     with np.errstate(all="ignore"):
         for start in range(0, walks.size, _BATCH_LEVEL):
             chunk = walks[start : start + _BATCH_LEVEL]
-            forest = _Forest(phi[chunk], np.stack((lo[chunk], hi[chunk])), spec)
+            forest = _Forest(phi[chunk], lo[chunk], hi[chunk], spec)
             integrals[:, chunk] = forest.values(0, forest.roots.pop())
             scalar[chunk[forest.fail_lo == -np.inf]] = True
             for j, exc in forest.failures.items():

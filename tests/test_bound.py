@@ -771,6 +771,77 @@ class TestIntegrateBatch:
         for k in range(8):
             assert (i1[k], i2[k]) == integrate_adaptive(1.25, lo[k], lo[k + 1])
 
+    def test_ulp_wide_intervals_stop_where_the_scalar_walk_does(self):
+        # Sets of intervals 1 to 6 ulps wide, exactly at the width floor and
+        # one ulp either side of it, and one 3 lo wide, at lower limits from
+        # the subnormal range up.  The level walk stops a node by the width
+        # test alone, the scalar walk by four tests; each entry has the
+        # scalar walk's bits or its error (f overflows near the subnormal
+        # range at phi = 1e300).
+        tiny = sys.float_info.min
+        for base in (5e-324, 1e-320, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0),
+                     1e-300, 0.75, 1.0, 3.0, 1e300):
+            lo, hi = [3.0 * base], [base]
+            for _ in range(6):
+                lo.append(base)
+                hi.append(math.nextafter(hi[-1], math.inf))
+            top = 2.0 ** math.floor(math.log2(base))
+            floor = top - bound._WIDTH_FLOOR * top
+            for low in (math.nextafter(floor, 0.0), floor, math.nextafter(floor, math.inf)):
+                lo.append(low)
+                hi.append(top)
+            lo[0], hi[0] = base, 4.0 * base
+            for phi in (1.25, 1e-3, 1e300):
+                i1, i2, failures = integrate_batch(phi, lo, hi)
+                for k, interval in enumerate(zip(lo, hi)):
+                    scalar = _outcome(lambda: integrate_adaptive(phi, *interval))
+                    if k in failures:
+                        assert (type(failures[k]), str(failures[k])) == scalar, interval
+                    else:
+                        assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+
+    @pytest.mark.parametrize(
+        "spec,failing",
+        [
+            # Integrand 2 overflows left of about 1e-72, reached at depth 36
+            # and about 20.
+            (DEFAULT_QUADRATURE, (1.60015102630338e82, 2.8047039270688645e-98, 1.688939465603267e-61)),
+            (_SCAN_QUADRATURE, (1.60015102630338e82, 2.8047039270688645e-98, 1e-66)),
+        ],
+        ids=["default", "scan"],
+    )
+    def test_failure_bookkeeping_switches_on_mid_forest(self, spec, failing, monkeypatch):
+        # One forest: a tree that fails below its root between two deeper
+        # trees that do not fail.  Levels read fail_lo only once a failure is
+        # recorded; the trees either side are walked on after that, and every
+        # entry has the scalar walk's bits or its error.
+        intervals = [
+            (150053.23555373156, 4.988512363522082e-06, 1.268248558981375e-05),
+            failing,
+            (183402.48423570153, 4.5359990027679944e-06, 1.1607975269892108e-05),
+        ]
+        phi, lo, hi = (np.array(column) for column in zip(*intervals))
+        levels = []
+        real_level = bound._Forest._level
+
+        def level(forest, depth, nodes):
+            levels.append((bool(forest.failures), set(nodes[0][bound._WALK].tolist())))
+            return real_level(forest, depth, nodes)
+
+        monkeypatch.setattr(bound._Forest, "_level", level)
+        _, calls = _count_scalar_walks(monkeypatch)
+        i1, i2, failures = integrate_batch(phi, lo, hi, spec)
+        assert calls == []
+        assert list(failures) == [1]
+        after = set().union(*(walks for failed, walks in levels if failed))
+        assert {0.0, 2.0} <= after
+        for k, interval in enumerate(intervals):
+            scalar = _outcome(lambda: integrate_adaptive(*interval, spec))
+            if k in failures:
+                assert (type(failures[k]), str(failures[k])) == scalar
+            else:
+                assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar
+
 
 def _pair_by_pair_candidates(channel):
     # The scan as a loop of scalar bound evaluations at the scan's
