@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import math
 import sys
 import warnings
@@ -528,6 +529,26 @@ _WIDE_SPAN = 0.5
 # one forest for all of them holds more waiting slices at once.
 _BATCH_LEVEL = 512
 
+# A forest of fewer than _BATCH_WIDTH trees computes the top of every tree
+# down to depth _TOP_DEPTH in one pass, since adaptive Simpson splits every
+# node of a wide interval near its root: the wide trees of the refinement
+# first stop a node at depth 6 or 7.  A wider forest (the scan's) has a
+# tree that stops near its root, and starts at depth 0.
+_TOP_DEPTH = 6
+
+
+@functools.cache
+def _top_nodes(top: int) -> tuple[np.ndarray, np.ndarray]:
+    # The nodes of a tree down to depth top, breadth first (the children of
+    # node i are 2i + 1 and 2i + 2): the indices of their lo, then of their
+    # mid, then of their hi among the tree's 2**(top + 1) + 1 dyadic points,
+    # and a column of 0.5**depth for each node above depth top.
+    end = 2 << top
+    lo = np.concatenate([np.arange(0, end, end >> d) for d in range(top + 1)])
+    span = np.concatenate([np.full(1 << d, end >> d) for d in range(top + 1)])
+    scale = np.array([[0.5**d] for d in range(top) for _ in range(1 << d)])
+    return np.concatenate((lo, lo + span // 2, lo + span)), scale
+
 
 def _f_terms_batch(w: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     # _f_terms' two integrands at the points w, of any shape, into out[0]
@@ -570,9 +591,20 @@ class _Forest:
     in a column, and active whether each integral still refines at the
     node (_two while both do, _one after).  A node at depth d tests its
     error against its 15 eps row times 0.5**d, the bits of the scalar
-    walk's halved eps.  The roots are computed from their intervals, every
-    other node by its parent's level, and a slice of a node set is one take
-    of its columns, so no node is computed twice.
+    walk's halved eps.  The top of every tree is computed in one pass, every
+    deeper node by its parent's level, and a slice of a node set is one take
+    of its columns, so no node is walked twice.
+
+    The top pass takes f at every dyadic point of each tree down to depth
+    top (_TOP_DEPTH in a forest of fewer than _BATCH_WIDTH trees, else 0),
+    made by the walk's midpoint recursion, and every Simpson estimate and
+    error test above that depth at once.  The level walk starts at the
+    first depth where a node of any tree does not split both integrals, is
+    not wide, or has a non-finite f at a child's mid, or at depth top: down
+    to there every node of every tree splits both, as the scalar walk does,
+    so the nodes at that depth, all 2**depth of each tree, are its node set.
+    Their values are folded back up as left + right.  At depth 0 the pass
+    is the roots' set-up alone.
 
     A tree fails as the scalar walk does, at its first failing node in
     depth-first order.  Failing nodes have no children, so none contains
@@ -580,35 +612,82 @@ class _Forest:
     per tree, the lo of its leftmost failing node found so far (inf while
     none is), and failures the error the scalar walk raises there.  Only
     the nodes left of it are walked on, and the tree's values are dropped.
-    A tree whose root fails has fail_lo -inf and no failure: integrate_batch
-    hands it to integrate_adaptive, which fails at once.  Until a failure is
-    recorded only the roots can lie right of one, so fail_lo is read at the
-    roots and, once failures is not empty, at every level; a level looks
-    for failing nodes only where a child's f is not finite or at the depth
-    cap.
+    A tree whose root fails has fail_lo -inf and no failure, and the walk
+    starts at depth 0: integrate_batch hands the tree to integrate_adaptive,
+    which fails at once.  Until a failure is recorded only the roots can lie
+    right of one, so fail_lo is read at the roots and, once failures is not
+    empty, at every level; a level looks for failing nodes only where a
+    child's f is not finite or at the depth cap.
     """
 
     def __init__(self, phi: np.ndarray, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec) -> None:
-        # The roots from their intervals, by integrate_adaptive's float
-        # operations: f at both ends and the middle, then whole.
         n = phi.size
-        rows = np.empty((_ROWS, n))
-        w = np.empty((3, n))
-        w[0], w[2] = lo, hi
-        np.add(lo, hi, out=w[1])
-        w[1] *= 0.5
-        f = rows[_F].reshape(2, 3, n)
-        _f_terms_batch(w, phi, f)
-        np.multiply((hi - lo) / 6.0, f[:, 0] + 4.0 * f[:, 1] + f[:, 2], out=rows[_WHOLE])
-        scaled = spec.tol * np.abs(rows[_WHOLE])
+        top = min(_TOP_DEPTH, spec.max_depth) if n < _BATCH_WIDTH else 0
+        end = 2 << top
+        # The dyadic points of the trees as (point, tree) in g[2], each the
+        # mid of its neighbours a level up, and f at them in g[:2].
+        g = np.empty((3, end + 1, n))
+        x = g[2]
+        x[0], x[end] = lo, hi
+        step = end
+        while step > 1:
+            mids = np.add(x[:end:step], x[step::step], out=x[step // 2 :: step])
+            mids *= 0.5
+            step //= 2
+        _f_terms_batch(x, phi, g[:2])
+        # Every node down to depth top as (row of g, lo mid hi, node, tree),
+        # its Simpson estimates by integrate_adaptive's float operations, and
+        # eps from the roots'.
+        at, scale = _top_nodes(top)
+        # (At depth 0 the nodes are the points themselves.)
+        node = g[:, at].reshape(3, 3, -1, n) if top else g[:, :, None]
+        width = node[2, 2] - node[2, 0]
+        whole = width / 6.0 * (node[:2, 0] + 4.0 * node[:2, 1] + node[:2, 2])
+        scaled = spec.tol * np.abs(whole[:, 0])
         self.eps = np.where(scaled > spec.tol, scaled, spec.tol)
-        np.multiply(15.0, self.eps, out=rows[_TOL])
-        rows[_LO], rows[_HI], rows[_PHI], rows[_WALK] = lo, hi, phi, np.arange(n)
+        tol = 15.0 * self.eps
+        finite = np.isfinite(g[:2]).all(axis=0)
+        all_finite = finite.all()
+        self.fail_lo = np.full(n, np.inf)
+        depth = top
+        if not all_finite:
+            root_fails = ~finite[:: end // 2].all(axis=0)
+            self.fail_lo[root_fails] = -np.inf
+            if root_fails.any():
+                depth = 0
+        if depth:
+            inner = scale.size
+            err = whole[:, 1::2] + whole[:, 2::2] - whole[:, :inner]
+            stop = (np.abs(err) <= tol[:, None] * scale).any(axis=0)
+            stop |= width[:inner] <= _WIDTH_FLOOR * node[2, 2, :inner]
+            if not all_finite:
+                # The mids of nodes 1 to 2 inner, the children of the inner ones.
+                child_mid = finite[at[2 * inner + 2 : 4 * inner + 2]]
+                stop |= ~(child_mid[0::2] & child_mid[1::2])
+            stops = stop.any(axis=1).nonzero()[0]
+            if stops.size:
+                depth = (int(stops[0]) + 1).bit_length() - 1
+        # The node set at that depth, node by node and tree by tree within.
+        m = 1 << depth
+        level = node[:, :, m - 1 : 2 * m - 1]
+        rows = np.empty((_ROWS, m, n))
+        rows[_LO], rows[_HI] = level[2, 0], level[2, 2]
+        rows[_F].reshape(2, 3, m, n)[...] = level[:2]
+        rows[_WHOLE] = whole[:, m - 1 : 2 * m - 1]
+        rows[_TOL] = tol[:, None]
+        rows[_PHI], rows[_WALK] = phi, np.arange(n)
         self.phi, self.lo, self.hi = phi, lo, hi
         self.max_depth = spec.max_depth
-        self.fail_lo = np.where(np.isfinite(rows[_F]).all(axis=0), np.inf, -np.inf)
         self.failures: dict[int, Exception] = {}
-        self.roots = [(rows, np.ones((2, n), dtype=bool))]
+        self.start_depth = depth
+        self.start = [(rows.reshape(_ROWS, m * n), np.ones((2, m * n), dtype=bool))]
+
+    def integrals(self) -> np.ndarray:
+        """The (I1, I2) values of every tree: its top node set walked, then folded up."""
+        val = self.values(self.start_depth, self.start.pop()).reshape(2, -1, self.phi.size)
+        for _ in range(self.start_depth):
+            val = val[:, 0::2] + val[:, 1::2]
+        return val[:, 0]
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
         """The (I1, I2) values of nodes at one depth, as _two and _one return them.
@@ -809,7 +888,7 @@ def integrate_batch(
         for start in range(0, walks.size, _BATCH_LEVEL):
             chunk = walks[start : start + _BATCH_LEVEL]
             forest = _Forest(phi[chunk], lo[chunk], hi[chunk], spec)
-            integrals[:, chunk] = forest.values(0, forest.roots.pop())
+            integrals[:, chunk] = forest.integrals()
             scalar[chunk[forest.fail_lo == -np.inf]] = True
             for j, exc in forest.failures.items():
                 failures[int(chunk[j])] = exc

@@ -157,8 +157,13 @@ def simplex_steps(start: Sequence[float]) -> Generator[np.ndarray, float, tuple[
     The probes, their order and the returned (point, value) are those of
     scipy's minimize(f, start, method="Nelder-Mead") with the initial simplex
     start + 0.25 e_i, maxiter=2000, fatol=1e-10 and xatol=1e-7, since every
-    numpy operation is scipy's, in its order.  Each probe is a fresh copy, as
-    scipy hands f; minimize_simplex documents the contract.
+    float operation is scipy's, in its order.  The simplex is kept in Python
+    floats, whose arithmetic on a few coordinates costs far less than numpy's
+    dispatch: np.add.reduce over the vertices is a sum from 0.0 in vertex
+    order, and np.argsort is any sort where the values are distinct, or
+    np.argsort itself where they tie, since how it orders ties depends on
+    the machine's sort kernel.  Each probe is a fresh array, as scipy hands
+    f; minimize_simplex documents the contract.
     """
     x0 = np.asarray(start, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -166,37 +171,45 @@ def simplex_steps(start: Sequence[float]) -> Generator[np.ndarray, float, tuple[
     # Reflection, expansion, contraction and shrink coefficients.
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     N = x0.size
-    sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(N)])
-    fsim = np.full((N + 1,), np.inf, dtype=float)
+    sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(N)]).tolist()
+    fsim = [math.inf] * (N + 1)
 
-    def probed(x: np.ndarray, fx) -> float:
+    def probed(x: list[float], fx) -> float:
         fx = float(fx)
         if not math.isfinite(fx):
-            raise NonFiniteError(f"objective returned {fx!r} at {x.tolist()!r}")
+            raise NonFiniteError(f"objective returned {fx!r} at {x!r}")
         return fx
 
+    def ordered() -> tuple[list, list[float]]:
+        if len(set(fsim)) == len(fsim):
+            ind = sorted(range(N + 1), key=fsim.__getitem__)
+        else:
+            ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
     for k in range(N + 1):
-        x = sim[k].copy()
-        fsim[k] = probed(x, (yield x))
+        fsim[k] = probed(sim[k], (yield np.array(sim[k])))
     # Sorted twice, as scipy sorts once after the first probes and once more.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = ordered()
 
     iterations = 1
     while iterations < _SIMPLEX_MAX_ITER:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _SIMPLEX_X_TOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= _SIMPLEX_F_TOL
-        ):
+        best = sim[0]
+        if all(
+            abs(v - b) <= _SIMPLEX_X_TOL for x in sim[1:] for v, b in zip(x, best)
+        ) and all(abs(fsim[0] - g) <= _SIMPLEX_F_TOL for g in fsim[1:]):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = probed(xr, (yield xr.copy()))
+        xbar = [0.0] * N
+        for x in sim[:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / N for s in xbar]
+        worst = sim[-1]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        fxr = probed(xr, (yield np.array(xr)))
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = probed(xe, (yield xe.copy()))
+            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+            fxe = probed(xe, (yield np.array(xe)))
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -209,30 +222,27 @@ def simplex_steps(start: Sequence[float]) -> Generator[np.ndarray, float, tuple[
         else:
             if fxr < fsim[-1]:
                 # Outside contraction.
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = probed(xc, (yield xc.copy()))
+                xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+                fxc = probed(xc, (yield np.array(xc)))
                 shrink = not fxc <= fxr
                 if not shrink:
                     sim[-1] = xc
                     fsim[-1] = fxc
             else:
                 # Inside contraction.
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = probed(xcc, (yield xcc.copy()))
+                xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                fxcc = probed(xcc, (yield np.array(xcc)))
                 shrink = not fxcc < fsim[-1]
                 if not shrink:
                     sim[-1] = xcc
                     fsim[-1] = fxcc
             if shrink:
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    x = sim[j].copy()
-                    fsim[j] = probed(x, (yield x))
+                    sim[j] = [b + sigma * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = probed(sim[j], (yield np.array(sim[j])))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], float(np.min(fsim))
+        sim, fsim = ordered()
+    return np.array(sim[0]), float(np.min(fsim))
 
 
 def minimize_simplex(

@@ -335,6 +335,60 @@ def _first_failing_node(case):
     return a, b
 
 
+def _first_stop(phi, lo, hi, spec, top):
+    # Reference for the level walk's start in a small forest: the first
+    # depth, at most top, at which a node of the scalar walk's tree does not
+    # split both integrals, by _two's exhaustion and error tests, or meets a
+    # non-finite integrand at a child's mid; 0 if one fails at the root.
+    # Every node down to there is visited, breadth first.
+    def terms(w):
+        try:
+            values = bound._f_terms(w, phi)[1:]
+        except ZeroDivisionError:
+            return None
+        return values if all(math.isfinite(g) for g in values) else None
+
+    mid = 0.5 * (lo + hi)
+    ends = [terms(lo), terms(mid), terms(hi)]
+    if None in ends:
+        return 0
+    wholes = [((hi - lo) / 6.0) * (a + 4.0 * m + b) for a, m, b in zip(*ends)]
+    eps = [max(spec.tol, spec.tol * abs(whole)) for whole in wholes]
+    nodes = [(lo, hi, *ends, wholes)]
+    for depth in range(top):
+        children = []
+        for a, b, fa, fm, fb, whole in nodes:
+            mid = 0.5 * (a + b)
+            lmid = 0.5 * (a + mid)
+            rmid = 0.5 * (mid + b)
+            if lmid <= a or rmid <= mid or mid >= b or b - a <= bound._WIDTH_FLOOR * b:
+                return depth
+            flm, frm = terms(lmid), terms(rmid)
+            if flm is None or frm is None:
+                return depth
+            left = [((mid - a) / 6.0) * (fa[k] + 4.0 * flm[k] + fm[k]) for k in (0, 1)]
+            right = [((b - mid) / 6.0) * (fm[k] + 4.0 * frm[k] + fb[k]) for k in (0, 1)]
+            if any(abs(left[k] + right[k] - whole[k]) <= 15.0 * eps[k] * 0.5**depth for k in (0, 1)):
+                return depth
+            children += [(a, mid, fa, flm, fm, left), (mid, b, fm, frm, fb, right)]
+        nodes = children
+    return top
+
+
+def _start_depths(monkeypatch):
+    # The depth at which each _Forest built from now on starts its level
+    # walk, in order.
+    starts = []
+    real_init = bound._Forest.__init__
+
+    def init(forest, *args):
+        real_init(forest, *args)
+        starts.append(forest.start_depth)
+
+    monkeypatch.setattr(bound._Forest, "__init__", init)
+    return starts
+
+
 class TestParams:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, math.nan)])
     def test_channel_rejects_bad_gains(self, a, b):
@@ -838,6 +892,90 @@ class TestIntegrateBatch:
         for k, interval in enumerate(intervals):
             scalar = _outcome(lambda: integrate_adaptive(*interval, spec))
             if k in failures:
+                assert (type(failures[k]), str(failures[k])) == scalar
+            else:
+                assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar
+
+    @pytest.mark.parametrize(
+        "spec,deepest",
+        [
+            (DEFAULT_QUADRATURE, 6),
+            # At the scan's looser tolerance these trees stop a node by depth 5.
+            (_SCAN_QUADRATURE, 5),
+            (QuadratureSpec(max_depth=1), 1),
+            (QuadratureSpec(max_depth=3), 3),
+        ],
+        ids=["default", "scan", "depth-cap-1", "depth-cap-3"],
+    )
+    def test_small_forests_start_below_their_tops(self, spec, deepest, monkeypatch):
+        # The intervals of test_matches_the_scalar_walk_bit_for_bit, phi =
+        # 1e308 on [10, 20] (a root that fails) among them, and intervals a
+        # few ulps wide that are wide against their subnormal lower limits,
+        # in sets of one to five: each small forest starts its level walk at
+        # the first depth where the scalar walk's tree of one of its
+        # intervals stops a node (_first_stop), and every entry has
+        # integrate_adaptive's bits or its error.
+        phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
+        tiny = 5e-324
+        ulps = [(1.25, tiny, 2 * tiny), (1e300, tiny, 3 * tiny), (1.25, 2 * tiny, 5 * tiny),
+                (1e-3, 3 * tiny, 7 * tiny), (1.25, 1e-320, 4e-320)]
+        phi, lo, hi = (np.concatenate((column, extra)) for column, extra in zip((phi, lo, hi), zip(*ulps)))
+        assert 10.0 in lo and math.isinf(bound.f_eval(15.0, 1e308))
+        # The intervals integrate_batch walks in a forest when their set is small.
+        walked = (0.0 < lo) & (lo < hi) & (hi - lo > bound._WIDE_SPAN * lo)
+        starts = _start_depths(monkeypatch)
+        top = min(bound._TOP_DEPTH, spec.max_depth)
+        start, size = 0, 0
+        while start < lo.size:
+            size = size % 5 + 1
+            part = slice(start, start + size)
+            start += size
+            i1, i2, failures = integrate_batch(phi[part], lo[part], hi[part], spec)
+            intervals = list(zip(phi[part].tolist(), lo[part].tolist(), hi[part].tolist()))
+            trees = [interval for interval, w in zip(intervals, walked[part]) if w]
+            assert starts == ([min(_first_stop(*tree, spec, top) for tree in trees)] if trees else [])
+            starts.clear()
+            for k, interval in enumerate(intervals):
+                scalar = _outcome(lambda: integrate_adaptive(*interval, spec))
+                if k in failures:
+                    assert (type(failures[k]), str(failures[k])) == scalar, interval
+                else:
+                    assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar, interval
+        # The trees alone start at every depth from the root down to the
+        # deepest.
+        depths = {
+            _first_stop(p, a, b, spec, top)
+            for p, a, b in zip(phi[walked].tolist(), lo[walked].tolist(), hi[walked].tolist())
+        }
+        assert depths == set(range(deepest + 1))
+
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    @pytest.mark.parametrize("integrand", [1, 2])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_child_mid_stops_the_top(self, depth, integrand, side, monkeypatch):
+        # Three trees that split every node down to depth 6, the middle one
+        # with a stand-in NaN at lmid of its leftmost node at depth, or at
+        # rmid of its rightmost: the level walk starts at that depth, the
+        # middle tree gets the scalar walk's error and the others its bits.
+        intervals = [(1.25, 0.3, 3.0), (0.7, 0.5, 4.0), (2.0, 0.2, 2.0)]
+        _, a, b = intervals[1]
+        for _ in range(depth):
+            if side == "left":
+                b = 0.5 * (a + b)
+            else:
+                a = 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        point = 0.5 * (a + mid) if side == "left" else 0.5 * (mid + b)
+        _stand_in_failures(monkeypatch, nan_at=[(point, (integrand,))])
+        starts = _start_depths(monkeypatch)
+        _, calls = _count_scalar_walks(monkeypatch)
+        phi, lo, hi = (np.array(column) for column in zip(*intervals))
+        i1, i2, failures = integrate_batch(phi, lo, hi)
+        assert starts == [depth] and calls == [] and list(failures) == [1]
+        for k, interval in enumerate(intervals):
+            scalar = _outcome(lambda: integrate_adaptive(*interval))
+            if k in failures:
+                assert scalar[0] is NonFiniteError
                 assert (type(failures[k]), str(failures[k])) == scalar
             else:
                 assert (float(i1[k]).hex(), float(i2[k]).hex()) == scalar

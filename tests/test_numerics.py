@@ -201,7 +201,51 @@ _SIMPLEX_FAMILIES = {
 }
 
 
+def _random_objective(seed):
+    # A seeded 2-D or 3-D objective and start: a bowl, a bowl rounded to
+    # plateaus of 0.1, or a bowl in a box with _PENALTY outside it, the last
+    # two full of tied vertices.
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    center = rng.uniform(-1.0, 1.0, n)
+    weight = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    half = rng.uniform(0.1, 0.6, n)
+    start = rng.uniform(-1.0, 1.0, n).tolist()
+
+    def bowl(x):
+        return float(np.sum(weight * (x - center) ** 2))
+
+    kind = seed // 2 % 3
+    if kind == 0:
+        return bowl, start
+    if kind == 1:
+        return (lambda x: round(bowl(x), 1)), start
+    return (lambda x: _PENALTY if np.any(np.abs(x - center) > half) else bowl(x)), start
+
+
 class TestSimplexSteps:
+    def test_random_objectives_probe_as_scipy(self):
+        # 100 seeded bowls, rounded plateaus and penalty boxes in 2-D and
+        # 3-D: every probe and the result are scipy's, bit for bit, ties
+        # among three and four vertices included.
+        tied = {2: 0, 3: 0}
+        for seed in range(100):
+            f, start = _random_objective(seed)
+            theirs, res = _scipy_simplex(f, start)
+            ours = []
+
+            def recorded(x):
+                ours.append(x.copy())
+                return f(x)
+
+            x, value = drive_steps(simplex_steps(start), recorded)
+            assert _hexed(ours) == _hexed(theirs), seed
+            assert _hexed([x]) == _hexed([res.x]), seed
+            assert value.hex() == float(res.fun).hex(), seed
+            values = [f(p) for p in ours]
+            tied[len(start)] += len(set(values)) < len(values)
+        assert min(tied.values()) >= 20
+
     @pytest.mark.parametrize("family", sorted(_SIMPLEX_FAMILIES))
     def test_same_probes_and_result_as_scipy(self, family):
         f, start = _SIMPLEX_FAMILIES[family]
