@@ -9,6 +9,7 @@ certifies the constructed codes.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -164,12 +165,22 @@ def bounds_records(channels: Sequence[ChannelParams]) -> Iterator[BoundsRecord]:
     The rank-1 searches of all the channels run in lockstep
     (optimize_bounds).  Each channel's 2x2 baseline is computed in its turn,
     before its rank-1 result is taken, so warnings and errors come out in
-    the order of a channel-by-channel loop.
+    the order of a channel-by-channel loop.  Each next() gives the next
+    channel's record or raises its error, and the next call goes on with the
+    channel after it; a channel whose 2x2 baseline fails passes over its
+    rank-1 result.
     """
     rank1 = optimize_bounds(channels)
-    for channel in channels:
-        two_by_two = two_by_two_bound(channel)
-        yield BoundsRecord(
+
+    def record(channel: ChannelParams) -> BoundsRecord:
+        try:
+            two_by_two = two_by_two_bound(channel)
+        except Exception:
+            # So that the next channel takes its own rank-1 result.
+            with contextlib.suppress(Exception):
+                next(rank1)
+            raise
+        return BoundsRecord(
             a=channel.a,
             b=channel.b,
             block_markov=block_markov_bound(channel),
@@ -177,3 +188,6 @@ def bounds_records(channels: Sequence[ChannelParams]) -> Iterator[BoundsRecord]:
             two_by_two=two_by_two,
             rank1_eval=next(rank1),
         )
+
+    # A map, not a generator, which a raise would end.
+    return map(record, channels)

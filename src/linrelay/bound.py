@@ -14,11 +14,13 @@ walk (integrate_adaptive) that evaluates f once per node, with one tolerance
 and a recursion cap per integral from QuadratureSpec.  It is hand-rolled
 because callers need precise control over the failure modes: a hard
 recursion cap and an explicit error when a tolerance is unreachable.  The
-walk raises the first failure it meets, of either integral.
+walk recurses over the integrals still refining, both and then the one left,
+and raises the first failure it meets, of either integral.
 integrate_batch answers many intervals at once with the same bits and the
 same errors, and is the one place that picks the walk: a few narrow
 intervals each take integrate_adaptive, wide intervals and wider sets are
-walked together in numpy, which builds each failure's exact error itself.
+walked together in numpy, which gets each failure's exact error by running
+the scalar walk on the failing node.
 
 Each endpoint solve is a generator of walk requests (_endpoint_steps) that
 asks for no empty walk: the integrals up to a point already solved are read
@@ -124,9 +126,10 @@ _PENALTY = 1e9
 class ChannelParams:
     """Amplitude gains of the relay channel: a source-to-relay, b relay-to-destination.
 
-    b^2 enters every bound, code and baseline as b * b, so a gain b whose
-    square overflows is refused here with NonFiniteError.  a^2 is checked
-    where it is used (a_squared, and the scan's a^2*B_f grid check).
+    b^2 enters every bound, code and baseline as b * b, and the bound
+    divides by it, so a gain b whose square overflows or underflows to 0 is
+    refused here with NonFiniteError.  a^2 is checked where it is used
+    (a_squared, and the scan's a^2*B_f grid check).
     """
 
     a: float
@@ -139,6 +142,8 @@ class ChannelParams:
             raise ValueError(f"gain b must be positive and finite, got {self.b!r}")
         if self.b * self.b == math.inf:
             raise NonFiniteError(f"b^2 overflows at gain b={self.b!r}")
+        if self.b * self.b == 0.0:
+            raise NonFiniteError(f"b^2 underflows to 0 at gain b={self.b!r}")
 
     def a_squared(self) -> float:
         """a**2; NonFiniteError naming the gain where it overflows."""
@@ -316,132 +321,61 @@ def _too_deep(eps: float, lo: float, hi: float, depth: int) -> DepthExceededErro
     )
 
 
-def _one(
-    phi: float,
-    lo: float,
-    hi: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    eps: float,
-    depth: int,
-    max_depth: int,
-    k: int,
-) -> float:
-    # Adaptive Simpson on [lo, hi] for integrand k alone (1 or 2).
+def _walk(
+    phi: float, lo: float, hi: float, ks: tuple[int, ...], fa: tuple, fm: tuple, fb: tuple,
+    whole: Sequence[float], eps: Sequence[float], depth: int, max_depth: int,
+) -> Sequence[float]:
+    # Adaptive Simpson on [lo, hi] for the integrals ks that still refine:
+    # (1, 2) while both do, then (1,) or (2,).  fa, fm and fb are _f_terms
+    # at lo, mid and hi, indexed by integral; whole, eps and the values
+    # returned hold one entry per integral of ks.  Each integral keeps its
+    # own error test, eps halving and summation order, so each value is bit
+    # for bit what a walk of that integral alone returns.
     mid = 0.5 * (lo + hi)
     lmid = 0.5 * (lo + mid)
     rmid = 0.5 * (mid + hi)
-    # Interval exhausted in floating point; the current estimate is final.
+    # Interval exhausted in floating point; the current estimates are final.
     # The walk starts at lo > 0, so hi is the larger endpoint magnitude.
-    if (
-        lmid <= lo
-        or rmid <= mid
-        or mid >= hi
-        or hi - lo <= _WIDTH_FLOOR * hi
-    ):
+    if lmid <= lo or rmid <= mid or mid >= hi or hi - lo <= _WIDTH_FLOOR * hi:
         return whole
-    flm = _f_terms(lmid, phi)[k]
-    if not math.isfinite(flm):
-        raise _non_finite(flm, lmid)
-    frm = _f_terms(rmid, phi)[k]
-    if not math.isfinite(frm):
-        raise _non_finite(frm, rmid)
-    left = ((mid - lo) / 6.0) * (fa + 4.0 * flm + fm)
-    right = ((hi - mid) / 6.0) * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * eps:
-        # Richardson extrapolation: the halved rule plus its error estimate.
-        return left + right + err / 15.0
-    if depth >= max_depth:
-        raise _too_deep(eps, lo, hi, depth)
-    half = 0.5 * eps
-    return _one(phi, lo, mid, fa, flm, fm, left, half, depth + 1, max_depth, k) + _one(
-        phi, mid, hi, fm, frm, fb, right, half, depth + 1, max_depth, k
-    )
-
-
-def _two(
-    phi: float,
-    lo: float,
-    hi: float,
-    fa1: float,
-    fm1: float,
-    fb1: float,
-    fa2: float,
-    fm2: float,
-    fb2: float,
-    whole1: float,
-    whole2: float,
-    eps1: float,
-    eps2: float,
-    depth: int,
-    max_depth: int,
-) -> tuple[float, float]:
-    # Adaptive Simpson on [lo, hi] for both integrands while both refine.
-    # Each keeps its own error test, eps and summation order, so each value
-    # is bit for bit what _one would return for it.
-    mid = 0.5 * (lo + hi)
-    lmid = 0.5 * (lo + mid)
-    rmid = 0.5 * (mid + hi)
-    if (
-        lmid <= lo
-        or rmid <= mid
-        or mid >= hi
-        or hi - lo <= _WIDTH_FLOOR * hi
-    ):
-        return whole1, whole2
-    _, flm1, flm2 = _f_terms(lmid, phi)
-    _, frm1, frm2 = _f_terms(rmid, phi)
-    if not math.isfinite(flm1):
-        raise _non_finite(flm1, lmid)
-    if not math.isfinite(frm1):
-        raise _non_finite(frm1, rmid)
-    if not math.isfinite(flm2):
-        raise _non_finite(flm2, lmid)
-    if not math.isfinite(frm2):
-        raise _non_finite(frm2, rmid)
-    left1 = ((mid - lo) / 6.0) * (fa1 + 4.0 * flm1 + fm1)
-    right1 = ((hi - mid) / 6.0) * (fm1 + 4.0 * frm1 + fb1)
-    left2 = ((mid - lo) / 6.0) * (fa2 + 4.0 * flm2 + fm2)
-    right2 = ((hi - mid) / 6.0) * (fm2 + 4.0 * frm2 + fb2)
-    err1 = left1 + right1 - whole1
-    err2 = left2 + right2 - whole2
-    if abs(err2) <= 15.0 * eps2:
-        v2 = left2 + right2 + err2 / 15.0
-        if abs(err1) <= 15.0 * eps1:
-            return left1 + right1 + err1 / 15.0, v2
-        if depth >= max_depth:
-            raise _too_deep(eps1, lo, hi, depth)
-        half = 0.5 * eps1
-        return (
-            _one(phi, lo, mid, fa1, flm1, fm1, left1, half, depth + 1, max_depth, 1)
-            + _one(phi, mid, hi, fm1, frm1, fb1, right1, half, depth + 1, max_depth, 1),
-            v2,
+    # While both refine: f at both points, then flm1, frm1, flm2, frm2.
+    # With one left: f and its value at lmid, then at rmid.
+    flm = _f_terms(lmid, phi)
+    if len(ks) == 1 and not math.isfinite(flm[ks[0]]):
+        raise _non_finite(flm[ks[0]], lmid)
+    frm = _f_terms(rmid, phi)
+    for k in ks:
+        if not math.isfinite(flm[k]):
+            raise _non_finite(flm[k], lmid)
+        if not math.isfinite(frm[k]):
+            raise _non_finite(frm[k], rmid)
+    values = []
+    sub = lefts = rights = half = ()
+    for k, s, e in zip(ks, whole, eps):
+        left = ((mid - lo) / 6.0) * (fa[k] + 4.0 * flm[k] + fm[k])
+        right = ((hi - mid) / 6.0) * (fm[k] + 4.0 * frm[k] + fb[k])
+        err = left + right - s
+        if abs(err) <= 15.0 * e:
+            # Richardson extrapolation: the halved rule plus its error estimate.
+            values.append(left + right + err / 15.0)
+        elif depth >= max_depth:
+            # The first integral that splits names its eps.
+            raise _too_deep(e, lo, hi, depth)
+        else:
+            values.append(None)
+            sub += (k,)
+            lefts += (left,)
+            rights += (right,)
+            half += (0.5 * e,)
+    if sub:
+        # Each integral that split is left + right of its halves.
+        sums = map(
+            float.__add__,
+            _walk(phi, lo, mid, sub, fa, flm, fm, lefts, half, depth + 1, max_depth),
+            _walk(phi, mid, hi, sub, fm, frm, fb, rights, half, depth + 1, max_depth),
         )
-    if abs(err1) <= 15.0 * eps1:
-        if depth >= max_depth:
-            raise _too_deep(eps2, lo, hi, depth)
-        half = 0.5 * eps2
-        return (
-            left1 + right1 + err1 / 15.0,
-            _one(phi, lo, mid, fa2, flm2, fm2, left2, half, depth + 1, max_depth, 2)
-            + _one(phi, mid, hi, fm2, frm2, fb2, right2, half, depth + 1, max_depth, 2),
-        )
-    if depth >= max_depth:
-        raise _too_deep(eps1, lo, hi, depth)
-    half1 = 0.5 * eps1
-    half2 = 0.5 * eps2
-    l1, l2 = _two(
-        phi, lo, mid, fa1, flm1, fm1, fa2, flm2, fm2,
-        left1, left2, half1, half2, depth + 1, max_depth,
-    )
-    r1, r2 = _two(
-        phi, mid, hi, fm1, frm1, fb1, fm2, frm2, fb2,
-        right1, right2, half1, half2, depth + 1, max_depth,
-    )
-    return l1 + r1, l2 + r2
+        values = [next(sums) if v is None else v for v in values]
+    return values
 
 
 def integrate_adaptive(
@@ -453,12 +387,13 @@ def integrate_adaptive(
     """Both endpoint integrals over [lo, hi] by one adaptive Simpson walk.
 
     The integrands are f/(1 + w f^2) and f^2/(1 + w f^2) with f = f_eval(., phi).
-    The walk evaluates f once per node and refines each integral with its
-    own error test, so each value is exactly what a separate adaptive
-    Simpson run on that integrand returns.  The test, Simpson's error
-    estimate against max(tol, tol*|S|) for S the first Simpson value, is no
-    bound: on the smooth [0.5412430767871772, 0.6637519887785263] at phi =
-    0.02753541891296596 and tol 1e-12, I1 is 2.94e-12 above the integral.
+    The walk evaluates f once per node and refines both integrals while both
+    refine, then the one left, each with its own error test, so each value
+    is exactly what a separate adaptive Simpson run on that integrand
+    returns.  The test, Simpson's error estimate against max(tol, tol*|S|)
+    for S the first Simpson value, is no bound: on the smooth
+    [0.5412430767871772, 0.6637519887785263] at phi = 0.02753541891296596
+    and tol 1e-12, I1 is 2.94e-12 above the integral.
 
     Args:
         phi: The conserved constant.
@@ -489,21 +424,15 @@ def integrate_adaptive(
     # The try adds no frame under the walk, whose time depends on its depth.
     try:
         mid = 0.5 * (lo + hi)
-        _, fa1, fa2 = _f_terms(lo, phi)
-        _, fm1, fm2 = _f_terms(mid, phi)
-        _, fb1, fb2 = _f_terms(hi, phi)
-        for x, g in ((lo, fa1), (mid, fm1), (hi, fb1), (lo, fa2), (mid, fm2), (hi, fb2)):
-            if not math.isfinite(g):
-                raise _non_finite(g, x)
-        whole1 = ((hi - lo) / 6.0) * (fa1 + 4.0 * fm1 + fb1)
-        whole2 = ((hi - lo) / 6.0) * (fa2 + 4.0 * fm2 + fb2)
-        return _two(
-            phi, lo, hi, fa1, fm1, fb1, fa2, fm2, fb2,
-            whole1, whole2,
-            max(spec.tol, spec.tol * abs(whole1)),
-            max(spec.tol, spec.tol * abs(whole2)),
-            0, spec.max_depth,
-        )
+        fa, fm, fb = _f_terms(lo, phi), _f_terms(mid, phi), _f_terms(hi, phi)
+        for k in (1, 2):
+            for x, g in ((lo, fa[k]), (mid, fm[k]), (hi, fb[k])):
+                if not math.isfinite(g):
+                    raise _non_finite(g, x)
+        whole = [((hi - lo) / 6.0) * (fa[k] + 4.0 * fm[k] + fb[k]) for k in (1, 2)]
+        eps = [max(spec.tol, spec.tol * abs(s)) for s in whole]
+        i1, i2 = _walk(phi, lo, hi, (1, 2), fa, fm, fb, whole, eps, 0, spec.max_depth)
+        return i1, i2
     except ZeroDivisionError:
         raise _underflow(phi, lo, hi) from None
 
@@ -589,11 +518,11 @@ class _Forest:
 
     A node set is (rows, active): rows holds the _ROWS floats of each node
     in a column, and active whether each integral still refines at the
-    node (_two while both do, _one after).  A node at depth d tests its
-    error against its 15 eps row times 0.5**d, the bits of the scalar
-    walk's halved eps.  The top of every tree is computed in one pass, every
-    deeper node by its parent's level, and a slice of a node set is one take
-    of its columns, so no node is walked twice.
+    node (the scalar walk's ks: both, then the one left).  A node at depth
+    d tests its error against its 15 eps row times 0.5**d, the bits of the
+    scalar walk's halved eps.  The top of every tree is computed in one
+    pass, every deeper node by its parent's level, and a slice of a node
+    set is one take of its columns, so no node is walked twice.
 
     The top pass takes f at every dyadic point of each tree down to depth
     top (_TOP_DEPTH in a forest of fewer than _BATCH_WIDTH trees, else 0),
@@ -690,7 +619,7 @@ class _Forest:
         return val[:, 0]
 
     def values(self, depth: int, nodes: tuple) -> np.ndarray:
-        """The (I1, I2) values of nodes at one depth, as _two and _one return them.
+        """The (I1, I2) values of nodes at one depth, as the scalar walk returns them.
 
         Nodes at or right of their tree's leftmost failure get zeros.  Node
         sets are passed inline (list.pop()), so that each call owns its
@@ -721,10 +650,10 @@ class _Forest:
         return val
 
     def _level(self, depth: int, nodes: tuple):
-        # One level of _two/_one for every node: the node values where they
-        # stop, the integrals that split, the nodes that have children, and
-        # those children (a list of their one node set, empty if none).  c
-        # holds the rows of every candidate child: c[:, 0, j] is the left
+        # One level of the scalar walk for every node: the node values where
+        # they stop, the integrals that split, the nodes that have children,
+        # and those children (a list of their one node set, empty if none).
+        # c holds the rows of every candidate child: c[:, 0, j] is the left
         # half of node j, c[:, 1, j] its right half.
         rows, active = nodes
         m = rows.shape[1]
@@ -786,39 +715,30 @@ class _Forest:
         failed = (bad[0] | bad[1]).nonzero()[0]
         if not failed.size:
             return
-        lo, hi, walk = rows[_LO], rows[_HI], rows[_WALK]
+        lo, walk = rows[_LO], rows[_WALK]
         failed = failed[np.lexsort((lo[failed], walk[failed]))]
         for j in failed[np.unique(walk[failed], return_index=True)[1]].tolist():
             w = int(walk[j])
             self.fail_lo[w] = lo[j]
-            self.failures[w] = self._failure(
-                w, float(lo[j]), float(hi[j]), depth, live[:, j], split[:, j]
-            )
+            self.failures[w] = self._failure(w, depth, rows[:, j], live[:, j])
 
-    def _failure(self, w: int, lo: float, hi: float, depth: int, live, split) -> Exception:
-        # The error the scalar walk raises at a failing node of tree w, by
-        # _two's check order while both integrals refine and _one's after:
-        # f at both points, then each value's finiteness, then the depth cap
-        # at the eps of the integral that splits (eps1 if both do).
-        phi = float(self.phi[w])
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
+    def _failure(self, w: int, depth: int, node: np.ndarray, live) -> Exception:
+        # The error the scalar walk raises at a failing node of tree w: the
+        # walk run on the node, with its f values, its Simpson estimates and
+        # the root eps halved depth times, fails there.
+        phi, lo, hi = float(self.phi[w]), float(node[_LO]), float(node[_HI])
+        ks = tuple(k for k in (1, 2) if live[k - 1])
+        # _f_terms' layout at lo, mid and hi; the walk does not read f itself.
+        fa, fm, fb = ((0.0, f1, f2) for f1, f2 in zip(*node[_F].reshape(2, 3).tolist()))
+        whole = [float(node[_WHOLE][k - 1]) for k in ks]
+        eps = [float(self.eps[k - 1, w]) * 0.5**depth for k in ks]
         try:
-            if live[0] and live[1]:
-                _, flm1, flm2 = _f_terms(lmid, phi)
-                _, frm1, frm2 = _f_terms(rmid, phi)
-                checks = ((flm1, lmid), (frm1, rmid), (flm2, lmid), (frm2, rmid))
-            else:
-                k = 1 if live[0] else 2
-                checks = ((_f_terms(x, phi)[k], x) for x in (lmid, rmid))
-            for g, x in checks:
-                if not math.isfinite(g):
-                    return _non_finite(g, x)
+            _walk(phi, lo, hi, ks, fa, fm, fb, whole, eps, depth, self.max_depth)
         except ZeroDivisionError:
             return _underflow(phi, float(self.lo[w]), float(self.hi[w]))
-        eps = float(self.eps[0 if split[0] else 1, w])
-        return _too_deep(eps * 0.5**depth, lo, hi, depth)
+        except (NonFiniteError, DepthExceededError) as exc:
+            return exc.with_traceback(None)
+        raise AssertionError(f"no failure at the failing node of walk {w}")
 
 
 def integrate_batch(
@@ -1266,12 +1186,17 @@ def optimize_bounds(channels: Sequence[ChannelParams]) -> Iterator[BoundEvaluati
     channel of that a from them, then every start of every channel runs in
     lockstep, and the channels whose optimum lands on the B_f cap take the
     widened pass together.  Each evaluation is bit for bit optimize_bound's,
-    and each channel's warnings and error come out in its turn.  Being a
-    generator, it ends at the first channel that raises: the channels after
-    it yield nothing, where a loop of optimize_bound calls could go on.
+    and each channel's warnings and error come out in its turn.  As a loop
+    of optimize_bound calls can, it goes on after a channel that raises:
+    the next next() gives the channel after it.
     """
-    for optimum in _optimize(list(channels)):
-        yield optimum.result()
+
+    def optima():
+        yield from _optimize(list(channels))
+
+    # A map, not a generator, which a raise would end.  The lambda is the
+    # frame that result()'s warnings step over, as optimize_bound is.
+    return map(lambda optimum: optimum.result(), optima())
 
 
 class _Optimum:

@@ -49,6 +49,9 @@ EXIT_VERIFY_FAILED = 1
 
 _MIN_B = 1e-3
 
+# The failures a command reports with an exit code, not a traceback.
+_EXPECTED_ERRORS = (LinrelayError, ArithmeticError, ValueError, OSError)
+
 _CSV_COLUMNS = [
     "a",
     "b",
@@ -149,11 +152,22 @@ def _sweep_b_values(b_min: float, b_max: float, n: int, grid: str) -> list[float
     return values
 
 
-def run_sweep(a: float, b_values: list[float]) -> list[dict]:
-    """One bounds row per b value, in order; the rank-1 searches run in lockstep."""
+def run_sweep(a: float, b_values: list[float]) -> tuple[list[dict], list[tuple[float, Exception]]]:
+    """Bounds rows for the b values, in order; the rank-1 searches run in lockstep.
+
+    Returns the rows of the b values that succeeded, and each b that failed
+    with its error.
+    """
     rows = []
+    failed = []
     channels = [ChannelParams(a=a, b=b) for b in b_values]
-    for record in bounds_records(channels):
+    records = bounds_records(channels)
+    for channel in channels:
+        try:
+            record = next(records)
+        except _EXPECTED_ERRORS as exc:
+            failed.append((channel.b, exc))
+            continue
         ev = record.rank1_eval
         rows.append(
             {
@@ -172,7 +186,7 @@ def run_sweep(a: float, b_values: list[float]) -> list[dict]:
                 "Q2": ev.Q2,
             }
         )
-    return rows
+    return rows, failed
 
 
 def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
@@ -255,12 +269,17 @@ def cmd_sweep(args) -> int:
     if args.svg:  # an empty --svg asks for no chart
         _check_out_dir(args.svg)
     b_values = _sweep_b_values(args.b_min, args.b_max, args.n_points, args.grid)
-    rows = run_sweep(args.a, b_values)
+    rows, failed = run_sweep(args.a, b_values)
+    if not rows:
+        # No b succeeded: the sweep fails as a whole, with the first error.
+        raise failed[0][1]
     _write_rows(rows, args.out, args.format)
     if args.svg:
         _write_svg(Path(args.svg), rows)
+    for b, exc in failed:
+        print(f"error: b={_fmt(b)}: {exc}", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return _exit_code(failed[0][1]) if failed else EXIT_OK
 
 
 def cmd_code(args) -> int:
@@ -362,17 +381,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, LinrelayError):
+        return exc.exit_code
+    # Bare overflow and division by zero at extreme gains are collapse.
+    return EXIT_COLLAPSE if isinstance(exc, ArithmeticError) else EXIT_INVALID_INPUT
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; map every expected failure to its exit code."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LinrelayError, ArithmeticError, ValueError, OSError) as exc:
+    except _EXPECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, LinrelayError):
-            return exc.exit_code
-        # Bare overflow and division by zero at extreme gains are collapse.
-        return EXIT_COLLAPSE if isinstance(exc, ArithmeticError) else EXIT_INVALID_INPUT
+        return _exit_code(exc)
     except MemoryError as exc:
         # A size too large to hold, as a forced k's k x k matrix or a huge
         # --n-samples; numpy's message names the allocation, a bare one is empty.

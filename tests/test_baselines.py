@@ -106,3 +106,32 @@ class TestBoundsRecord:
         # Same channel, same deterministic searches as the cached fixtures.
         assert record.rank1_eval == optimized_cache(1.1, 2.0)
         assert record.two_by_two == two_by_two_cache(1.1, 2.0)
+
+    def test_records_go_on_after_a_channel_that_raises(self, monkeypatch):
+        # Stand-in searches and 2x2 baselines: channel 1's rank-1 search and
+        # channel 2's 2x2 baseline fail.  Each channel raises its own error
+        # in its turn, the 2x2 baseline's before the search's, and the
+        # channels after it still give their records.
+        channels = [ChannelParams(a=1.1, b=b) for b in (1.0, 2.0, 3.0, 4.0)]
+
+        def rank1(channel):
+            if channel.b == 2.0:
+                raise LookupError("search 2")
+            return channel.b
+
+        def two_by_two(channel):
+            if channel.b == 3.0:
+                raise KeyError("2x2 3")
+            return -channel.b
+
+        monkeypatch.setattr(baselines, "optimize_bounds", lambda chs: map(rank1, chs))
+        monkeypatch.setattr(baselines, "two_by_two_bound", two_by_two)
+        records = bounds_records(channels)
+        assert next(records).rank1_eval == 1.0
+        with pytest.raises(LookupError, match="search 2"):
+            next(records)
+        with pytest.raises(KeyError, match="2x2 3"):
+            next(records)
+        record = next(records)
+        assert (record.rank1_eval, record.two_by_two) == (4.0, -4.0)
+        assert next(records, None) is None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import math
 import traceback
 import re
@@ -300,13 +301,13 @@ def _stand_in_failures(monkeypatch, nan_at=(), underflow_at=()):
 
 
 def _failure_sites(monkeypatch):
-    # Where the walk builds its errors: (function, integrand k of _one) per
-    # _too_deep or _non_finite call.
+    # The phase in which the walk builds each of its errors: the integrals
+    # still refining at the node of each _too_deep or _non_finite call,
+    # (1, 2), (1,) or (2,), and None at the root.
     sites = []
     for name in ("_too_deep", "_non_finite"):
         def spy(*args, real=getattr(bound, name)):
-            frame = sys._getframe(1)
-            sites.append((frame.f_code.co_name, frame.f_locals.get("k")))
+            sites.append(sys._getframe(1).f_locals.get("ks"))
             return real(*args)
 
         monkeypatch.setattr(bound, name, spy)
@@ -314,10 +315,11 @@ def _failure_sites(monkeypatch):
 
 
 # Trees that fail by the depth cap below the root, as (phi, lo, hi, tol,
-# max_depth), each in the phase named: _two with both integrals splitting
-# (eps1 in the error), _two with only integral 2 splitting (eps2), and _one
-# on integrand 1 and on integrand 2.  The two integrals' eps differ in each,
-# and each first failing node is the leftmost at its depth.
+# max_depth), each in the phase named: both integrals refining and both
+# splitting (eps1 in the error), both refining and only integral 2 splitting
+# (eps2), and integral 1 or integral 2 refining alone.  The two integrals'
+# eps differ in each, and each first failing node is the leftmost at its
+# depth.
 _DEPTH_CASES = {
     "two": (4760.607040556698, 72.5552202095499, 2296.0085176820016, 1e-12, 7),
     "two-2": (102.77568039321623, 929.1666159545941, 4893.126425717823, 1e-12, 7),
@@ -338,8 +340,9 @@ def _first_failing_node(case):
 def _first_stop(phi, lo, hi, spec, top):
     # Reference for the level walk's start in a small forest: the first
     # depth, at most top, at which a node of the scalar walk's tree does not
-    # split both integrals, by _two's exhaustion and error tests, or meets a
-    # non-finite integrand at a child's mid; 0 if one fails at the root.
+    # split both integrals, by the walk's exhaustion and error tests, or
+    # meets a non-finite integrand at a child's mid; 0 if one fails at the
+    # root.
     # Every node down to there is visited, breadth first.
     def terms(w):
         try:
@@ -514,6 +517,25 @@ class TestIntegrateAdaptive:
         assert isinstance(first[0], type) == first_fails
         got = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
         assert got == {"first": first, "second": second}[raised]
+
+    def test_scalar_walk_keeps_its_bits(self):
+        # The scalar walk's own outcomes, not only their agreement with the
+        # numpy walk: the log-uniform intervals and the depth-cap trees at
+        # both quadratures, and the depth-cap trees at their own caps.
+        phi, lo, hi = _log_uniform_intervals(400, seed=20261019)
+        intervals = list(zip(phi.tolist(), lo.tolist(), hi.tolist()))
+        intervals += [case[:3] for case in _DEPTH_CASES.values()]
+        runs = [(i, spec) for spec in (DEFAULT_QUADRATURE, _SCAN_QUADRATURE) for i in intervals]
+        runs += [(case[:3], QuadratureSpec(*case[3:])) for case in _DEPTH_CASES.values()]
+        digest = hashlib.sha256()
+        for interval, spec in runs:
+            outcome = _outcome(lambda: integrate_adaptive(*interval, spec))
+            if isinstance(outcome[0], type):
+                outcome = (outcome[0].__name__, outcome[1])
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == (
+            "5b584040f9894ba234406dd440ee09b9bc591ddb54ab38c045c3f370e4bfcac2"
+        )
 
     @pytest.mark.parametrize(
         "phi,lo,hi",
@@ -703,20 +725,21 @@ class TestIntegrateBatch:
     @pytest.mark.parametrize(
         "case,site",
         [
-            (_DEPTH_CASES["two"], ("_two", None)),
-            (_DEPTH_CASES["two-2"], ("_two", None)),
-            (_DEPTH_CASES["one-1"], ("_one", 1)),
-            (_DEPTH_CASES["one-2"], ("_one", 2)),
+            (_DEPTH_CASES["two"], (1, 2)),
+            (_DEPTH_CASES["two-2"], (1, 2)),
+            (_DEPTH_CASES["one-1"], (1,)),
+            (_DEPTH_CASES["one-2"], (2,)),
             # Integrand 2 overflows left of about 1e-72, where the walk
             # arrives at depth 36 refining integrand 2 alone.
             ((1.60015102630338e82, 2.8047039270688645e-98, 1.688939465603267e-61, 1e-12, 60),
-             ("_one", 2)),
+             (2,)),
         ],
         ids=["depth-two", "depth-two-2", "depth-one-1", "depth-one-2", "non-finite-child"],
     )
     def test_failure_below_the_root_is_the_scalar_error(self, case, site, monkeypatch):
-        # One wide tree that fails below its root, where the scalar walk's
-        # error is built as the id says, gets that error from the level walk.
+        # One wide tree that fails below its root, where the scalar walk
+        # builds its error in the phase given, gets that error from the level
+        # walk.
         phi, lo, hi, tol, max_depth = case
         spec = QuadratureSpec(tol=tol, max_depth=max_depth)
         sites = _failure_sites(monkeypatch)
@@ -731,18 +754,18 @@ class TestIntegrateBatch:
     @pytest.mark.parametrize(
         "case,failures_at,raised",
         [
-            # While both integrals refine (_two): f at both points, then
-            # flm1, frm1, flm2, frm2.
-            ("two", {"underflow": "l"}, ("_two", "underflow")),
-            ("two", {"nan": [("l", (1, 2))], "underflow": "r"}, ("_two", "underflow")),
-            ("two", {"nan": [("l", (2,)), ("r", (1,))]}, ("_two", "r")),
-            ("two", {"nan": [("l", (2,))]}, ("_two", "l")),
-            # Refining integral k alone (_one): f and flm_k at lmid, then f
-            # and frm_k at rmid; the other integral is not read.
-            ("one-1", {"nan": [("l", (1,))], "underflow": "r"}, ("_one", "l")),
-            ("one-1", {"underflow": "r"}, ("_one", "underflow")),
-            ("one-1", {"nan": [("l", (2,)), ("r", (1,))]}, ("_one", "r")),
-            ("one-2", {"nan": [("r", (2,))]}, ("_one", "r")),
+            # While both integrals refine: f at both points, then flm1,
+            # frm1, flm2, frm2.
+            ("two", {"underflow": "l"}, ((1, 2), "underflow")),
+            ("two", {"nan": [("l", (1, 2))], "underflow": "r"}, ((1, 2), "underflow")),
+            ("two", {"nan": [("l", (2,)), ("r", (1,))]}, ((1, 2), "r")),
+            ("two", {"nan": [("l", (2,))]}, ((1, 2), "l")),
+            # Refining integral k alone: f and flm_k at lmid, then f and
+            # frm_k at rmid; the other integral is not read.
+            ("one-1", {"nan": [("l", (1,))], "underflow": "r"}, ((1,), "l")),
+            ("one-1", {"underflow": "r"}, ((1,), "underflow")),
+            ("one-1", {"nan": [("l", (2,)), ("r", (1,))]}, ((1,), "r")),
+            ("one-2", {"nan": [("r", (2,))]}, ((2,), "r")),
             ("one-2", {"nan": [("l", (1,)), ("r", (1,))]}, (None, None)),
         ],
         ids=[
@@ -754,7 +777,7 @@ class TestIntegrateBatch:
     def test_check_order_at_a_failing_node(self, case, failures_at, raised, monkeypatch):
         # A _DEPTH_CASES tree, with no depth cap, given stand-in failures at
         # the two points of the node it failed at: the level walk fails
-        # where the scalar walk does, in _two's or _one's check order, with
+        # where the scalar walk does, in the check order of its phase, with
         # its class and message and no integrate_adaptive call; a tree that
         # the stand-ins do not fail keeps the scalar walk's bits.
         phi, lo, hi, tol, _ = _DEPTH_CASES[case]
@@ -769,8 +792,8 @@ class TestIntegrateBatch:
         )
         sites = _failure_sites(monkeypatch)
         scalar = _outcome(lambda: integrate_adaptive(phi, lo, hi, spec))
-        function, at = raised
-        if function is None:
+        phase, at = raised
+        if phase is None:
             assert not isinstance(scalar[0], type)
         elif at == "underflow":
             assert scalar == (
@@ -779,11 +802,11 @@ class TestIntegrateBatch:
             )
         else:
             assert scalar[0] is NonFiniteError and f"at x={points[at]!r}" in scalar[1]
-            assert sites[-1][0] == function
+            assert sites[-1] == phase
         _, calls = _count_scalar_walks(monkeypatch)
         i1, i2, failures = integrate_batch([phi], [lo], [hi], spec)
         assert calls == []
-        if function is None:
+        if phase is None:
             assert failures == {}
             assert (float(i1[0]).hex(), float(i2[0]).hex()) == scalar
         else:
@@ -807,9 +830,9 @@ class TestIntegrateBatch:
         found = []
         real_failure = bound._Forest._failure
 
-        def spy(forest, w, lo, hi, depth, live, split):
+        def spy(forest, w, depth, node, live):
             found.append(depth)
-            return real_failure(forest, w, lo, hi, depth, live, split)
+            return real_failure(forest, w, depth, node, live)
 
         monkeypatch.setattr(bound._Forest, "_failure", spy)
         _, calls = _count_scalar_walks(monkeypatch)
@@ -1443,7 +1466,8 @@ class TestLockstepRefinement:
         assert _hexed([[ours]]) == _hexed([[minimize_simplex(objective, start)]])
 
     def test_sweep_rows_equal_per_channel_optimize_bound(self, optimized_cache):
-        rows = run_sweep(1.1, [channel.b for channel in SWEEP_CHANNELS])
+        rows, failed = run_sweep(1.1, [channel.b for channel in SWEEP_CHANNELS])
+        assert failed == []
         for row, channel in zip(rows, SWEEP_CHANNELS):
             ev = optimized_cache(channel.a, channel.b)
             alone = {
@@ -1499,7 +1523,8 @@ class TestLockstepRefinement:
 
     def test_channel_errors_come_in_their_turn(self, optimized_cache, monkeypatch):
         # A channel whose scan finds nothing raises when its turn comes, after
-        # the channels before it have given their results.
+        # the channels before it have given their results, and the channel
+        # after it still gives its own.
         weak = ChannelParams(a=1.1, b=3.0)
         real = bound._scan
 
@@ -1511,6 +1536,8 @@ class TestLockstepRefinement:
         assert next(evs) == optimized_cache(1.1, 2.0)
         with pytest.raises(NoFeasiblePointError, match="every grid point degenerate"):
             next(evs)
+        assert next(evs) == optimized_cache(1.1, 2.0)
+        assert next(evs, None) is None
 
     def test_cap_warnings_in_channel_order_after_one_widened_pass(self, monkeypatch):
         # Both channels are made to land on the cap of the first pass (their
@@ -1615,8 +1642,7 @@ class TestSharedScan:
         # One scan endpoint at a = 1.1 fails with an error that is not a
         # feasibility error.  Both channels of that a raise it, each in its
         # turn and each with the traceback the solve gave it; the channel
-        # between them is unaffected.  optimize_bounds ends at the first
-        # error, so the channels' turns are taken from their searches.
+        # between them is unaffected.
         a2 = 1.1 * 1.1
         rho, bf = bound._rho_grid()[12], bound._bf_grid(1e-3, 1e3, 25)[12]
         real = bound._endpoint_steps
@@ -1628,12 +1654,12 @@ class TestSharedScan:
             return ep
 
         monkeypatch.setattr(bound, "_endpoint_steps", failing)
-        first, middle, third = bound._optimize(MIXED_CHANNELS)
+        evs = optimize_bounds(MIXED_CHANNELS)
         with pytest.raises(LookupError, match="shared") as raised_first:
-            first.result()
-        assert _hex_fields(middle.result()) == _hex_fields(optimized_cache(0.7, 3.0))
+            next(evs)
+        assert _hex_fields(next(evs)) == _hex_fields(optimized_cache(0.7, 3.0))
         with pytest.raises(LookupError, match="shared") as raised_third:
-            third.result()
+            next(evs)
         assert raised_third.value is not raised_first.value
         frames = [
             [(frame.filename, frame.name) for frame in traceback.extract_tb(info.value.__traceback__)]
@@ -1641,5 +1667,3 @@ class TestSharedScan:
         ]
         assert frames[0] == frames[1]
         assert frames[0][-1][1] == "failing"
-        with pytest.raises(LookupError, match="shared"):
-            next(optimize_bounds(MIXED_CHANNELS))

@@ -117,6 +117,23 @@ class TestSweepCommand:
         assert rows[0] == rows[1]
         assert rows[0]["rank1"] == pytest.approx(0.887008946, abs=1e-6)
 
+    def test_failed_b_is_named_and_the_rest_written(self, optimized_cache, tmp_path, capsys):
+        # At b = 1e6 the search finds no feasible point (exit 2).  The row
+        # of b = 2 is still written, with optimize_bound's bits, and the
+        # failed b is named with its error; the exit code is that error's.
+        out = tmp_path / "table.csv"
+        argv = ["sweep", "--a", "1.1", "--b-min", "2", "--b-max", "1e6", "--n-points", "2"]
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID_INPUT
+        assert captured.err == "error: b=1000000.0: refinement found no feasible point\n"
+        assert captured.out == f"wrote 1 rows to {out}\n"
+        header, row = out.read_text().splitlines()
+        assert header.startswith("a,b,")
+        fields = row.split(",")
+        assert fields[:2] == ["1.1", "2.0"]
+        assert float(fields[5]) == optimized_cache(1.1, 2.0).normalized
+
     def test_grid_values(self):
         assert _sweep_b_values(1.0, 4.0, 3, "log") == pytest.approx([1.0, 2.0, 4.0], rel=1e-12)
         assert _sweep_b_values(1.0, 2.0, 3, "linear") == pytest.approx(
@@ -335,8 +352,18 @@ class TestExitCodes:
             pytest.param(
                 ["bound", "--a", "1.1", "--b", "1e-200", "--Af", "0.4774", "--Bf", "0.7594"],
                 EXIT_COLLAPSE,
-                None,
+                "b^2 underflows to 0 at gain b=1e-200",
                 id="bound-zero-division-gain",
+            ),
+            # Refused before the search, which would divide by b^2 = 0 at its end.
+            *(
+                pytest.param(argv, EXIT_COLLAPSE, "b^2 underflows to 0 at gain b=1e-200",
+                             id=f"{argv[0]}-underflow-gain-b")
+                for argv in (
+                    ["bound", "--a", "1.1", "--b", "1e-200"],
+                    ["verify", "--a", "1.1", "--b", "1e-200"],
+                    ["code", "--a", "1.1", "--b", "1e-200", "--k", "8", "--out", "{tmp}/x"],
+                )
             ),
             pytest.param(
                 ["code", *CHANNEL_ARGS, *PAIR_ARGS, "--k", "16",
